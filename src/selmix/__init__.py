@@ -7,10 +7,8 @@ from .benchmark import BenchmarkSetting, benchmark_config, make_benchmark
 from .classifier import (
     CentroidSet,
     LinearModel,
-    MixupSample,
     class_centroids,
     direction_matrix,
-    logits,
     mixup_loss,
     predict,
     sgd_mixup_step,
@@ -63,7 +61,6 @@ __all__ = [
     "LinearModel",
     "MetricSpec",
     "MixPolicy",
-    "MixupSample",
     "OnlineGameConfig",
     "RunHistory",
     "SelMixError",
@@ -80,7 +77,6 @@ __all__ = [
     "generate_longtail",
     "greedy_distribution",
     "load_dataset",
-    "logits",
     "make_benchmark",
     "metric_grad_unconstrained",
     "mixup_loss",

@@ -50,26 +50,6 @@ class LinearModel:
 
 
 @dataclass(frozen=True)
-class MixupSample:
-    """One feature-space mixup: beta * feat_a + (1 - beta) * feat_b, labeled
-    with the first sample's class."""
-
-    feat_a: np.ndarray
-    feat_b: np.ndarray
-    label: int
-    beta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "feat_a", np.asarray(self.feat_a, dtype=np.float64))
-        object.__setattr__(self, "feat_b", np.asarray(self.feat_b, dtype=np.float64))
-        if not 0.0 <= self.beta <= 1.0:
-            raise SelMixError(f"beta must lie in [0, 1], got {self.beta}")
-
-    def mixed(self) -> np.ndarray:
-        return self.beta * self.feat_a + (1.0 - self.beta) * self.feat_b
-
-
-@dataclass(frozen=True)
 class CentroidSet:
     """Per-class mean feature vectors, shape (K, d)."""
 
@@ -79,17 +59,10 @@ class CentroidSet:
         object.__setattr__(self, "centroids", np.asarray(self.centroids, dtype=np.float64))
 
 
-def logits(model: LinearModel, feature: np.ndarray) -> np.ndarray:
-    feature = np.asarray(feature, dtype=np.float64)
-    if feature.shape != (model.dim,):
-        raise SelMixError(f"feature has length {feature.shape}, expected ({model.dim},)")
-    return model.weights.T @ feature
-
-
 def batch_logits(model: LinearModel, features: np.ndarray) -> np.ndarray:
     features = np.asarray(features, dtype=np.float64)
-    if features.shape[1] != model.dim:
-        raise SelMixError("feature dimension mismatch")
+    if features.ndim != 2 or features.shape[1] != model.dim:
+        raise SelMixError(f"features must be an n x {model.dim} matrix, got shape {features.shape}")
     return features @ model.weights
 
 
@@ -98,13 +71,29 @@ def predict(model: LinearModel, features: np.ndarray) -> np.ndarray:
     return np.argmax(batch_logits(model, features), axis=1)
 
 
-def cross_entropy(model: LinearModel, feature: np.ndarray, label: int) -> float:
-    return float(-log_softmax(logits(model, feature))[label])
+def _mix(feat_a: np.ndarray, feat_b: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """Feature-space mixup per row: beta * feat_a + (1 - beta) * feat_b."""
+    betas = np.asarray(betas, dtype=np.float64)
+    if betas.size == 0:
+        raise SelMixError("mixup needs a nonempty batch")
+    valid = (betas >= 0.0) & (betas <= 1.0)
+    if not valid.all():
+        raise SelMixError(f"beta must lie in [0, 1], got {betas[~valid][0]}")
+    b = betas[:, None]
+    return b * feat_a + (1.0 - b) * feat_b
 
 
-def mixup_loss(model: LinearModel, sample: MixupSample) -> float:
-    """Softmax cross-entropy of the mixed feature against sample.label."""
-    return cross_entropy(model, sample.mixed(), sample.label)
+def mixup_loss(
+    model: LinearModel,
+    feat_a: np.ndarray,
+    feat_b: np.ndarray,
+    labels: np.ndarray,
+    betas: np.ndarray,
+) -> np.ndarray:
+    """Per-row softmax cross-entropy of the mixed features against labels
+    (each mixup is labeled with its first sample's class)."""
+    log_p = log_softmax(batch_logits(model, _mix(feat_a, feat_b, betas)), axis=1)
+    return -log_p[np.arange(log_p.shape[0]), labels]
 
 
 def class_centroids(features: FeatureDataset) -> CentroidSet:
@@ -141,16 +130,23 @@ def direction_matrix(
     return np.outer(zeta, e_i - p)
 
 
-def sgd_mixup_step(model: LinearModel, batch: list[MixupSample], lr: float) -> LinearModel:
+def sgd_mixup_step(
+    model: LinearModel,
+    feat_a: np.ndarray,
+    feat_b: np.ndarray,
+    labels: np.ndarray,
+    betas: np.ndarray,
+    lr: float,
+) -> LinearModel:
     """One SGD step on the batch-mean mixup loss; returns a new model.
 
-    Gradients are averaged (not summed) so lr does not scale with batch size.
+    Row n mixes feat_a[n] and feat_b[n] with weight betas[n] and is labeled
+    labels[n].  Gradients are averaged (not summed) so lr does not scale with
+    batch size.
     """
-    if not batch:
-        raise SelMixError("sgd_mixup_step needs a nonempty batch")
-    mixed = np.stack([s.mixed() for s in batch])
-    labels = np.array([s.label for s in batch])
+    mixed = _mix(feat_a, feat_b, betas)
+    n = mixed.shape[0]
     p = softmax(mixed @ model.weights, axis=1)
-    p[np.arange(len(batch)), labels] -= 1.0
-    grad = mixed.T @ p / len(batch)
+    p[np.arange(n), labels] -= 1.0
+    grad = mixed.T @ p / n
     return LinearModel(model.weights - lr * grad)

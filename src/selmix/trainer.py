@@ -8,9 +8,13 @@ draw (Y1, Y2) from that distribution, pick X1 uniformly from the labeled
 class-Y1 pool and X2 from the pseudo-labeled (ssl) or labeled (supervised)
 class-Y2 pool, and descend the mixup loss at the scheduled learning rate.
 Runs are bitwise deterministic for a given (config, seed): the root seed
-spawns independent streams for pair sampling, beta draws, batch element
-choice, and data shuffling, so toggling one consumer leaves the others
-unchanged.
+spawns independent streams for pair sampling, beta draws, and batch element
+choice, so toggling one consumer leaves the others unchanged.
+
+The SGD block works on whole batches: the labeled pool's rows are laid out
+by class once per run and the second pool's once per cycle
+(``_class_layout``), so a batch is one gather per side, one mix, and one
+weight update.
 """
 
 from __future__ import annotations
@@ -18,13 +22,13 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .classifier import (
     CentroidSet,
     LinearModel,
-    MixupSample,
     batch_logits,
     class_centroids,
     sgd_mixup_step,
@@ -39,7 +43,13 @@ from .metrics import (
     model_confusion,
     update_lagrange,
 )
-from .policy import MixPolicy, greedy_distribution, selmix_distribution, uniform_distribution
+from .policy import (
+    MixPolicy,
+    greedy_distribution,
+    sample_pair,
+    selmix_distribution,
+    uniform_distribution,
+)
 
 MAX_PAIR_RESAMPLES = 100
 
@@ -179,6 +189,30 @@ def pretrain_erm(
     return LinearModel(w)
 
 
+class _ClassLayout(NamedTuple):
+    """CSR-style class-row index of one pool.
+
+    The rows of class k are ``order[start[k]:start[k] + count[k]]`` in
+    ascending row order; rows labelled -1 (unassigned pseudo slots) sort
+    first and belong to no class.
+    """
+
+    order: np.ndarray
+    start: np.ndarray
+    count: np.ndarray
+
+    def rows(self, y: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Row per draw: the int(u * count[y])-th row of class y, u in [0, 1)."""
+        return self.order[self.start[y] + (u * self.count[y]).astype(np.intp)]
+
+
+def _class_layout(pool: FeatureDataset) -> _ClassLayout:
+    order = np.argsort(pool.labels, kind="stable")
+    count = pool.class_counts()
+    start = pool.n - count.sum() + np.cumsum(count) - count
+    return _ClassLayout(order, start, count)
+
+
 def _draw_pairs(
     policy: MixPolicy,
     count: int,
@@ -189,12 +223,13 @@ def _draw_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batch of (Y1, Y2) pairs with resampling when a drawn class pool is
     empty: Y1 retries are capped, Y2 retries (pseudo-label collapse) are
-    counted and retried generously."""
+    counted and retried generously.  Draws needing a retry are redrawn in
+    batch order, one ``sample_pair`` at a time."""
     k = policy.probs.shape[0]
     cdf = np.cumsum(policy.probs.reshape(-1))
     flat = np.minimum(np.searchsorted(cdf, rng.random(count), side="right"), k * k - 1)
     y1, y2 = np.divmod(flat, k)
-    for n in range(count):
+    for n in np.flatnonzero(~(first_nonempty[y1] & second_nonempty[y2])):
         tries_first = 0
         tries_second = 0
         while not (first_nonempty[y1[n]] and second_nonempty[y2[n]]):
@@ -208,8 +243,7 @@ def _draw_pairs(
                 history.pseudo_empty_resamples += 1
                 if tries_second > 10 * MAX_PAIR_RESAMPLES:
                     raise SelMixError("pseudo-labeled pools collapsed; cannot draw a pair")
-            idx = min(int(np.searchsorted(cdf, rng.random(), side="right")), k * k - 1)
-            y1[n], y2[n] = divmod(idx, k)
+            y1[n], y2[n] = sample_pair(policy, rng)
     return y1, y2
 
 
@@ -245,7 +279,7 @@ def run_selmix(
 
     started = time.perf_counter()
     ss = np.random.SeedSequence(config.seed)
-    pair_rng, beta_rng, elem_rng, _shuffle_rng = (np.random.default_rng(s) for s in ss.spawn(4))
+    pair_rng, beta_rng, elem_rng = (np.random.default_rng(s) for s in ss.spawn(3))
 
     model = init
     # frozen features: validation centroids never move, compute them once
@@ -255,7 +289,7 @@ def run_selmix(
         second_pool = refresh_pseudo_labels(model, unlabeled)
 
     history = RunHistory()
-    train_idx = train.class_indices()
+    first = _class_layout(train)
     total_steps = max(config.cycles * config.sgd_steps_per_cycle, 1)
     spec = config.metric
     global_step = 0
@@ -269,7 +303,7 @@ def run_selmix(
         confusion = model_confusion(model, validation)
         lam = update_lagrange(spec, confusion)
         psi = evaluate_metric(spec, confusion, lam)
-        grad_input = confusion.with_floor(grad_floor).with_clamped_diagonal()
+        grad_input = confusion.with_floor(grad_floor)
         gains = gain_matrix(model, centroids, grad_input, spec, lam, config.beta_bar)
         policy = _cycle_policy(config, gains)
         history.records.append(
@@ -286,25 +320,20 @@ def run_selmix(
             )
         )
 
-        second_idx = second_pool.class_indices()
-        first_nonempty = np.array([idx.size > 0 for idx in train_idx])
-        second_nonempty = np.array([idx.size > 0 for idx in second_idx])
+        second = _class_layout(second_pool)
+        first_nonempty, second_nonempty = first.count > 0, second.count > 0
         for _ in range(config.sgd_steps_per_cycle):
             y1, y2 = _draw_pairs(
                 policy, config.batch_size, pair_rng, first_nonempty, second_nonempty, history
             )
             u1, u2 = elem_rng.random(config.batch_size), elem_rng.random(config.batch_size)
             betas = beta_rng.uniform(config.beta_min, 1.0, size=config.batch_size)
-            batch = []
-            for n in range(config.batch_size):
-                pool1, pool2 = train_idx[y1[n]], second_idx[y2[n]]
-                x1 = train.features[pool1[int(u1[n] * pool1.size)]]
-                x2 = second_pool.features[pool2[int(u2[n] * pool2.size)]]
-                batch.append(MixupSample(x1, x2, int(y1[n]), float(betas[n])))
+            x1 = train.features[first.rows(y1, u1)]
+            x2 = second_pool.features[second.rows(y2, u2)]
             lr = config.lr
             if config.lr_schedule == "cosine":
                 lr = cosine_lr(config.lr, global_step, total_steps)
-            model = sgd_mixup_step(model, batch, lr)
+            model = sgd_mixup_step(model, x1, x2, y1, betas, lr)
             global_step += 1
             history.sgd_steps += 1
 

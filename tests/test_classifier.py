@@ -4,10 +4,9 @@ import pytest
 from selmix.classifier import (
     CentroidSet,
     LinearModel,
-    MixupSample,
+    batch_logits,
     class_centroids,
     direction_matrix,
-    logits,
     mixup_loss,
     sgd_mixup_step,
 )
@@ -15,69 +14,75 @@ from selmix.data import FeatureDataset
 from selmix.errors import DataError, SelMixError
 
 
-def _loss_of_weights(w, sample):
-    return mixup_loss(LinearModel(w), sample)
+def _loss_of_weights(w, a, b, label, beta):
+    return mixup_loss(LinearModel(w), a[None], b[None], [label], [beta])[0]
 
 
 class TestLogits:
     def test_zero_map(self):
         model = LinearModel(np.zeros((3, 2)))
-        np.testing.assert_array_equal(logits(model, np.ones(3)), np.zeros(2))
+        np.testing.assert_array_equal(batch_logits(model, np.ones((1, 3))), np.zeros((1, 2)))
 
     def test_hand_case(self):
         model = LinearModel(np.array([[1.0, -1.0]]))
-        np.testing.assert_allclose(logits(model, np.array([2.0])), [2.0, -2.0])
+        np.testing.assert_allclose(batch_logits(model, np.array([[2.0]])), [[2.0, -2.0]])
 
     def test_linearity(self):
         rng = np.random.default_rng(0)
         model = LinearModel(rng.normal(size=(4, 3)))
-        x = rng.normal(size=4)
-        np.testing.assert_allclose(logits(model, 3.5 * x), 3.5 * logits(model, x))
+        x = rng.normal(size=(1, 4))
+        np.testing.assert_allclose(batch_logits(model, 3.5 * x), 3.5 * batch_logits(model, x))
 
     def test_dimension_mismatch(self):
         with pytest.raises(SelMixError):
-            logits(LinearModel(np.zeros((3, 2))), np.ones(4))
+            batch_logits(LinearModel(np.zeros((3, 2))), np.ones((1, 4)))
+        with pytest.raises(SelMixError):
+            batch_logits(LinearModel(np.zeros((3, 2))), np.ones(3))
 
 
 class TestMixupLoss:
     def test_zero_weights_give_log_k(self):
         model = LinearModel(np.zeros((2, 5)))
-        s = MixupSample(np.ones(2), np.zeros(2), label=3, beta=0.7)
-        assert mixup_loss(model, s) == pytest.approx(np.log(5.0), abs=1e-12)
+        loss = mixup_loss(model, np.ones((1, 2)), np.zeros((1, 2)), [3], [0.7])
+        assert loss[0] == pytest.approx(np.log(5.0), abs=1e-12)
 
     def test_beta_one_is_plain_cross_entropy(self):
         rng = np.random.default_rng(1)
         model = LinearModel(rng.normal(size=(3, 4)))
-        a, b = rng.normal(size=3), rng.normal(size=3)
-        full = mixup_loss(model, MixupSample(a, b, 2, beta=1.0))
-        plain = mixup_loss(model, MixupSample(a, a, 2, beta=0.5))
-        assert full == pytest.approx(plain, rel=1e-12)
+        a, b = rng.normal(size=(1, 3)), rng.normal(size=(1, 3))
+        full = mixup_loss(model, a, b, [2], [1.0])
+        plain = mixup_loss(model, a, a, [2], [0.5])
+        assert full[0] == pytest.approx(plain[0], rel=1e-12)
 
     def test_two_class_margin_value(self):
         # logits (1, -1) at the mixed feature, label 0: loss = ln(1 + e^{-2})
         model = LinearModel(np.array([[1.0, -1.0]]))
-        s = MixupSample(np.array([1.0]), np.array([1.0]), label=0, beta=0.5)
-        assert mixup_loss(model, s) == pytest.approx(np.log(1.0 + np.exp(-2.0)))
+        loss = mixup_loss(model, np.array([[1.0]]), np.array([[1.0]]), [0], [0.5])
+        assert loss[0] == pytest.approx(np.log(1.0 + np.exp(-2.0)))
 
     def test_stable_at_huge_logits(self):
         model = LinearModel(np.array([[1000.0, -1000.0]]))
-        s = MixupSample(np.array([1.0]), np.array([1.0]), label=0, beta=1.0)
-        assert mixup_loss(model, s) == pytest.approx(0.0, abs=1e-12)
+        loss = mixup_loss(model, np.array([[1.0]]), np.array([[1.0]]), [0], [1.0])
+        assert loss[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_common_logit_shift_leaves_loss_unchanged(self):
         # bias coordinate with equal weights adds the same value to all K logits
         rng = np.random.default_rng(2)
         w = rng.normal(size=(3, 4))
         a, b = rng.normal(size=3), rng.normal(size=3)
-        base = mixup_loss(LinearModel(w), MixupSample(a, b, 1, beta=0.6))
+        base = _loss_of_weights(w, a, b, 1, 0.6)
         for shift in (-7.0, 3.25):
             w_aug = np.vstack([w, np.full(4, shift)])
-            s_aug = MixupSample(np.append(a, 1.0), np.append(b, 1.0), 1, beta=0.6)
-            assert mixup_loss(LinearModel(w_aug), s_aug) == pytest.approx(base, abs=1e-12)
+            shifted = _loss_of_weights(w_aug, np.append(a, 1.0), np.append(b, 1.0), 1, 0.6)
+            assert shifted == pytest.approx(base, abs=1e-12)
 
     def test_invalid_beta_rejected(self):
-        with pytest.raises(SelMixError):
-            MixupSample(np.ones(2), np.ones(2), 0, beta=1.2)
+        model = LinearModel(np.zeros((2, 2)))
+        a = np.ones((2, 2))
+        with pytest.raises(SelMixError, match="beta must lie in"):
+            mixup_loss(model, a, a, [0, 1], [0.5, 1.2])
+        with pytest.raises(SelMixError, match="beta must lie in"):
+            sgd_mixup_step(model, a, a, [0, 1], [1.2, 0.5], lr=0.1)
 
 
 class TestClassCentroids:
@@ -129,14 +134,14 @@ class TestDirectionMatrix:
             i, j = int(rng.integers(k)), int(rng.integers(k))
             beta = float(rng.uniform(0.1, 1.0))
             v = direction_matrix(LinearModel(w), CentroidSet(z), i, j, beta)
-            sample = MixupSample(z[i], z[j], i, beta)
             fd = np.zeros_like(w)
             for a in range(d):
                 for b in range(k):
                     wp, wm = w.copy(), w.copy()
                     wp[a, b] += h
                     wm[a, b] -= h
-                    fd[a, b] = (_loss_of_weights(wp, sample) - _loss_of_weights(wm, sample)) / (2 * h)
+                    fd[a, b] = (_loss_of_weights(wp, z[i], z[j], i, beta)
+                                - _loss_of_weights(wm, z[i], z[j], i, beta)) / (2 * h)
             np.testing.assert_allclose(v, -fd, rtol=1e-6, atol=1e-8)
 
     def test_beta_bar_validated(self):
@@ -148,41 +153,51 @@ class TestSgdMixupStep:
     def test_zero_lr_keeps_model(self):
         rng = np.random.default_rng(5)
         model = LinearModel(rng.normal(size=(3, 3)))
-        batch = [MixupSample(rng.normal(size=3), rng.normal(size=3), 1, 0.8)]
-        out = sgd_mixup_step(model, batch, lr=0.0)
+        a, b = rng.normal(size=(1, 3)), rng.normal(size=(1, 3))
+        out = sgd_mixup_step(model, a, b, [1], [0.8], lr=0.0)
         np.testing.assert_array_equal(out.weights, model.weights)
 
     def test_confident_correct_sample_barely_moves(self):
         model = LinearModel(40.0 * np.eye(2))
-        batch = [MixupSample(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 0, 1.0)]
-        out = sgd_mixup_step(model, batch, lr=0.1)
+        x = np.array([[1.0, 0.0]])
+        out = sgd_mixup_step(model, x, x, [0], [1.0], lr=0.1)
         np.testing.assert_allclose(out.weights, model.weights, atol=1e-12)
 
     def test_single_sample_matches_closed_form(self):
         rng = np.random.default_rng(6)
         w = rng.normal(size=(2, 3))
         a, b, beta, lr = rng.normal(size=2), rng.normal(size=2), 0.6, 0.05
-        sample = MixupSample(a, b, 2, beta)
         # one sample: update is +lr * V evaluated at the sample's mixed feature
-        mixed = sample.mixed()
+        mixed = beta * a + (1.0 - beta) * b
         v = direction_matrix(LinearModel(w), CentroidSet(np.stack([mixed] * 3)), 2, 2, 1.0)
-        out = sgd_mixup_step(LinearModel(w), [sample], lr)
+        out = sgd_mixup_step(LinearModel(w), a[None], b[None], [2], [beta], lr)
         np.testing.assert_allclose(out.weights, w + lr * v, atol=1e-12)
+
+    def test_batch_step_is_mean_of_single_sample_steps(self):
+        # the batch update equals the average of the per-row closed-form updates
+        rng = np.random.default_rng(8)
+        w = rng.normal(size=(3, 4))
+        a, b = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+        labels, betas, lr = rng.integers(4, size=5), rng.uniform(0.5, 1.0, size=5), 0.3
+        singles = [sgd_mixup_step(LinearModel(w), a[[n]], b[[n]], labels[[n]], betas[[n]], lr)
+                   for n in range(5)]
+        out = sgd_mixup_step(LinearModel(w), a, b, labels, betas, lr)
+        np.testing.assert_allclose(out.weights, np.mean([m.weights for m in singles], axis=0),
+                                   rtol=0, atol=1e-12)
 
     def test_small_lr_decreases_batch_loss(self):
         rng = np.random.default_rng(7)
         model = LinearModel(rng.normal(size=(4, 3)))
-        batch = [
-            MixupSample(rng.normal(size=4), rng.normal(size=4), int(rng.integers(3)),
-                        float(rng.uniform(0.5, 1.0)))
-            for _ in range(8)
-        ]
-        base = np.mean([mixup_loss(model, s) for s in batch])
+        draws = [(rng.normal(size=4), rng.normal(size=4), int(rng.integers(3)),
+                  float(rng.uniform(0.5, 1.0))) for _ in range(8)]
+        a, b, labels, betas = (np.array(column) for column in zip(*draws))
+        base = np.mean(mixup_loss(model, a, b, labels, betas))
         for lr in (1e-3, 1e-4):
-            stepped = sgd_mixup_step(model, batch, lr)
-            new = np.mean([mixup_loss(stepped, s) for s in batch])
+            stepped = sgd_mixup_step(model, a, b, labels, betas, lr)
+            new = np.mean(mixup_loss(stepped, a, b, labels, betas))
             assert new < base
 
     def test_empty_batch_rejected(self):
         with pytest.raises(SelMixError):
-            sgd_mixup_step(LinearModel(np.zeros((2, 2))), [], 0.1)
+            sgd_mixup_step(LinearModel(np.zeros((2, 2))), np.zeros((0, 2)), np.zeros((0, 2)),
+                           np.zeros(0, dtype=int), np.zeros(0), 0.1)

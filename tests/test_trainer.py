@@ -170,6 +170,41 @@ class TestPairResampling:
         assert history.pseudo_empty_resamples > 0
 
 
+class TestClassLayout:
+    def test_gather_matches_class_index_lists(self):
+        from selmix.trainer import _class_layout
+
+        rng = np.random.default_rng(5)
+        labels = rng.choice([-1, 0, 2, 3], size=40)    # class 1 empty, some unassigned rows
+        pool = FeatureDataset(rng.normal(size=(40, 2)), labels, num_classes=4, pseudo=True)
+        layout = _class_layout(pool)
+        indices = pool.class_indices()
+        np.testing.assert_array_equal(layout.count, [idx.size for idx in indices])
+        for y in (0, 2, 3):
+            u = np.append(rng.random(200), [0.0, np.nextafter(1.0, 0.0)])
+            want = [indices[y][int(v * indices[y].size)] for v in u]
+            np.testing.assert_array_equal(layout.rows(np.full(u.size, y), u), want)
+        assert set(layout.order[: np.sum(labels == -1)]) == set(np.flatnonzero(labels == -1))
+
+
+class TestPairDraws:
+    def test_nonempty_pools_take_one_vectorised_draw(self):
+        from selmix.policy import MixPolicy
+        from selmix.trainer import RunHistory, _draw_pairs
+
+        probs = np.random.default_rng(6).random((4, 4))
+        policy = MixPolicy(probs / probs.sum())
+        rng, twin = np.random.default_rng(9), np.random.default_rng(9)
+        history = RunHistory()
+        y1, y2 = _draw_pairs(policy, 50, rng, np.full(4, True), np.full(4, True), history)
+        cdf = np.cumsum(policy.probs.reshape(-1))
+        flat = np.minimum(np.searchsorted(cdf, twin.random(50), side="right"), 15)
+        np.testing.assert_array_equal(y1, flat // 4)
+        np.testing.assert_array_equal(y2, flat % 4)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert history.pair_resamples == history.pseudo_empty_resamples == 0
+
+
 class TestTargetedMetricImproves:
     def test_majority_of_seeds_improve_each_kind(self):
         wins = {kind: 0 for kind in METRIC_KINDS}
