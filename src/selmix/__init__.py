@@ -34,7 +34,7 @@ from .policy import (
     OnlineGameConfig,
     greedy_distribution,
     run_online_game,
-    sample_pair,
+    sample_pairs,
     selmix_distribution,
     uniform_distribution,
 )
@@ -88,7 +88,7 @@ __all__ = [
     "refresh_pseudo_labels",
     "run_online_game",
     "run_selmix",
-    "sample_pair",
+    "sample_pairs",
     "save_dataset",
     "selmix_distribution",
     "sgd_mixup_step",

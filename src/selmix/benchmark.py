@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classifier import LinearModel
-from .data import FeatureDataset, LTSpec, generate_longtail, split
+from .data import (POOL_FRACTIONS, FeatureDataset, LTSpec, balanced_validation,
+                   generate_longtail, split)
 from .metrics import MetricSpec
 from .trainer import TrainerConfig, pretrain_erm
 
@@ -27,7 +28,6 @@ class BenchmarkSetting:
     rho: float = 100.0
     within_std: float = 0.55
     cluster_separation: float = 1.0
-    unlabeled_fraction: float = 0.2
     val_per_class: int = 150
     pretrain_steps: int = 2000
     pretrain_lr: float = 0.5
@@ -48,18 +48,8 @@ def make_benchmark(
         seed=seed,
     )
     pool = generate_longtail(pool_spec)
-    train, _, unlabeled = split(pool, (1.0 - setting.unlabeled_fraction, 0.0,
-                                       setting.unlabeled_fraction), seed=seed)
-    val_spec = LTSpec(
-        K=setting.K,
-        d=setting.d,
-        N1=setting.val_per_class,
-        rho=1.0,
-        cluster_separation=setting.cluster_separation,
-        within_std=setting.within_std,
-        seed=seed + 20_000,
-    )
-    validation = generate_longtail(val_spec)
+    train, _, unlabeled = split(pool, POOL_FRACTIONS, seed=seed)
+    validation = balanced_validation(pool_spec, setting.val_per_class)
     init = pretrain_erm(
         train,
         setting.d,
@@ -80,19 +70,14 @@ def benchmark_config(
     cycles: int = 50,
     sgd_steps_per_cycle: int = 100,
 ) -> TrainerConfig:
-    """Fine-tuning configuration of the reference runs (published recipe
-    constants; only the policy and target metric vary between runs)."""
+    """Fine-tuning configuration of the reference runs: the published recipe
+    (``TrainerConfig``'s defaults) with 100 SGD steps per cycle; only the
+    policy and target metric vary between runs."""
     return TrainerConfig(
         metric=metric,
         cycles=cycles,
         sgd_steps_per_cycle=sgd_steps_per_cycle,
-        batch_size=64,
         lr=lr,
-        lr_schedule="cosine",
-        s=10.0,
-        beta_min=0.5,
-        mode="supervised",
         seed=seed,
-        mask_negative=True,
         policy=policy,
     )

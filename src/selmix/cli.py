@@ -15,11 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classifier import LinearModel, class_centroids
+from .classifier import LinearModel
 from .config import load_config
-from .data import FeatureDataset, LTSpec, generate_longtail, load_dataset, save_dataset, split
+from .data import (POOL_FRACTIONS, FeatureDataset, balanced_validation, generate_longtail,
+                   load_dataset, save_dataset, split)
 from .errors import ConfigError, SelMixError
-from .gain import gain_fd_oracle, gain_matrix
+from .gain import gain_oracle_median_error
 from .metrics import (
     G_MEAN,
     H_MEAN,
@@ -29,14 +30,11 @@ from .metrics import (
     evaluate_metric,
     model_confusion,
     neutral_lagrange,
-    soft_confusion,
     update_lagrange,
 )
 from .policy import GAIN_GENERATORS, POLICY_KINDS, OnlineGameConfig, run_online_game
 from .theory_checks import convergence_check, mixup_regularization_check
 from .trainer import pretrain_erm, run_selmix
-
-POOL_FRACTIONS = (0.8, 0.0, 0.2)    # labeled / (unused) / unlabeled from the LT pool
 
 
 def _log(msg: str) -> None:
@@ -57,28 +55,12 @@ def load_model_csv(path) -> LinearModel:
             rows.append([float(v) for v in line.split(",")])
         except ValueError as exc:
             raise SelMixError(f"{path}: line {lineno}: {exc}") from None
+        if len(rows[-1]) != len(rows[0]):
+            raise SelMixError(f"{path}: line {lineno}: expected {len(rows[0])} fields, "
+                              f"got {len(rows[-1])}")
     if not rows:
         raise SelMixError(f"{path}: empty model file")
     return LinearModel(np.array(rows))
-
-
-def balanced_validation_spec(spec: LTSpec) -> LTSpec:
-    """Balanced holdout drawn from the same cluster geometry.
-
-    Training pools are long-tailed, but metrics are read off a balanced
-    validation set (the usual benchmark evaluation protocol), so gen-data
-    writes val.csv from a rho=1 companion pool of roughly N1/10 per class.
-    """
-    per_class = max(10, round(spec.N1 / 10))
-    return LTSpec(
-        K=spec.K,
-        d=spec.d,
-        N1=per_class,
-        rho=1.0,
-        cluster_separation=spec.cluster_separation,
-        within_std=spec.within_std,
-        seed=spec.seed + 20_000,
-    )
 
 
 def cmd_gen_data(args) -> int:
@@ -88,7 +70,7 @@ def cmd_gen_data(args) -> int:
     spec = cfg.lt_spec()
     pool = generate_longtail(spec)
     train, _, unlabeled = split(pool, POOL_FRACTIONS, seed=spec.seed)
-    val = generate_longtail(balanced_validation_spec(spec))
+    val = balanced_validation(spec, per_class=max(10, round(spec.N1 / 10)))
     save_dataset(train, out / "train.csv")
     save_dataset(val, out / "val.csv")
     save_dataset(unlabeled, out / "unlabeled.csv")
@@ -204,27 +186,10 @@ def cmd_simulate_policy(args) -> int:
 
 
 def cmd_check_gain(args) -> int:
-    spec = MetricSpec(kind=MEAN_RECALL)
     rows = []
     for std in args.within_std:
-        errors = []
-        for seed in args.seeds:
-            lt = LTSpec(K=args.K, d=args.d, N1=60, rho=4.0, within_std=std, seed=seed)
-            val = generate_longtail(lt)
-            model_rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA11)))
-            w = lt.class_means().T + 0.3 * model_rng.standard_normal((lt.d, lt.K))
-            model = LinearModel(w)
-            conf = soft_confusion(model, val)
-            cents = class_centroids(val)
-            lam = neutral_lagrange(spec, lt.K)
-            gains = gain_matrix(model, cents, conf, spec, lam, beta_bar=0.75)
-            for i in range(lt.K):
-                for j in range(lt.K):
-                    oracle = gain_fd_oracle(model, val, spec, lam, cents, i, j, 0.75)
-                    errors.append(
-                        abs(gains.values[i, j] - oracle) / (abs(oracle) + 1e-8)
-                    )
-        rows.append({"within_std": std, "median_rel_error": float(np.median(errors))})
+        median = gain_oracle_median_error(args.K, args.d, std, args.seeds)
+        rows.append({"within_std": std, "median_rel_error": median})
         print(json.dumps(rows[-1]))
     tightest = min(rows, key=lambda r: r["within_std"])
     if tightest["median_rel_error"] > 0.15:
@@ -235,7 +200,7 @@ def cmd_check_gain(args) -> int:
 
 def cmd_eval(args) -> int:
     model = load_model_csv(args.model)
-    ds = load_dataset(args.data)
+    ds = load_dataset(args.data, expected_classes=model.classes)
     conf = model_confusion(model, ds)
     spec_min = MetricSpec(kind=MIN_RECALL, omega=args.omega)
     values = {

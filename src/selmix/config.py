@@ -2,17 +2,18 @@
 
 Unknown keys are rejected; missing keys take the documented defaults (the
 published recipe values where one exists: s=10, omega=40, lambda_max=100,
-tau=0.01, alpha=0.95, batch_size=64, cosine schedule).
+tau=0.01, alpha=0.95, batch_size=64, cosine schedule).  Values are checked
+in one place: the trainer and data specs a config describes are built when
+it is parsed, and any value they reject is a :class:`ConfigError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
 
 from .data import LTSpec
-from .errors import ConfigError
-from .metrics import METRIC_KINDS, MetricSpec
+from .errors import ConfigError, SelMixError
+from .metrics import MetricSpec
 from .trainer import TrainerConfig
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
@@ -48,66 +49,49 @@ _FLOAT_KEYS = {
     "rho", "within_std", "cluster_separation",
 }
 _BOOL_KEYS = {"mask_negative"}
-_STR_KEYS = {"metric", "lr_schedule", "mode"}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed configuration; see DEFAULTS for the key set."""
+    """Parsed configuration; see DEFAULTS for the key set.
+
+    Creating one builds its trainer and data specs, so every value is
+    checked before any command runs.
+    """
 
     values: dict
+
+    def __post_init__(self):
+        v = self.values
+        try:
+            head_set = None
+            if v["head_tail_split"] >= 0:
+                if not 0 < v["head_tail_split"] < v["K"]:
+                    raise ConfigError(f"head_tail_split must lie in (0, {v['K']})")
+                head_set = tuple(range(v["head_tail_split"]))
+            metric = MetricSpec(kind=v["metric"], omega=v["omega"], alpha=v["alpha"],
+                                lambda_max=v["lambda_max"], tau=v["tau"], head_set=head_set)
+            trainer = TrainerConfig(
+                metric=metric, cycles=v["cycles"], sgd_steps_per_cycle=v["sgd_steps"],
+                batch_size=v["batch_size"], lr=v["lr"], lr_schedule=v["lr_schedule"],
+                s=v["s"], beta_min=v["beta_min"], mode=v["mode"], seed=v["seed"],
+                mask_negative=v["mask_negative"],
+            )
+            lt = LTSpec(K=v["K"], d=v["d"], N1=v["n1"], rho=v["rho"], seed=v["seed"],
+                        cluster_separation=v["cluster_separation"], within_std=v["within_std"])
+        except SelMixError as exc:
+            raise ConfigError(str(exc)) from None
+        object.__setattr__(self, "_trainer", trainer)
+        object.__setattr__(self, "_lt", lt)
 
     def __getitem__(self, key: str):
         return self.values[key]
 
-    def metric_spec(self) -> MetricSpec:
-        k = self.values["K"]
-        split = self.values["head_tail_split"]
-        head_set = None
-        if split >= 0:
-            if not 0 < split < k:
-                raise ConfigError(f"head_tail_split must lie in (0, {k})")
-            head_set = tuple(range(split))
-        return MetricSpec(
-            kind=self.values["metric"],
-            omega=self.values["omega"],
-            alpha=self.values["alpha"],
-            lambda_max=self.values["lambda_max"],
-            tau=self.values["tau"],
-            head_set=head_set,
-        )
-
     def trainer_config(self) -> TrainerConfig:
-        return TrainerConfig(
-            metric=self.metric_spec(),
-            cycles=self.values["cycles"],
-            sgd_steps_per_cycle=self.values["sgd_steps"],
-            batch_size=self.values["batch_size"],
-            lr=self.values["lr"],
-            lr_schedule=self.values["lr_schedule"],
-            s=self.values["s"],
-            beta_min=self.values["beta_min"],
-            mode=self.values["mode"],
-            seed=self.values["seed"],
-            mask_negative=self.values["mask_negative"],
-        )
+        return self._trainer
 
     def lt_spec(self) -> LTSpec:
-        return LTSpec(
-            K=self.values["K"],
-            d=self.values["d"],
-            N1=self.values["n1"],
-            rho=self.values["rho"],
-            cluster_separation=self.values["cluster_separation"],
-            within_std=self.values["within_std"],
-            seed=self.values["seed"],
-        )
-
-    def head_tail_sizes(self) -> tuple[int, int]:
-        k = self.values["K"]
-        split = self.values["head_tail_split"]
-        head = split if split >= 0 else k - ceil(k / 10)
-        return head, k - head
+        return self._lt
 
 
 def _parse_value(key: str, raw: str):
@@ -138,12 +122,6 @@ def parse_config_text(text: str) -> RunConfig:
         if key not in DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         values[key] = _parse_value(key, raw)
-    if values["metric"] not in METRIC_KINDS:
-        raise ConfigError(f"unknown metric {values['metric']!r}")
-    if values["lr_schedule"] not in ("constant", "cosine"):
-        raise ConfigError("lr_schedule must be 'constant' or 'cosine'")
-    if values["mode"] not in ("supervised", "ssl"):
-        raise ConfigError("mode must be 'supervised' or 'ssl'")
     return RunConfig(values)
 
 

@@ -9,13 +9,14 @@ the current model assigned.  A pseudo label of -1 means "not assigned yet".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
 
 CSV_HEADER_PREFIX = "label"
+POOL_FRACTIONS = (0.8, 0.0, 0.2)    # labeled / (unused) / unlabeled share of the LT pool
 
 
 @dataclass(frozen=True)
@@ -104,10 +105,12 @@ class LTSpec:
             raise DataError("d must be >= 1")
         if self.N1 < 1:
             raise DataError("N1 must be >= 1")
-        if self.rho < 1.0:
+        if not self.rho >= 1.0:
             raise DataError("rho must be >= 1")
-        if self.within_std <= 0 or self.cluster_separation <= 0:
-            raise DataError("within_std and cluster_separation must be positive")
+        if not (0 < self.within_std < np.inf and 0 < self.cluster_separation < np.inf):
+            raise DataError("within_std and cluster_separation must be positive and finite")
+        if self.seed < 0:
+            raise DataError("seed must be >= 0")
         if self.class_counts()[-1] < 1:
             raise DataError("tail class count rounds to zero; increase N1 or lower rho")
 
@@ -126,15 +129,10 @@ class LTSpec:
         return self.cluster_separation * raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
-def generate_longtail(spec: LTSpec) -> FeatureDataset:
-    """Draw the long-tailed Gaussian mixture described by ``spec``.
-
-    Deterministic given ``spec.seed``; rows are ordered by class.
-    """
-    counts = spec.class_counts()
+def _draw_clusters(spec: LTSpec, counts: np.ndarray, seed: int) -> FeatureDataset:
+    """``counts[k]`` rows around each class mean of ``spec``, ordered by class."""
     means = spec.class_means()
-    sample_ss = np.random.SeedSequence(spec.seed).spawn(2)[1]
-    rng = np.random.default_rng(sample_ss)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
     feats = np.concatenate(
         [
             means[k] + spec.within_std * rng.standard_normal((counts[k], spec.d))
@@ -143,6 +141,23 @@ def generate_longtail(spec: LTSpec) -> FeatureDataset:
     )
     labels = np.repeat(np.arange(spec.K), counts)
     return FeatureDataset(features=feats, labels=labels, num_classes=spec.K)
+
+
+def generate_longtail(spec: LTSpec) -> FeatureDataset:
+    """Draw the long-tailed Gaussian mixture described by ``spec``.
+
+    Deterministic given ``spec.seed``; rows are ordered by class.
+    """
+    return _draw_clusters(spec, spec.class_counts(), spec.seed)
+
+
+def balanced_validation(spec: LTSpec, per_class: int) -> FeatureDataset:
+    """Balanced holdout of ``per_class`` rows per class around the pool's own
+    cluster means (the usual long-tailed evaluation protocol), drawn from
+    the sample stream of ``spec.seed + 20_000`` so it shares no pool draws."""
+    if per_class < 1:
+        raise DataError("per_class must be >= 1")
+    return _draw_clusters(spec, np.full(spec.K, per_class), spec.seed + 20_000)
 
 
 def save_dataset(ds: FeatureDataset, path) -> None:
@@ -164,7 +179,8 @@ def load_dataset(path, expected_classes: int | None = None) -> FeatureDataset:
     """Parse a dataset CSV written by :func:`save_dataset`.
 
     Raises :class:`DataError` naming the offending line for ragged rows,
-    non-numeric fields, or labels outside ``[0, expected_classes)``.
+    non-numeric or non-finite fields, or labels outside
+    ``[0, expected_classes)``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read().splitlines()
@@ -194,9 +210,14 @@ def load_dataset(path, expected_classes: int | None = None) -> FeatureDataset:
         rows.append(row)
     if not rows:
         raise DataError(f"{path}: no data rows")
+    features = np.array(rows, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        lineno = [n for n, line in enumerate(raw[1:], start=2) if line][bad[0]]
+        raise DataError(f"{path}: line {lineno}: non-finite feature value")
     k = expected_classes if expected_classes is not None else max(labels) + 1
     return FeatureDataset(
-        features=np.array(rows, dtype=np.float64),
+        features=features,
         labels=np.array(labels, dtype=np.int64),
         num_classes=k,
     )

@@ -17,15 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import CentroidSet, LinearModel, direction_matrix, softmax
-from .data import FeatureDataset
+from .classifier import CentroidSet, LinearModel, class_centroids, direction_matrix, softmax
+from .data import FeatureDataset, LTSpec, generate_longtail
 from .errors import SelMixError
 from .metrics import (
+    MEAN_RECALL,
     ConfusionMatrix,
     LagrangeState,
     MetricSpec,
     evaluate_metric,
     metric_grad_unconstrained,
+    neutral_lagrange,
     soft_confusion,
 )
 
@@ -108,3 +110,24 @@ def gain_fd_oracle(
     plus = evaluate_metric(spec, soft_confusion(LinearModel(model.weights + eta * v), features), lam)
     minus = evaluate_metric(spec, soft_confusion(LinearModel(model.weights - eta * v), features), lam)
     return (plus - minus) / (2.0 * eta)
+
+
+def gain_oracle_median_error(k: int, d: int, within_std: float, seeds) -> float:
+    """Median relative error of mean-recall gains (beta_bar = 0.75) against
+    the oracle over every pair and seed: per seed, a rho = 4 cluster pool at
+    ``within_std`` and a model near its means.  Shrinks with ``within_std``."""
+    spec = MetricSpec(MEAN_RECALL)
+    lam = neutral_lagrange(spec, k)
+    errors = []
+    for seed in seeds:
+        lt = LTSpec(K=k, d=d, N1=60, rho=4.0, within_std=within_std, seed=seed)
+        val = generate_longtail(lt)
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA11)))
+        model = LinearModel(lt.class_means().T + 0.3 * rng.standard_normal((d, k)))
+        cents = class_centroids(val)
+        gains = gain_matrix(model, cents, soft_confusion(model, val), spec, lam, 0.75)
+        for i in range(k):
+            for j in range(k):
+                oracle = gain_fd_oracle(model, val, spec, lam, cents, i, j, 0.75)
+                errors.append(abs(gains.values[i, j] - oracle) / (abs(oracle) + 1e-8))
+    return float(np.median(errors))

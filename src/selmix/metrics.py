@@ -23,7 +23,7 @@ from math import ceil
 
 import numpy as np
 
-from .classifier import LinearModel, batch_logits, softmax
+from .classifier import LinearModel, batch_logits, predict, softmax
 from .data import FeatureDataset
 from .errors import DataError, SelMixError
 
@@ -95,15 +95,6 @@ class ConfusionMatrix:
     def coverages(self) -> np.ndarray:
         return self.entries.sum(axis=0)
 
-    def with_clamped_diagonal(self, eps: float = 1e-12) -> "ConfusionMatrix":
-        """Copy with diagonal entries floored at eps (degenerate-recall guard
-        before gradient calls; the perturbation stays inside the 1e-9
-        invariant tolerance)."""
-        c = self.entries.copy()
-        idx = np.arange(self.k)
-        c[idx, idx] = np.maximum(c[idx, idx], eps)
-        return ConfusionMatrix(c, self.priors)
-
     def with_floor(self, eps: float) -> "ConfusionMatrix":
         """Copy with every entry floored at eps and rows rescaled back to
         their priors.
@@ -138,8 +129,8 @@ class MetricSpec:
     def __post_init__(self):
         if self.kind not in METRIC_KINDS:
             raise SelMixError(f"unknown metric kind {self.kind!r}")
-        if self.omega <= 0 or self.lambda_max <= 0 or self.tau <= 0:
-            raise SelMixError("omega, lambda_max, tau must be positive")
+        if not all(0 < v < np.inf for v in (self.omega, self.lambda_max, self.tau)):
+            raise SelMixError("omega, lambda_max, tau must be positive and finite")
         if not 0.0 < self.alpha <= 1.0:
             raise SelMixError("alpha must lie in (0, 1]")
         if self.head_set is not None:
@@ -221,8 +212,7 @@ def confusion_from_predictions(labels, predictions, num_classes: int) -> Confusi
 def model_confusion(model: LinearModel, features: FeatureDataset) -> ConfusionMatrix:
     """Hard confusion of the model's argmax predictions on a labeled set."""
     return confusion_from_predictions(
-        features.labels, np.argmax(batch_logits(model, features.features), axis=1),
-        features.num_classes,
+        features.labels, predict(model, features.features), features.num_classes
     )
 
 

@@ -13,6 +13,7 @@ rounds (its temperature is then log(1 + 2 sqrt(log K / T))).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +37,11 @@ class MixPolicy:
             raise SelMixError("policy must be a square matrix")
         if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
             raise SelMixError("policy entries must be nonnegative and sum to 1")
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """CDF of the row-major cells, built once for :func:`sample_pairs`."""
+        return np.cumsum(self.probs.reshape(-1))
 
     def entropy(self) -> float:
         p = self.probs[self.probs > 0]
@@ -61,11 +67,15 @@ def selmix_distribution(g: GainMatrix, s: float, mask_negative: bool = True) -> 
     return MixPolicy((e / e.sum()).reshape(values.shape))
 
 
-def greedy_distribution(g: GainMatrix) -> MixPolicy:
-    """One-hot on the argmax gain; ties go to the smallest (i, j) row-major."""
+def greedy_distribution(g: GainMatrix, formable: np.ndarray | None = None) -> MixPolicy:
+    """One-hot on the argmax gain; ties go to the smallest (i, j) row-major.
+
+    ``formable`` (K x K bool) restricts the argmax to pairs that can be drawn.
+    """
     k = g.values.shape[0]
+    values = g.values if formable is None else np.where(formable, g.values, -np.inf)
     probs = np.zeros(k * k)
-    probs[int(np.argmax(g.values))] = 1.0
+    probs[int(np.argmax(values))] = 1.0
     return MixPolicy(probs.reshape(k, k))
 
 
@@ -73,12 +83,13 @@ def uniform_distribution(k: int) -> MixPolicy:
     return MixPolicy(np.full((k, k), 1.0 / (k * k)))
 
 
-def sample_pair(policy: MixPolicy, rng: np.random.Generator) -> tuple[int, int]:
-    """Inverse-CDF draw over the flattened row-major cells."""
-    cdf = np.cumsum(policy.probs.reshape(-1))
-    idx = int(np.searchsorted(cdf, rng.random(), side="right"))
-    idx = min(idx, policy.probs.size - 1)
-    return divmod(idx, policy.probs.shape[1])
+def sample_pairs(
+    policy: MixPolicy, rng: np.random.Generator, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` inverse-CDF draws over the row-major cells, one uniform
+    each; returns the (i, j) index arrays."""
+    flat = np.searchsorted(policy.cdf, rng.random(count), side="right")
+    return np.divmod(np.minimum(flat, policy.cdf.size - 1), policy.probs.shape[1])
 
 
 @dataclass(frozen=True)

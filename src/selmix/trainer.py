@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -29,8 +29,8 @@ import numpy as np
 from .classifier import (
     CentroidSet,
     LinearModel,
-    batch_logits,
     class_centroids,
+    predict,
     sgd_mixup_step,
     softmax,
 )
@@ -46,7 +46,7 @@ from .metrics import (
 from .policy import (
     MixPolicy,
     greedy_distribution,
-    sample_pair,
+    sample_pairs,
     selmix_distribution,
     uniform_distribution,
 )
@@ -85,8 +85,8 @@ class TrainerConfig:
             raise SelMixError("sgd_steps_per_cycle must be >= 0")
         if self.batch_size < 1:
             raise SelMixError("batch_size must be >= 1")
-        if self.lr < 0:
-            raise SelMixError("lr must be nonnegative")
+        if not 0 <= self.lr < np.inf:
+            raise SelMixError("lr must be nonnegative and finite")
         if self.lr_schedule not in ("constant", "cosine"):
             raise SelMixError("lr_schedule must be 'constant' or 'cosine'")
         if not 0.0 <= self.beta_min <= 1.0:
@@ -95,8 +95,10 @@ class TrainerConfig:
             raise SelMixError("mode must be 'supervised' or 'ssl'")
         if self.policy not in ("selmix", "uniform", "greedy"):
             raise SelMixError("policy must be 'selmix', 'uniform', or 'greedy'")
-        if self.s <= 0:
-            raise SelMixError("s must be positive")
+        if not 0 < self.s < np.inf:
+            raise SelMixError("s must be positive and finite")
+        if self.seed < 0:
+            raise SelMixError("seed must be >= 0")
 
     @property
     def beta_bar(self) -> float:
@@ -117,19 +119,7 @@ class CycleRecord:
     wall_ms: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "t": self.t,
-                "psi": self.psi,
-                "recalls": self.recalls,
-                "coverages": self.coverages,
-                "lambdas": self.lambdas,
-                "gain_max": self.gain_max,
-                "gain_min": self.gain_min,
-                "policy_entropy": self.policy_entropy,
-                "wall_ms": self.wall_ms,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 @dataclass
@@ -155,8 +145,7 @@ def cosine_lr(base: float, step: int, total: int) -> float:
 def refresh_pseudo_labels(model: LinearModel, unlabeled: FeatureDataset) -> FeatureDataset:
     """Assign every sample the argmax class of its logits (ties to the
     smallest index) and rebuild the per-class index sets."""
-    preds = np.argmax(batch_logits(model, unlabeled.features), axis=1)
-    return unlabeled.with_labels(preds)
+    return unlabeled.with_labels(predict(model, unlabeled.features))
 
 
 def pretrain_erm(
@@ -224,11 +213,8 @@ def _draw_pairs(
     """Batch of (Y1, Y2) pairs with resampling when a drawn class pool is
     empty: Y1 retries are capped, Y2 retries (pseudo-label collapse) are
     counted and retried generously.  Draws needing a retry are redrawn in
-    batch order, one ``sample_pair`` at a time."""
-    k = policy.probs.shape[0]
-    cdf = np.cumsum(policy.probs.reshape(-1))
-    flat = np.minimum(np.searchsorted(cdf, rng.random(count), side="right"), k * k - 1)
-    y1, y2 = np.divmod(flat, k)
+    batch order, one pair at a time."""
+    y1, y2 = sample_pairs(policy, rng, count)
     for n in np.flatnonzero(~(first_nonempty[y1] & second_nonempty[y2])):
         tries_first = 0
         tries_second = 0
@@ -243,15 +229,15 @@ def _draw_pairs(
                 history.pseudo_empty_resamples += 1
                 if tries_second > 10 * MAX_PAIR_RESAMPLES:
                     raise SelMixError("pseudo-labeled pools collapsed; cannot draw a pair")
-            y1[n], y2[n] = sample_pair(policy, rng)
+            y1[n : n + 1], y2[n : n + 1] = sample_pairs(policy, rng, 1)
     return y1, y2
 
 
-def _cycle_policy(cfg: TrainerConfig, gains: GainMatrix) -> MixPolicy:
+def _cycle_policy(cfg: TrainerConfig, gains: GainMatrix, formable: np.ndarray) -> MixPolicy:
     if cfg.policy == "uniform":
         return uniform_distribution(gains.values.shape[0])
     if cfg.policy == "greedy":
-        return greedy_distribution(gains)
+        return greedy_distribution(gains, formable)
     return selmix_distribution(gains, cfg.s, cfg.mask_negative)
 
 
@@ -305,7 +291,9 @@ def run_selmix(
         psi = evaluate_metric(spec, confusion, lam)
         grad_input = confusion.with_floor(grad_floor)
         gains = gain_matrix(model, centroids, grad_input, spec, lam, config.beta_bar)
-        policy = _cycle_policy(config, gains)
+        second = _class_layout(second_pool)
+        first_nonempty, second_nonempty = first.count > 0, second.count > 0
+        policy = _cycle_policy(config, gains, np.outer(first_nonempty, second_nonempty))
         history.records.append(
             CycleRecord(
                 t=t,
@@ -320,8 +308,6 @@ def run_selmix(
             )
         )
 
-        second = _class_layout(second_pool)
-        first_nonempty, second_nonempty = first.count > 0, second.count > 0
         for _ in range(config.sgd_steps_per_cycle):
             y1, y2 = _draw_pairs(
                 policy, config.batch_size, pair_rng, first_nonempty, second_nonempty, history

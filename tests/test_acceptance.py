@@ -12,12 +12,12 @@ import pytest
 
 from conftest import fd_metric_grad, random_confusion, random_lagrange
 from selmix.benchmark import benchmark_config, make_benchmark
-from selmix.classifier import CentroidSet, LinearModel, class_centroids
+from selmix.classifier import CentroidSet, LinearModel
 from selmix.cli import main as cli_main
 from selmix.config import parse_config_text
 from selmix.data import LTSpec, generate_longtail, load_dataset, save_dataset
 from selmix.errors import ConfigError
-from selmix.gain import gain_fd_oracle, gain_matrix
+from selmix.gain import gain_matrix, gain_oracle_median_error
 from selmix.metrics import (
     MEAN_RECALL,
     MEAN_RECALL_COVERAGE,
@@ -27,7 +27,6 @@ from selmix.metrics import (
     metric_grad_unconstrained,
     model_confusion,
     neutral_lagrange,
-    soft_confusion,
 )
 from selmix.policy import GAIN_GENERATORS, OnlineGameConfig, run_online_game
 from selmix.theory_checks import convergence_check, mixup_regularization_check
@@ -97,24 +96,7 @@ class TestC1GradientCorrectness:
 class TestC2GainApproximation:
     def test_median_error_tightens_with_clusters(self):
         started = time.perf_counter()
-        spec = MetricSpec(MEAN_RECALL)
-        medians = []
-        for std in (0.5, 0.1, 0.02):
-            errs = []
-            for seed in SEEDS:
-                lt = LTSpec(K=10, d=16, N1=60, rho=4.0, within_std=std, seed=seed)
-                val = generate_longtail(lt)
-                rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA11)))
-                model = LinearModel(lt.class_means().T + 0.3 * rng.standard_normal((16, 10)))
-                conf = soft_confusion(model, val)
-                cents = class_centroids(val)
-                lam = neutral_lagrange(spec, 10)
-                gains = gain_matrix(model, cents, conf, spec, lam, 0.75)
-                for i in range(10):
-                    for j in range(10):
-                        oracle = gain_fd_oracle(model, val, spec, lam, cents, i, j, 0.75)
-                        errs.append(abs(gains.values[i, j] - oracle) / (abs(oracle) + 1e-8))
-            medians.append(float(np.median(errs)))
+        medians = [gain_oracle_median_error(10, 16, std, SEEDS) for std in (0.5, 0.1, 0.02)]
         elapsed = time.perf_counter() - started
         ok = medians[0] >= medians[1] >= medians[2] and medians[2] <= 0.15 and elapsed < 120
         report("C2", "gain vs finite-difference oracle", ok,

@@ -2,16 +2,44 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selmix.cli import main, save_model_csv
 from selmix.classifier import LinearModel
 from selmix.config import DEFAULTS, parse_config_text
-from selmix.data import FeatureDataset, save_dataset
+from selmix.data import FeatureDataset, LTSpec, save_dataset
 from selmix.errors import ConfigError
+from selmix.metrics import METRIC_KINDS
+from selmix.trainer import TrainerConfig
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def _value_strategy(key):
+    """Raw text for one config key: mostly well-typed, sometimes out of
+    range or non-finite, occasionally junk."""
+    junk = st.sampled_from(["", "x", "1.5e", "none"])
+    default = DEFAULTS[key]
+    if isinstance(default, bool):
+        typed = st.sampled_from(["true", "false", "0", "1", "maybe"])
+    elif isinstance(default, int):
+        typed = st.integers(-3, 3000).map(str)
+    elif isinstance(default, float):
+        typed = (st.floats(-5.0, 300.0) | st.floats(allow_nan=True, allow_infinity=True)).map(repr)
+    else:
+        choices = {"metric": METRIC_KINDS + ("accuracy",),
+                   "lr_schedule": ("constant", "cosine", "step"),
+                   "mode": ("supervised", "ssl", "transductive")}[key]
+        typed = st.sampled_from(choices)
+    return typed | junk
+
+
+CONFIG_TEXTS = st.fixed_dictionaries(
+    {}, optional={key: _value_strategy(key) for key in DEFAULTS}
+).map(lambda values: "\n".join(f"{k}={v}" for k, v in values.items()))
 
 
 class TestConfigParsing:
@@ -51,6 +79,23 @@ class TestConfigParsing:
         assert cfg.trainer_config().metric.kind == "min_recall"
         assert cfg.lt_spec().K == 6
 
+    @pytest.mark.parametrize("text", ["cycles=0", "lr=-1", "lr=nan", "lr=inf", "s=inf",
+                                      "omega=inf", "within_std=nan", "K=1", "seed=-1",
+                                      "mode=transductive", "head_tail_split=10"])
+    def test_out_of_range_value_is_a_config_error(self, text):
+        with pytest.raises(ConfigError):
+            parse_config_text(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(CONFIG_TEXTS)
+    def test_any_parsed_config_is_valid_or_a_config_error(self, text):
+        try:
+            cfg = parse_config_text(text)
+        except ConfigError:
+            return
+        assert isinstance(cfg.trainer_config(), TrainerConfig)
+        assert isinstance(cfg.lt_spec(), LTSpec)
+
 
 class TestGenData:
     def test_balanced_manifest(self, tmp_path):
@@ -74,6 +119,19 @@ class TestGenData:
         conf.write_text("bogus=1\n")
         assert run_cli("gen-data", "--config", str(conf), "--out", str(tmp_path / "d")) == 2
         assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+def test_out_of_range_config_value_exits_2(tmp_path, capsys, command):
+    conf = tmp_path / "c.cfg"
+    conf.write_text("cycles=0\n")
+    argv = [command, "--config", str(conf), "--out", str(tmp_path / "out")]
+    if command == "train":
+        argv += ["--data", str(tmp_path / "data")]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: cycles must be >= 1\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture()
@@ -238,3 +296,41 @@ class TestEval:
     def test_missing_model_exits_2(self, tmp_path):
         assert run_cli("eval", "--model", str(tmp_path / "nope.csv"),
                        "--data", str(tmp_path / "nope2.csv")) == 2
+
+    def test_ragged_model_exits_1_naming_the_line(self, tmp_path, capsys):
+        model = tmp_path / "m.csv"
+        model.write_text("1.0,0.0\n0.0\n")
+        data = tmp_path / "d.csv"
+        save_dataset(FeatureDataset(np.eye(2), np.arange(2), num_classes=2), data)
+        assert run_cli("eval", "--model", str(model), "--data", str(data)) == 1
+        err = capsys.readouterr().err
+        assert "line 2: expected 2 fields, got 1" in err
+        assert err.count("\n") == 1
+
+    def test_model_sets_the_class_count(self, tmp_path, capsys):
+        # a 4-class model scores a CSV as 4 classes, whatever labels it holds
+        data = tmp_path / "d.csv"
+        save_dataset(FeatureDataset(np.tile(np.eye(4)[:3], (2, 1)), np.tile(np.arange(3), 2),
+                                    num_classes=3), data)
+        model = tmp_path / "m.csv"
+        save_model_csv(LinearModel(10.0 * np.eye(4)), model)
+        assert run_cli("eval", "--model", str(model), "--data", str(data)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: class 3 absent from evaluation set\n"
+
+    def test_label_beyond_model_classes_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        save_dataset(FeatureDataset(np.eye(3), np.arange(3), num_classes=3), data)
+        model = tmp_path / "m.csv"
+        save_model_csv(LinearModel(np.eye(3)[:, :2]), model)
+        assert run_cli("eval", "--model", str(model), "--data", str(data)) == 1
+        assert "line 4: label 2 out of range" in capsys.readouterr().err
+
+    def test_non_finite_features_exit_1(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("label,f0,f1\n0,1.0,0.0\n1,nan,1.0\n")
+        model = tmp_path / "m.csv"
+        save_model_csv(LinearModel(np.eye(2)), model)
+        assert run_cli("eval", "--model", str(model), "--data", str(data)) == 1
+        assert "line 3: non-finite feature value" in capsys.readouterr().err

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from selmix.data import FeatureDataset, LTSpec, generate_longtail, load_dataset, save_dataset, split
+from selmix.benchmark import BenchmarkSetting, make_benchmark
+from selmix.classifier import class_centroids
+from selmix.data import (
+    FeatureDataset,
+    LTSpec,
+    balanced_validation,
+    generate_longtail,
+    load_dataset,
+    save_dataset,
+    split,
+)
 from selmix.errors import DataError
 
 
@@ -94,6 +104,43 @@ class TestCsvRoundTrip:
         path.write_text("label,f0\n0,abc\n")
         with pytest.raises(DataError, match="line 2"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_names_line(self, tmp_path, value):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"label,f0,f1\n0,1.0,2.0\n\n1,3.0,{value}\n")
+        with pytest.raises(DataError, match="line 4: non-finite"):
+            load_dataset(path)
+
+
+class TestBalancedValidation:
+    def test_per_class_counts_and_pool_stream_unused(self):
+        spec = LTSpec(K=5, d=6, N1=80, rho=8.0, seed=2)
+        val = balanced_validation(spec, per_class=7)
+        np.testing.assert_array_equal(val.class_counts(), np.full(5, 7))
+        assert not np.array_equal(val.features[:7], generate_longtail(spec).features[:7])
+        with pytest.raises(DataError):
+            balanced_validation(spec, per_class=0)
+
+    def test_same_draws_as_a_balanced_pool_when_d_at_least_k(self):
+        # for d >= K the means do not depend on the seed, so the holdout is
+        # the rho = 1 pool of the seed + 20000 sample stream
+        spec = LTSpec(K=4, d=6, N1=90, rho=9.0, within_std=0.3, seed=8)
+        twin = LTSpec(K=4, d=6, N1=12, rho=1.0, within_std=0.3, seed=20_008)
+        np.testing.assert_array_equal(balanced_validation(spec, 12).features,
+                                      generate_longtail(twin).features)
+
+    def test_clusters_sit_at_the_pool_means_when_d_below_k(self):
+        spec = LTSpec(K=12, d=8, N1=40, rho=4.0, within_std=1e-4, seed=3)
+        val = balanced_validation(spec, per_class=5)
+        np.testing.assert_allclose(class_centroids(val).centroids, spec.class_means(), atol=1e-3)
+
+    def test_benchmark_validation_matches_training_geometry(self):
+        setting = BenchmarkSetting(K=12, d=8, N1=300, rho=10.0, val_per_class=50,
+                                   pretrain_steps=10)
+        train, _, val, _ = make_benchmark(0, setting)
+        gap = class_centroids(train).centroids - class_centroids(val).centroids
+        assert np.linalg.norm(gap, axis=1).mean() < 0.6
 
 
 class TestSplit:

@@ -182,12 +182,6 @@ class TestMetricGradient:
         with pytest.raises(SelMixError, match="zero recall"):
             metric_grad_unconstrained(MetricSpec(G_MEAN), c, LagrangeState())
 
-    def test_clamped_diagonal_unblocks_gradient(self):
-        entries = np.array([[0.0, 0.5], [0.0, 0.5]])
-        c = ConfusionMatrix(entries, np.array([0.5, 0.5])).with_clamped_diagonal()
-        g = metric_grad_unconstrained(MetricSpec(G_MEAN), c, LagrangeState())
-        assert np.all(np.isfinite(g))
-
 
 class TestUpdateLagrange:
     def test_min_recall_softmax_concentrates_on_worst_class(self):

@@ -9,7 +9,7 @@ from selmix.policy import (
     OnlineGameConfig,
     greedy_distribution,
     run_online_game,
-    sample_pair,
+    sample_pairs,
     selmix_distribution,
     uniform_distribution,
 )
@@ -69,6 +69,12 @@ class TestGreedyDistribution:
         p = greedy_distribution(GainMatrix(np.zeros((3, 3)))).probs
         assert p[0, 0] == 1.0
 
+    def test_argmax_restricted_to_formable_pairs(self):
+        g = GainMatrix(np.array([[0.0, 5.0, 2.0], [2.0, 2.0, -1.0], [0.0, 3.0, 0.0]]))
+        formable = np.outer([True, True, False], [True, False, True])
+        p = greedy_distribution(g, formable).probs
+        assert p[0, 2] == 1.0   # (0, 1) cannot be formed; (0, 2) ties (1, 0), row-major wins
+
     def test_positive_scaling_keeps_argmax(self):
         rng = np.random.default_rng(2)
         g = rng.normal(size=(4, 4))
@@ -82,7 +88,8 @@ class TestSamplePair:
         probs = np.zeros((3, 3))
         probs[1, 2] = 1.0
         rng = np.random.default_rng(3)
-        assert all(sample_pair(MixPolicy(probs), rng) == (1, 2) for _ in range(50))
+        i, j = sample_pairs(MixPolicy(probs), rng, 50)
+        assert np.all(i == 1) and np.all(j == 2)
 
     def test_uniform_frequencies_within_three_sigma(self):
         k = 3
@@ -90,9 +97,8 @@ class TestSamplePair:
         rng = np.random.default_rng(4)
         policy = uniform_distribution(k)
         counts = np.zeros((k, k))
-        for _ in range(n):
-            i, j = sample_pair(policy, rng)
-            counts[i, j] += 1
+        i, j = sample_pairs(policy, rng, n)
+        np.add.at(counts, (i, j), 1)
         p = 1.0 / (k * k)
         sigma = np.sqrt(n * p * (1 - p))
         assert np.all(np.abs(counts - n * p) <= 3.0 * sigma)
@@ -102,9 +108,22 @@ class TestSamplePair:
         probs[0, 0], probs[1, 1] = 0.75, 0.25
         rng = np.random.default_rng(5)
         n = 40_000
-        hits = sum(sample_pair(MixPolicy(probs), rng) == (0, 0) for _ in range(n))
+        i, j = sample_pairs(MixPolicy(probs), rng, n)
+        hits = np.sum((i == 0) & (j == 0))
         sigma = np.sqrt(n * 0.75 * 0.25)
         assert abs(hits - 0.75 * n) <= 3.0 * sigma
+
+    def test_single_draws_match_one_batch(self):
+        # the trainer's one-at-a-time resamples consume the stream exactly
+        # like one batched draw
+        probs = np.random.default_rng(6).random((4, 4))
+        policy = MixPolicy(probs / probs.sum())
+        rng, twin = np.random.default_rng(7), np.random.default_rng(7)
+        singles = [sample_pairs(policy, rng, 1) for _ in range(30)]
+        i, j = sample_pairs(policy, twin, 30)
+        np.testing.assert_array_equal([a[0] for a, _ in singles], i)
+        np.testing.assert_array_equal([b[0] for _, b in singles], j)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_policy_validation(self):
         with pytest.raises(SelMixError):

@@ -170,6 +170,21 @@ class TestPairResampling:
         assert history.pseudo_empty_resamples > 0
 
 
+class TestGreedyFormablePairs:
+    def test_ssl_greedy_run_never_draws_an_empty_pseudo_pool(self):
+        # the argmax cell's pseudo-labelled pool is empty in this run; greedy
+        # used to put all its mass there and abort after 1000 redraws
+        ds = generate_longtail(LTSpec(K=6, d=8, N1=100, rho=20.0, seed=0))
+        train, val, unlabeled = split(ds, (0.5, 0.3, 0.2), seed=0)
+        init = pretrain_erm(train, train.dim, train.num_classes, steps=60, seed=0)
+        cfg = TrainerConfig(metric=MetricSpec(MEAN_RECALL), cycles=3, sgd_steps_per_cycle=7,
+                            batch_size=16, lr=0.1, seed=0, mode="ssl", policy="greedy")
+        _, history = run_selmix(cfg, train, unlabeled, val, init)
+        assert len(history.records) == 3
+        assert history.sgd_steps == 21
+        assert history.pair_resamples == history.pseudo_empty_resamples == 0
+
+
 class TestClassLayout:
     def test_gather_matches_class_index_lists(self):
         from selmix.trainer import _class_layout
