@@ -65,12 +65,12 @@ def load_model_csv(path) -> LinearModel:
 
 def cmd_gen_data(args) -> int:
     cfg = load_config(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     spec = cfg.lt_spec()
     pool = generate_longtail(spec)
     train, _, unlabeled = split(pool, POOL_FRACTIONS, seed=spec.seed)
     val = balanced_validation(spec, per_class=max(10, round(spec.N1 / 10)))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     save_dataset(train, out / "train.csv")
     save_dataset(val, out / "val.csv")
     save_dataset(unlabeled, out / "unlabeled.csv")

@@ -130,15 +130,22 @@ class LTSpec:
 
 
 def _draw_clusters(spec: LTSpec, counts: np.ndarray, seed: int) -> FeatureDataset:
-    """``counts[k]`` rows around each class mean of ``spec``, ordered by class."""
+    """``counts[k]`` rows around each class mean of ``spec``, ordered by class.
+
+    Raises :class:`DataError` when a finite but huge ``within_std`` makes a
+    drawn feature overflow.
+    """
     means = spec.class_means()
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
-    feats = np.concatenate(
-        [
-            means[k] + spec.within_std * rng.standard_normal((counts[k], spec.d))
-            for k in range(spec.K)
-        ]
-    )
+    with np.errstate(over="ignore"):
+        feats = np.concatenate(
+            [
+                means[k] + spec.within_std * rng.standard_normal((counts[k], spec.d))
+                for k in range(spec.K)
+            ]
+        )
+    if not np.isfinite(feats).all():
+        raise DataError(f"within_std={spec.within_std!r} overflows the drawn features")
     labels = np.repeat(np.arange(spec.K), counts)
     return FeatureDataset(features=feats, labels=labels, num_classes=spec.K)
 

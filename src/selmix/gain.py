@@ -5,10 +5,11 @@ along the weight update V_ij the mixup would induce.  It is approximated as
 
     G_ij = sum_{k,l} dpsi/dCt[k,l] * (V_ij column l . z_k)
 
-which collapses, with V_ij = zeta_ij (e_i - p_ij)^T, to an O(K^3 d) batch of
-matrix products over all pairs at once.  The oracle instead perturbs W by
-+-eta V_ij and differences the objective of the smooth surrogate confusion;
-the hard argmax confusion is never differentiated.
+which, with V_ij = zeta_ij (e_i - p_ij)^T, needs only the K x K products
+Z W and Z (Z^T dpsi/dCt): all K^2 pairs cost O(K^2 d + K^3) time and
+O(rows K^2) memory, streamed over blocks of rows i.  The oracle instead
+perturbs W by +-eta V_ij and differences the objective of the smooth
+surrogate confusion; the hard argmax confusion is never differentiated.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import CentroidSet, LinearModel, class_centroids, direction_matrix, softmax
+from .classifier import CentroidSet, LinearModel, class_centroids, direction_matrix
 from .data import FeatureDataset, LTSpec, generate_longtail
 from .errors import SelMixError
 from .metrics import (
@@ -47,6 +48,10 @@ class GainMatrix:
             raise SelMixError("gain matrix must be finite")
 
 
+# Entries of the (rows, K, K) block held at once; bounds the peak memory.
+_BLOCK_ELEMENTS = 1 << 18
+
+
 def gain_from_metric_grad(
     model: LinearModel,
     centroids: CentroidSet,
@@ -55,20 +60,38 @@ def gain_from_metric_grad(
 ) -> np.ndarray:
     """Contract a metric gradient dpsi/dCt with every pair direction.
 
-    Bilinear in ``dgrad``; all K^2 pairs are evaluated in one vectorized
-    sweep, identical to per-pair evaluation with
-    :func:`selmix.classifier.direction_matrix`.
+    Bilinear in ``dgrad`` and equal to per-pair evaluation with
+    :func:`selmix.classifier.direction_matrix`.  The mixed centroid
+    zeta_ij = beta_bar z_i + (1 - beta_bar) z_j is linear, so its logits and
+    its projection M_ij = zeta_ij Z^T dgrad are the same mix of rows i and j
+    of the K x K products Z W and Z Z^T dgrad, and
+
+        G_ij = M_ij[i] - sum_l M_ij[l] p_ij[l],   p_ij = softmax(zeta_ij W).
+
+    O(K^2 d + K^3) time and O(rows K^2) memory: rows i are taken in blocks
+    of about ``_BLOCK_ELEMENTS / K^2``, at least one.
     """
     if not 0.0 < beta_bar <= 1.0:
         raise SelMixError("beta_bar must lie in (0, 1]")
     z = centroids.centroids                       # (K, d)
-    zeta = beta_bar * z[:, None, :] + (1.0 - beta_bar) * z[None, :, :]   # (K, K, d)
-    p = softmax(zeta @ model.weights, axis=-1)    # (K, K, K) softmax at mixed centroid
-    a = zeta @ z.T                                # a[i, j, k] = zeta_ij . z_k
-    # G_ij = sum_k a[i,j,k] * (dgrad[k,i] - sum_l dgrad[k,l] p[i,j,l])
-    term1 = np.einsum("ijk,ki->ij", a, dgrad)
-    term2 = np.einsum("ijk,kl,ijl->ij", a, dgrad, p, optimize=True)
-    return term1 - term2
+    k = z.shape[0]
+    alpha = 1.0 - beta_bar
+    zw = z @ model.weights                        # logits at each centroid
+    zb = z @ (z.T @ dgrad)                        # zb[i, l] = sum_k (z_i . z_k) dgrad[k, l]
+    own = beta_bar * np.diag(zb)[:, None] + alpha * zb.T   # M_ij[i]
+    partner = alpha * zw                          # row j's share of the logits at zeta_ij
+    rows = max(1, _BLOCK_ELEMENTS // (k * k))
+    out = np.empty((k, k))
+    for lo in range(0, k, rows):
+        blk = slice(lo, lo + rows)
+        # unnormalised softmax at each zeta_ij, max logit subtracted
+        e = beta_bar * zw[blk, None, :] + partner
+        e -= e.max(axis=-1, keepdims=True)
+        np.exp(e, out=e)
+        # sum_l M_ij[l] e_ij[l], one term per row that M_ij mixes
+        mixed = beta_bar * (e @ zb[blk, :, None])[..., 0] + alpha * np.einsum("ijl,jl->ij", e, zb)
+        out[blk] = own[blk] - mixed / e.sum(axis=-1)
+    return out
 
 
 def gain_matrix(

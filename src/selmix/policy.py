@@ -187,10 +187,11 @@ def run_online_game(cfg: OnlineGameConfig) -> dict:
     probs = _policy_sequence(cfg, gains)
     flat = gains.reshape(cfg.T, -1)
     rng = np.random.default_rng(play_ss)
-    # row-wise inverse-CDF sampling of one cell per round
+    # row-wise inverse-CDF sampling of one cell per round; ``<=`` is
+    # searchsorted's side="right", the rule of :func:`sample_pairs`
     cdf = np.cumsum(probs, axis=1)
     u = rng.random(cfg.T)
-    chosen = np.minimum((cdf < u[:, None]).sum(axis=1), flat.shape[1] - 1)
+    chosen = np.minimum((cdf <= u[:, None]).sum(axis=1), flat.shape[1] - 1)
     realized = flat[np.arange(cfg.T), chosen]
 
     avg_policy = float(realized.mean())

@@ -120,6 +120,15 @@ class TestGenData:
         assert run_cli("gen-data", "--config", str(conf), "--out", str(tmp_path / "d")) == 2
         assert "unknown key" in capsys.readouterr().err
 
+    def test_overflowing_within_std_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        conf = tmp_path / "c.cfg"
+        conf.write_text("K=4\nd=4\nn1=50\nrho=4\nwithin_std=1e308\n")
+        out = tmp_path / "data"
+        assert run_cli("gen-data", "--config", str(conf), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "within_std" in err
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("command", ["gen-data", "train"])
 def test_out_of_range_config_value_exits_2(tmp_path, capsys, command):

@@ -1,10 +1,18 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import random_confusion
-from selmix.classifier import CentroidSet, LinearModel, class_centroids, direction_matrix
+from selmix import gain
+from selmix.classifier import (
+    CentroidSet,
+    LinearModel,
+    class_centroids,
+    direction_matrix,
+    softmax,
+)
 from selmix.data import LTSpec, generate_longtail
 from selmix.errors import SelMixError
 from selmix.gain import GainMatrix, gain_fd_oracle, gain_from_metric_grad, gain_matrix
@@ -33,6 +41,18 @@ def reference_gains(model, centroids, dgrad, beta_bar):
                     total += dgrad[kk, ll] * (v[:, ll] @ centroids.centroids[kk])
             out[i, j] = total
     return out
+
+
+def dense_gains(model, centroids, dgrad, beta_bar):
+    """One-shot dense form: the K^2 x d mixed centroids zeta, the K^3 arrays
+    a[i, j, k] = zeta_ij . z_k and p_ij, and a K^4 contraction."""
+    z = centroids.centroids
+    zeta = beta_bar * z[:, None, :] + (1.0 - beta_bar) * z[None, :, :]
+    p = softmax(zeta @ model.weights, axis=-1)
+    a = zeta @ z.T
+    term1 = np.einsum("ijk,ki->ij", a, dgrad)
+    term2 = np.einsum("ijk,kl,ijl->ij", a, dgrad, p, optimize=True)
+    return term1 - term2
 
 
 def tuned_model(lt: LTSpec, seed: int, noise: float = 0.3) -> LinearModel:
@@ -84,6 +104,23 @@ class TestGainMatrix:
             fast = gain_matrix(model, cents, c, spec, lam, 0.75).values
             np.testing.assert_allclose(fast, reference_gains(model, cents, dgrad, 0.75),
                                        atol=1e-12)
+
+    @pytest.mark.parametrize("k", [17, 40, 64])
+    @pytest.mark.parametrize("d_minus_k", [-9, 9])
+    @pytest.mark.parametrize("beta_bar", [0.5, 1.0])
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    def test_row_blocks_match_dense_reference(self, monkeypatch, k, d_minus_k, beta_bar, rows):
+        # 3 rows per block divides none of the K; None keeps the default budget
+        if rows is not None:
+            monkeypatch.setattr(gain, "_BLOCK_ELEMENTS", rows * k * k)
+        rng = np.random.default_rng(k + d_minus_k)
+        d = k + d_minus_k
+        model = LinearModel(rng.normal(size=(d, k)) / np.sqrt(d))
+        cents = CentroidSet(rng.normal(size=(k, d)))
+        dgrad = rng.normal(size=(k, k))
+        dense = dense_gains(model, cents, dgrad, beta_bar)
+        fast = gain_from_metric_grad(model, cents, dgrad, beta_bar)
+        assert np.abs(fast - dense).max() <= 1e-13 * np.abs(dense).max()
 
     def test_bilinearity_in_metric_gradient(self):
         rng = np.random.default_rng(3)
@@ -157,3 +194,22 @@ class TestComplexity:
             times[k] = best
         assert times[16] / times[8] <= 10.0
         assert times[32] / times[16] <= 10.0
+
+
+class TestMemory:
+    def test_k300_call_peaks_under_32mb(self):
+        # the dense form peaked at 869 MB here
+        k, d = 300, 64
+        rng = np.random.default_rng(12)
+        model = LinearModel(rng.normal(size=(d, k)))
+        cents = CentroidSet(rng.normal(size=(k, d)))
+        c = random_confusion(rng, k)
+        spec = MetricSpec(MEAN_RECALL)
+        lam = neutral_lagrange(spec, k)
+        tracemalloc.start()
+        try:
+            gain_matrix(model, cents, c, spec, lam, 0.75)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20

@@ -174,6 +174,20 @@ class TestOnlineGame:
             report = run_online_game(cfg)
             assert report["regret_expected"] <= report["bound"] + 1e-12
 
+    @pytest.mark.parametrize("u", [0.25, 0.5, 0.75])
+    def test_draw_on_a_cdf_step_matches_sample_pairs(self, monkeypatch, u):
+        # the uniform 2-class policy has CDF steps exactly at 0.25, 0.5, 0.75
+        class FixedUniforms:
+            def random(self, size):
+                return np.full(size, u)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: FixedUniforms())
+        cfg = OnlineGameConfig(K=2, T=1, gain_generator="alternating", policy_kind="uniform")
+        report = run_online_game(cfg)
+        i, j = sample_pairs(uniform_distribution(2), FixedUniforms(), 1)
+        # round 0 of the alternating generator pays (i + j) % 2
+        assert report["avg_gain_policy"] == (i[0] + j[0]) % 2
+
     def test_out_of_range_gains_are_clamped_and_counted(self):
         cfg = OnlineGameConfig(K=3, T=50, s=1.0, gain_generator="spiky",
                                policy_kind="selmix_hedge", seed=2)
