@@ -16,9 +16,10 @@ from .errors import DataError, SelMixError
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    e = logits - logits.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -37,7 +38,7 @@ class LinearModel:
         object.__setattr__(self, "weights", w)
         if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 2:
             raise SelMixError("weights must be a d x K matrix with d >= 1, K >= 2")
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise SelMixError("weights must be finite")
 
     @property
@@ -71,16 +72,22 @@ def predict(model: LinearModel, features: np.ndarray) -> np.ndarray:
     return np.argmax(batch_logits(model, features), axis=1)
 
 
-def _mix(feat_a: np.ndarray, feat_b: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    """Feature-space mixup per row: beta * feat_a + (1 - beta) * feat_b."""
+def mix_features(feat_a: np.ndarray, feat_b: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """Feature-space mixup per row: beta * feat_a + (1 - beta) * feat_b.
+
+    ``betas`` holds one weight per row, so a (steps, batch) array mixes a
+    (steps, batch, d) block of rows at once.
+    """
     betas = np.asarray(betas, dtype=np.float64)
     if betas.size == 0:
         raise SelMixError("mixup needs a nonempty batch")
     valid = (betas >= 0.0) & (betas <= 1.0)
     if not valid.all():
         raise SelMixError(f"beta must lie in [0, 1], got {betas[~valid][0]}")
-    b = betas[:, None]
-    return b * feat_a + (1.0 - b) * feat_b
+    b = betas[..., None]
+    mixed = b * feat_a
+    mixed += (1.0 - b) * feat_b
+    return mixed
 
 
 def mixup_loss(
@@ -92,7 +99,7 @@ def mixup_loss(
 ) -> np.ndarray:
     """Per-row softmax cross-entropy of the mixed features against labels
     (each mixup is labeled with its first sample's class)."""
-    log_p = log_softmax(batch_logits(model, _mix(feat_a, feat_b, betas)), axis=1)
+    log_p = log_softmax(batch_logits(model, mix_features(feat_a, feat_b, betas)), axis=1)
     return -log_p[np.arange(log_p.shape[0]), labels]
 
 
@@ -132,21 +139,22 @@ def direction_matrix(
 
 def sgd_mixup_step(
     model: LinearModel,
-    feat_a: np.ndarray,
-    feat_b: np.ndarray,
+    mixed: np.ndarray,
     labels: np.ndarray,
-    betas: np.ndarray,
     lr: float,
 ) -> LinearModel:
-    """One SGD step on the batch-mean mixup loss; returns a new model.
+    """One SGD step on the batch-mean cross-entropy of already-mixed rows
+    (see :func:`mix_features`); returns a new model.
 
-    Row n mixes feat_a[n] and feat_b[n] with weight betas[n] and is labeled
-    labels[n].  Gradients are averaged (not summed) so lr does not scale with
-    batch size.
+    Row n is labeled labels[n].  Gradients are averaged (not summed) so lr
+    does not scale with batch size.
     """
-    mixed = _mix(feat_a, feat_b, betas)
     n = mixed.shape[0]
+    if n == 0:
+        raise SelMixError("mixup needs a nonempty batch")
     p = softmax(mixed @ model.weights, axis=1)
     p[np.arange(n), labels] -= 1.0
-    grad = mixed.T @ p / n
-    return LinearModel(model.weights - lr * grad)
+    step = mixed.T @ p
+    step /= n
+    step *= lr
+    return LinearModel(model.weights - step)

@@ -17,6 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .classifier import softmax
 from .errors import SelMixError
 from .gain import GainMatrix
 
@@ -111,8 +112,8 @@ class OnlineGameConfig:
             raise SelMixError(f"unknown policy kind {self.policy_kind!r}")
         if self.gain_generator not in GAIN_GENERATORS:
             raise SelMixError(f"unknown gain generator {self.gain_generator!r}")
-        if self.s <= 0:
-            raise SelMixError("s must be positive")
+        if not 0 < self.s < np.inf:
+            raise SelMixError("s must be positive and finite")
 
 
 def _generate_gains(cfg: OnlineGameConfig, rng: np.random.Generator) -> np.ndarray:
@@ -159,16 +160,16 @@ def _policy_sequence(cfg: OnlineGameConfig, gains: np.ndarray) -> np.ndarray:
         probs = np.zeros((t, cells))
         probs[np.arange(t), np.argmax(flat, axis=1)] = 1.0
         return probs
-    cum = np.cumsum(flat, axis=0)
+    scores = np.empty((t, cells))
     if cfg.policy_kind == "selmix_hedge":
-        scores = cfg.s * cum                      # includes the current round
+        np.cumsum(flat, axis=0, out=scores)       # includes the current round
+        scores *= cfg.s
     else:
         s_var = np.log(1.0 + 2.0 * np.sqrt(np.log(max(k, 2)) / t))
-        past = np.vstack([np.zeros(cells), cum[:-1]])
-        scores = s_var * past                     # Hedge: past rounds only
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+        scores[0] = 0.0
+        np.cumsum(flat[:-1], axis=0, out=scores[1:])
+        scores *= s_var                           # Hedge: past rounds only
+    return softmax(scores, axis=1)
 
 
 def run_online_game(cfg: OnlineGameConfig) -> dict:
@@ -180,22 +181,21 @@ def run_online_game(cfg: OnlineGameConfig) -> dict:
     gen_ss, play_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     gains = _generate_gains(cfg, np.random.default_rng(gen_ss))
     lo = 0.0 if cfg.policy_kind == "selmix_hedge_variant" else -1.0
-    out_of_range = (gains < lo) | (gains > 1.0)
-    clamped_rounds = int(out_of_range.any(axis=(1, 2)).sum())
-    gains = np.clip(gains, lo, 1.0)
+    flat = gains.reshape(cfg.T, -1)
+    clamped_rounds = int(((flat.min(axis=1) < lo) | (flat.max(axis=1) > 1.0)).sum())
+    np.clip(flat, lo, 1.0, out=flat)
 
     probs = _policy_sequence(cfg, gains)
-    flat = gains.reshape(cfg.T, -1)
+    avg_expected = float((probs * flat).sum(axis=1).mean())
     rng = np.random.default_rng(play_ss)
     # row-wise inverse-CDF sampling of one cell per round; ``<=`` is
     # searchsorted's side="right", the rule of :func:`sample_pairs`
-    cdf = np.cumsum(probs, axis=1)
+    cdf = np.cumsum(probs, axis=1, out=probs)
     u = rng.random(cfg.T)
     chosen = np.minimum((cdf <= u[:, None]).sum(axis=1), flat.shape[1] - 1)
     realized = flat[np.arange(cfg.T), chosen]
 
     avg_policy = float(realized.mean())
-    avg_expected = float((probs * flat).sum(axis=1).mean())
     avg_best_fixed = float(flat.mean(axis=0).max())
     log_k = np.log(max(cfg.K, 2))
     if cfg.policy_kind == "selmix_hedge":

@@ -161,8 +161,10 @@ def mixup_regularization_check(
     common random numbers across scales.
     """
     alpha, beta = alpha_beta
-    if alpha <= 1.0 or beta <= 1.0:
-        raise SelMixError("regularizer moment diverges: need alpha, beta > 1")
+    if not (1.0 < alpha < np.inf and 1.0 < beta < np.inf):
+        raise SelMixError("regularizer moment diverges: need finite alpha, beta > 1")
+    if not np.isfinite(theta_scale):
+        raise SelMixError("theta_scale must be finite")
     if K < 2 or N < 2 or mc_pairs < 1:
         raise SelMixError("need K >= 2, N >= 2, mc_pairs >= 1")
     if w is None:

@@ -11,10 +11,16 @@ Runs are bitwise deterministic for a given (config, seed): the root seed
 spawns independent streams for pair sampling, beta draws, and batch element
 choice, so toggling one consumer leaves the others unchanged.
 
-The SGD block works on whole batches: the labeled pool's rows are laid out
-by class once per run and the second pool's once per cycle
-(``_class_layout``), so a batch is one gather per side, one mix, and one
-weight update.
+Within a cycle the policy, both pools and their class layouts are fixed,
+so none of the draws depends on the weights.  The SGD block therefore runs
+in blocks of whole steps, at most ``_BLOCK_ELEMENTS`` mixed entries each: a
+block is one pair draw, one draw of element choices and one of betas, one
+row gather per side (``_class_layout`` lays the labeled pool out by class
+once per run, the second pool once per cycle) and one mix.  Each step then
+only computes logits, softmax and gradient and updates the weights.  A
+generator's n-value draw yields the same values and end state as n
+one-value draws, so blocks consume every stream exactly as per-step draws
+do and the run is bitwise the same for any block size.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from .classifier import (
     CentroidSet,
     LinearModel,
     class_centroids,
+    mix_features,
     predict,
     sgd_mixup_step,
     softmax,
@@ -52,6 +59,9 @@ from .policy import (
 )
 
 MAX_PAIR_RESAMPLES = 100
+
+# Mixed feature entries (steps x batch x d) drawn and gathered at once.
+_BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -233,6 +243,44 @@ def _draw_pairs(
     return y1, y2
 
 
+def _draw_block(
+    policy: MixPolicy,
+    steps: int,
+    batch: int,
+    rng: np.random.Generator,
+    first_nonempty: np.ndarray,
+    second_nonempty: np.ndarray,
+    history: RunHistory,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(Y1, Y2) for up to ``steps`` batches, each of shape (m, batch), m >= 1.
+
+    One draw serves the whole block unless a drawn cell has an empty pool.
+    Then the generator is rewound and the block redrawn batch by batch
+    through :func:`_draw_pairs`, whose retries take the uniforms after
+    their own batch, as per-step draws do.  A batch that runs out of retries
+    ends the block before it, with the generator rewound to it, so it fails
+    as the next block's first batch, after the steps before it have run.
+    """
+    start = rng.bit_generator.state
+    y1, y2 = sample_pairs(policy, rng, steps * batch)
+    if (first_nonempty[y1] & second_nonempty[y2]).all():
+        return y1.reshape(steps, batch), y2.reshape(steps, batch)
+    rng.bit_generator.state = start
+    y1, y2 = np.empty((2, steps, batch), dtype=np.intp)
+    for n in range(steps):
+        start = rng.bit_generator.state
+        try:
+            y1[n], y2[n] = _draw_pairs(
+                policy, batch, rng, first_nonempty, second_nonempty, history
+            )
+        except SelMixError:
+            if n == 0:
+                raise
+            rng.bit_generator.state = start
+            return y1[:n], y2[:n]
+    return y1, y2
+
+
 def _cycle_policy(cfg: TrainerConfig, gains: GainMatrix, formable: np.ndarray) -> MixPolicy:
     if cfg.policy == "uniform":
         return uniform_distribution(gains.values.shape[0])
@@ -279,6 +327,7 @@ def run_selmix(
     total_steps = max(config.cycles * config.sgd_steps_per_cycle, 1)
     spec = config.metric
     global_step = 0
+    block = max(1, _BLOCK_ELEMENTS // (config.batch_size * train.dim))
 
     # gradient-input smoothing: half a count keeps collapsed prediction
     # columns visible to the reparameterized gradient (recorded metrics and
@@ -308,20 +357,28 @@ def run_selmix(
             )
         )
 
-        for _ in range(config.sgd_steps_per_cycle):
-            y1, y2 = _draw_pairs(
-                policy, config.batch_size, pair_rng, first_nonempty, second_nonempty, history
+        done = 0
+        while done < config.sgd_steps_per_cycle:
+            y1, y2 = _draw_block(
+                policy, min(block, config.sgd_steps_per_cycle - done), config.batch_size,
+                pair_rng, first_nonempty, second_nonempty, history,
             )
-            u1, u2 = elem_rng.random(config.batch_size), elem_rng.random(config.batch_size)
-            betas = beta_rng.uniform(config.beta_min, 1.0, size=config.batch_size)
-            x1 = train.features[first.rows(y1, u1)]
-            x2 = second_pool.features[second.rows(y2, u2)]
-            lr = config.lr
-            if config.lr_schedule == "cosine":
-                lr = cosine_lr(config.lr, global_step, total_steps)
-            model = sgd_mixup_step(model, x1, x2, y1, betas, lr)
-            global_step += 1
-            history.sgd_steps += 1
+            steps = y1.shape[0]
+            u = elem_rng.random((steps, 2, config.batch_size))
+            betas = beta_rng.uniform(config.beta_min, 1.0, size=(steps, config.batch_size))
+            mixed = mix_features(
+                train.features[first.rows(y1, u[:, 0])],
+                second_pool.features[second.rows(y2, u[:, 1])],
+                betas,
+            )
+            for n in range(steps):
+                lr = config.lr
+                if config.lr_schedule == "cosine":
+                    lr = cosine_lr(config.lr, global_step, total_steps)
+                model = sgd_mixup_step(model, mixed[n], y1[n], lr)
+                global_step += 1
+            done += steps
+            history.sgd_steps += steps
 
         if config.mode == "ssl":
             second_pool = refresh_pseudo_labels(model, unlabeled)

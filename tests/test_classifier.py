@@ -7,6 +7,7 @@ from selmix.classifier import (
     batch_logits,
     class_centroids,
     direction_matrix,
+    mix_features,
     mixup_loss,
     sgd_mixup_step,
 )
@@ -82,7 +83,7 @@ class TestMixupLoss:
         with pytest.raises(SelMixError, match="beta must lie in"):
             mixup_loss(model, a, a, [0, 1], [0.5, 1.2])
         with pytest.raises(SelMixError, match="beta must lie in"):
-            sgd_mixup_step(model, a, a, [0, 1], [1.2, 0.5], lr=0.1)
+            sgd_mixup_step(model, mix_features(a, a, [1.2, 0.5]), [0, 1], lr=0.1)
 
 
 class TestClassCentroids:
@@ -154,13 +155,13 @@ class TestSgdMixupStep:
         rng = np.random.default_rng(5)
         model = LinearModel(rng.normal(size=(3, 3)))
         a, b = rng.normal(size=(1, 3)), rng.normal(size=(1, 3))
-        out = sgd_mixup_step(model, a, b, [1], [0.8], lr=0.0)
+        out = sgd_mixup_step(model, mix_features(a, b, [0.8]), [1], lr=0.0)
         np.testing.assert_array_equal(out.weights, model.weights)
 
     def test_confident_correct_sample_barely_moves(self):
         model = LinearModel(40.0 * np.eye(2))
         x = np.array([[1.0, 0.0]])
-        out = sgd_mixup_step(model, x, x, [0], [1.0], lr=0.1)
+        out = sgd_mixup_step(model, mix_features(x, x, [1.0]), [0], lr=0.1)
         np.testing.assert_allclose(out.weights, model.weights, atol=1e-12)
 
     def test_single_sample_matches_closed_form(self):
@@ -170,7 +171,7 @@ class TestSgdMixupStep:
         # one sample: update is +lr * V evaluated at the sample's mixed feature
         mixed = beta * a + (1.0 - beta) * b
         v = direction_matrix(LinearModel(w), CentroidSet(np.stack([mixed] * 3)), 2, 2, 1.0)
-        out = sgd_mixup_step(LinearModel(w), a[None], b[None], [2], [beta], lr)
+        out = sgd_mixup_step(LinearModel(w), mix_features(a[None], b[None], [beta]), [2], lr)
         np.testing.assert_allclose(out.weights, w + lr * v, atol=1e-12)
 
     def test_batch_step_is_mean_of_single_sample_steps(self):
@@ -179,9 +180,10 @@ class TestSgdMixupStep:
         w = rng.normal(size=(3, 4))
         a, b = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
         labels, betas, lr = rng.integers(4, size=5), rng.uniform(0.5, 1.0, size=5), 0.3
-        singles = [sgd_mixup_step(LinearModel(w), a[[n]], b[[n]], labels[[n]], betas[[n]], lr)
+        singles = [sgd_mixup_step(LinearModel(w), mix_features(a[[n]], b[[n]], betas[[n]]),
+                                  labels[[n]], lr)
                    for n in range(5)]
-        out = sgd_mixup_step(LinearModel(w), a, b, labels, betas, lr)
+        out = sgd_mixup_step(LinearModel(w), mix_features(a, b, betas), labels, lr)
         np.testing.assert_allclose(out.weights, np.mean([m.weights for m in singles], axis=0),
                                    rtol=0, atol=1e-12)
 
@@ -193,11 +195,11 @@ class TestSgdMixupStep:
         a, b, labels, betas = (np.array(column) for column in zip(*draws))
         base = np.mean(mixup_loss(model, a, b, labels, betas))
         for lr in (1e-3, 1e-4):
-            stepped = sgd_mixup_step(model, a, b, labels, betas, lr)
+            stepped = sgd_mixup_step(model, mix_features(a, b, betas), labels, lr)
             new = np.mean(mixup_loss(stepped, a, b, labels, betas))
             assert new < base
 
     def test_empty_batch_rejected(self):
         with pytest.raises(SelMixError):
-            sgd_mixup_step(LinearModel(np.zeros((2, 2))), np.zeros((0, 2)), np.zeros((0, 2)),
-                           np.zeros(0, dtype=int), np.zeros(0), 0.1)
+            sgd_mixup_step(LinearModel(np.zeros((2, 2))), np.zeros((0, 2)),
+                           np.zeros(0, dtype=int), 0.1)

@@ -246,6 +246,14 @@ class TestSimulatePolicy:
         assert aggregate["within_bound"]
 
 
+    @pytest.mark.parametrize("s", ["nan", "inf"])
+    def test_non_finite_s_exits_1(self, capsys, s):
+        assert run_cli("simulate-policy", "--s", s, "--T", "10", "--seeds", "0") == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.strip().splitlines() == ["error: s must be positive and finite"]
+
+
 class TestCheckGain:
     def test_small_run_passes_and_reports_monotone_rows(self, capsys):
         assert run_cli("check-gain", "--K", "4", "--d", "6",
@@ -275,6 +283,21 @@ class TestCheckTheory:
         reports = [json.loads(line) for line in lines]   # nulls, never Infinity
         assert all(r["bound_satisfied"] for r in reports[:2])
         assert all(np.isfinite(r["rel_error"]) for r in reports[2:])
+
+
+    @pytest.mark.parametrize("args, message", [
+        (("--alpha-beta", "nan", "2"), "need finite alpha, beta > 1"),
+        (("--alpha-beta", "2", "inf"), "need finite alpha, beta > 1"),
+        (("--theta-scale", "nan"), "theta_scale must be finite"),
+        (("--theta-scale=-inf",), "theta_scale must be finite"),
+    ], ids=["alpha-nan", "beta-inf", "theta-nan", "theta-minus-inf"])
+    def test_non_finite_mixup_arguments_exit_1(self, capsys, args, message):
+        assert run_cli("check-theory", "--which", "mixup", "--N", "20", "--mc-pairs", "10",
+                       *args) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        lines = out.err.strip().splitlines()
+        assert len(lines) == 1 and message in lines[0]
 
 
 class TestEval:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -205,3 +207,20 @@ class TestOnlineGame:
     def test_unknown_policy_rejected(self):
         with pytest.raises(SelMixError):
             OnlineGameConfig(K=3, T=10, policy_kind="thompson")
+
+    @pytest.mark.parametrize("s", [0.0, -1.0, float("nan"), float("inf")])
+    def test_non_positive_or_non_finite_s_rejected(self, s):
+        with pytest.raises(SelMixError, match="s must be positive and finite"):
+            OnlineGameConfig(K=3, T=10, s=s)
+
+    def test_variant_game_peaks_under_30mb(self):
+        # the gains alone take 7.6 MB here; the game used to hold six such arrays
+        cfg = OnlineGameConfig(K=10, T=10_000, gain_generator="iid_uniform",
+                               policy_kind="selmix_hedge_variant", seed=3)
+        tracemalloc.start()
+        try:
+            run_online_game(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30 * 2**20

@@ -1,12 +1,28 @@
 import numpy as np
 import pytest
 
-from selmix.classifier import LinearModel
+from selmix import trainer
+from selmix.classifier import LinearModel, class_centroids
 from selmix.data import FeatureDataset, LTSpec, generate_longtail, split
 from selmix.errors import SelMixError
-from selmix.metrics import METRIC_KINDS, MEAN_RECALL, MIN_RECALL, MetricSpec
+from selmix.gain import gain_matrix
+from selmix.metrics import (
+    METRIC_KINDS,
+    MEAN_RECALL,
+    MIN_RECALL,
+    MetricSpec,
+    evaluate_metric,
+    model_confusion,
+    update_lagrange,
+)
 from selmix.trainer import (
+    CycleRecord,
+    RunHistory,
     TrainerConfig,
+    _class_layout,
+    _cycle_policy,
+    _draw_block,
+    _draw_pairs,
     cosine_lr,
     pretrain_erm,
     refresh_pseudo_labels,
@@ -218,6 +234,158 @@ class TestPairDraws:
         np.testing.assert_array_equal(y2, flat % 4)
         assert rng.bit_generator.state == twin.bit_generator.state
         assert history.pair_resamples == history.pseudo_empty_resamples == 0
+
+
+def per_step_run(config, train, unlabeled, validation, init):
+    """``run_selmix`` with one pair draw, gather, mix and update per SGD step,
+    the loop that block drawing replaced; returns (model, history, end
+    states of the pair, beta and element streams)."""
+    ss = np.random.SeedSequence(config.seed)
+    pair_rng, beta_rng, elem_rng = (np.random.default_rng(s) for s in ss.spawn(3))
+    model = init
+    centroids = class_centroids(validation)
+    second_pool = train
+    if config.mode == "ssl":
+        second_pool = refresh_pseudo_labels(model, unlabeled)
+    history = RunHistory()
+    first = _class_layout(train)
+    total_steps = max(config.cycles * config.sgd_steps_per_cycle, 1)
+    spec = config.metric
+    global_step = 0
+    for t in range(1, config.cycles + 1):
+        confusion = model_confusion(model, validation)
+        lam = update_lagrange(spec, confusion)
+        psi = evaluate_metric(spec, confusion, lam)
+        gains = gain_matrix(model, centroids, confusion.with_floor(0.5 / validation.n), spec,
+                            lam, config.beta_bar)
+        second = _class_layout(second_pool)
+        first_nonempty, second_nonempty = first.count > 0, second.count > 0
+        policy = _cycle_policy(config, gains, np.outer(first_nonempty, second_nonempty))
+        history.records.append(CycleRecord(
+            t=t, psi=float(psi), recalls=[float(r) for r in confusion.recalls()],
+            coverages=[float(c) for c in confusion.coverages()],
+            lambdas=[float(v) for v in lam.lambdas], gain_max=float(gains.values.max()),
+            gain_min=float(gains.values.min()), policy_entropy=policy.entropy(), wall_ms=0.0,
+        ))
+        for _ in range(config.sgd_steps_per_cycle):
+            y1, y2 = _draw_pairs(policy, config.batch_size, pair_rng, first_nonempty,
+                                 second_nonempty, history)
+            u1, u2 = elem_rng.random(config.batch_size), elem_rng.random(config.batch_size)
+            betas = beta_rng.uniform(config.beta_min, 1.0, size=config.batch_size)
+            x1 = train.features[first.rows(y1, u1)]
+            x2 = second_pool.features[second.rows(y2, u2)]
+            lr = config.lr
+            if config.lr_schedule == "cosine":
+                lr = cosine_lr(config.lr, global_step, total_steps)
+            mixed = betas[:, None] * x1 + (1.0 - betas[:, None]) * x2
+            shifted = mixed @ model.weights
+            shifted = shifted - shifted.max(axis=1, keepdims=True)
+            e = np.exp(shifted)
+            p = e / e.sum(axis=1, keepdims=True)
+            p[np.arange(config.batch_size), y1] -= 1.0
+            model = LinearModel(model.weights - lr * (mixed.T @ p / config.batch_size))
+            global_step += 1
+            history.sgd_steps += 1
+        if config.mode == "ssl":
+            second_pool = refresh_pseudo_labels(model, unlabeled)
+    final_conf = model_confusion(model, validation)
+    history.final_psi = float(evaluate_metric(spec, final_conf, update_lagrange(spec, final_conf)))
+    return model, history, [g.bit_generator.state for g in (pair_rng, beta_rng, elem_rng)]
+
+
+def _first_pool_gaps():
+    """Training pool holding only classes 0 and 1 of five."""
+    train, val, _ = small_benchmark()
+    keep = train.labels <= 1
+    return FeatureDataset(train.features[keep], train.labels[keep], train.num_classes), val
+
+
+def _outcome(run):
+    try:
+        return run()
+    except SelMixError as exc:
+        return str(exc)
+
+
+class TestBlockDrawnSgd:
+    """Block-drawn SGD against the per-step reference: equal weights, history,
+    resample counts, errors and final generator states."""
+
+    @pytest.mark.parametrize("case, steps_per_block", [
+        (dict(cycles=3, sgd_steps_per_cycle=7, batch_size=8), 3),
+        (dict(cycles=3, sgd_steps_per_cycle=7, batch_size=8, lr_schedule="constant"), 3),
+        (dict(cycles=2, sgd_steps_per_cycle=10, batch_size=1), 4),
+        (dict(cycles=2, sgd_steps_per_cycle=10, batch_size=1), None),
+        (dict(cycles=3, sgd_steps_per_cycle=0), 3),
+        (dict(cycles=3, sgd_steps_per_cycle=7, batch_size=16, mode="ssl"), 3),
+        (dict(cycles=3, sgd_steps_per_cycle=7, batch_size=16, mode="ssl"), None),
+        (dict(cycles=3, sgd_steps_per_cycle=7, batch_size=8, policy="uniform",
+              pools="first_gaps"), 3),
+        (dict(cycles=3, sgd_steps_per_cycle=7, batch_size=8, pools="first_gaps",
+              fails=True), 3),
+    ], ids=["cosine", "constant", "batch1", "batch1-one-block", "no-steps", "ssl",
+            "ssl-one-block", "first-pool-retries", "first-pool-error"])
+    def test_matches_per_step_reference(self, monkeypatch, case, steps_per_block):
+        case = dict(case)
+        pools, fails = case.pop("pools", None), case.pop("fails", False)
+        if case.get("mode") == "ssl":
+            # pseudo-labelled pools of this run empty out: the pair draws retry
+            ds = generate_longtail(LTSpec(K=6, d=8, N1=100, rho=20.0, seed=0))
+            train, val, unlabeled = split(ds, (0.5, 0.3, 0.2), seed=0)
+        elif pools == "first_gaps":
+            (train, val), unlabeled = _first_pool_gaps(), None
+        else:
+            (train, val, _), unlabeled = small_benchmark(), None
+        init = pretrain_erm(train, train.dim, train.num_classes, steps=60, seed=0)
+        config = TrainerConfig(metric=MetricSpec(MIN_RECALL), lr=0.1, seed=0, **case)
+        if steps_per_block is not None:
+            monkeypatch.setattr(trainer, "_BLOCK_ELEMENTS",
+                                steps_per_block * config.batch_size * train.dim)
+
+        want = _outcome(lambda: per_step_run(config, train, unlabeled, val, init))
+        assert isinstance(want, str) == fails
+        streams = []
+
+        def recording_rng(seed=None, _make=np.random.default_rng):
+            streams.append(_make(seed))
+            return streams[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        got = _outcome(lambda: run_selmix(config, train, unlabeled, val, init))
+        monkeypatch.undo()
+        if isinstance(want, str):
+            assert got == want
+            return
+        (want_model, want_history, want_states), (model, history) = want, got
+        np.testing.assert_array_equal(model.weights, want_model.weights)
+        assert history.to_jsonl() == want_history.to_jsonl()
+        for field in ("sgd_steps", "pair_resamples", "pseudo_empty_resamples", "final_psi"):
+            assert getattr(history, field) == getattr(want_history, field), field
+        assert [g.bit_generator.state for g in streams] == want_states
+        if case.get("mode") == "ssl":
+            assert history.pseudo_empty_resamples > 0
+        if pools == "first_gaps":
+            assert history.pair_resamples > 0
+
+    def test_exhausted_retries_end_the_block_before_their_batch(self):
+        from selmix.policy import MixPolicy
+
+        # class 1 has no labeled rows and holds 97% of the mass: a draw runs
+        # out of its 100 retries with probability 0.97**101, about 5%
+        policy = MixPolicy(np.array([[0.015, 0.015], [0.485, 0.485]]))
+        first_nonempty, second_nonempty = np.array([True, False]), np.full(2, True)
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        y1, y2 = _draw_block(policy, 30, 4, rng, first_nonempty, second_nonempty, RunHistory())
+        assert 0 < y1.shape[0] < 30
+        for n in range(y1.shape[0]):
+            want = _draw_pairs(policy, 4, twin, first_nonempty, second_nonempty, RunHistory())
+            np.testing.assert_array_equal(y1[n], want[0])
+            np.testing.assert_array_equal(y2[n], want[1])
+        assert rng.bit_generator.state == twin.bit_generator.state
+        with pytest.raises(SelMixError, match="class 1 has no labeled samples"):
+            _draw_pairs(policy, 4, twin, first_nonempty, second_nonempty, RunHistory())
+        with pytest.raises(SelMixError, match="class 1 has no labeled samples"):
+            _draw_block(policy, 30, 4, rng, first_nonempty, second_nonempty, RunHistory())
 
 
 class TestTargetedMetricImproves:
