@@ -176,8 +176,8 @@ def save_dataset(ds: FeatureDataset, path) -> None:
     labels = ds.true_labels if (ds.pseudo and ds.true_labels is not None) else ds.labels
     header = ",".join([CSV_HEADER_PREFIX] + [f"f{i}" for i in range(ds.dim)])
     lines = [header]
-    for row, lab in zip(ds.features, labels):
-        lines.append(",".join([str(int(lab))] + [repr(float(v)) for v in row]))
+    for row, lab in zip(ds.features.tolist(), labels.tolist()):
+        lines.append(f"{lab}," + ",".join(map(repr, row)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

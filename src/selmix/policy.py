@@ -118,7 +118,14 @@ class OnlineGameConfig:
 
 def _generate_gains(cfg: OnlineGameConfig, rng: np.random.Generator) -> np.ndarray:
     """Synthetic gain sequences, shape (T, K, K), all values in [0, 1]
-    except ``spiky`` which deliberately overshoots to exercise clamping."""
+    except ``spiky`` which deliberately overshoots to exercise clamping.
+
+    ``anticorrelated`` pays 1 in each round to the m = max(1, K²//2) cells
+    with the lowest cumulative gain so far, ties going to the lower
+    row-major index, and 0 to the rest.  With that tie-break the rule is a
+    round-robin over the row-major cells, built here in closed form: round t
+    pays cells (t·m + j) mod K² for j < m.
+    """
     t, k = cfg.T, cfg.K
     if cfg.gain_generator == "constant":
         return np.full((t, k, k), 0.5)
@@ -129,15 +136,11 @@ def _generate_gains(cfg: OnlineGameConfig, rng: np.random.Generator) -> np.ndarr
         cells = (np.arange(k)[:, None] + np.arange(k)[None, :])[None, :, :]
         return ((steps + cells) % 2).astype(np.float64)
     if cfg.gain_generator == "anticorrelated":
-        # reward the currently-trailing cells: leaders (cumsum above the
-        # median) get 0 this round, trailers get 1
-        gains = np.empty((t, k, k))
-        cum = np.zeros((k, k))
-        for step in range(t):
-            med = np.median(cum)
-            gains[step] = np.where(cum <= med, 1.0, 0.0)
-            cum += gains[step]
-        return gains
+        # offset of each cell past round t's first paid cell, t·m mod K²
+        cells = k * k
+        m = max(1, cells // 2)
+        offset = (np.arange(cells) - m * np.arange(t)[:, None]) % cells
+        return (offset < m).astype(np.float64).reshape(t, k, k)
     # spiky: iid in [-2, 2], out of range on purpose
     return rng.random((t, k, k)) * 4.0 - 2.0
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .classifier import log_softmax
 from .errors import SelMixError
 
 def _fit_loglog_slope(ts: np.ndarray, values: np.ndarray, floor: float) -> float:
@@ -106,9 +107,7 @@ def convergence_check(
 
 def _weighted_ce(logits: np.ndarray, labels: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Per-sample loss -sum_i w[y, i] log softmax_i(logits)."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return -(w[labels] * logp).sum(axis=1)
+    return -(w[labels] * log_softmax(logits, axis=1)).sum(axis=1)
 
 
 def _lse_hessians(xi: np.ndarray) -> np.ndarray:

@@ -174,17 +174,20 @@ def pretrain_erm(
     classifier the fine-tuning stage is meant to repair.  A positive value
     adds that multiple of log class priors to the logits inside the loss
     (logit-adjusted training), giving the debiased starting point the
-    fine-tuning recipe assumes.  Deterministic given seed.
+    fine-tuning recipe assumes.  Deterministic given seed.  Batch indices
+    are drawn a block of steps at a time, as in the SGD block.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5E1F)))
     w = np.zeros((dim, num_classes))
     shift = logit_adjust * np.log(train.priors()) if logit_adjust else 0.0
-    for _ in range(steps):
-        idx = rng.integers(0, train.n, size=batch_size)
-        x = train.features[idx]
-        p = softmax(x @ w + shift, axis=1)
-        p[np.arange(batch_size), train.labels[idx]] -= 1.0
-        w -= lr * (x.T @ p) / batch_size
+    rows = np.arange(batch_size)
+    block = max(1, _BLOCK_ELEMENTS // (batch_size * dim))
+    for done in range(0, steps, block):
+        for idx in rng.integers(0, train.n, size=(min(block, steps - done), batch_size)):
+            x = train.features[idx]
+            p = softmax(x @ w + shift, axis=1)
+            p[rows, train.labels[idx]] -= 1.0
+            w -= lr * (x.T @ p) / batch_size
     return LinearModel(w)
 
 

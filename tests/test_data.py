@@ -74,6 +74,26 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(back.labels, ds.labels)
         np.testing.assert_array_equal(back.features, ds.features)
 
+    @pytest.mark.parametrize("pseudo", [False, True])
+    def test_bytes_match_per_value_repr(self, tmp_path, pseudo):
+        features = np.array([[-0.0, 5e-324, 1e-300],
+                             [1e16, 0.1, 3.0],
+                             [-7.0, 0.0, 2.0 ** 60]])
+        labels = np.array([2, 0, 1])
+        if pseudo:
+            ds = FeatureDataset(features, np.array([-1, 1, 1]), num_classes=3,
+                                pseudo=True, true_labels=labels)
+        else:
+            ds = FeatureDataset(features, labels, num_classes=3)
+        path = tmp_path / "values.csv"
+        save_dataset(ds, path)
+        rows = [",".join([str(int(lab))] + [repr(float(v)) for v in row])
+                for row, lab in zip(features, labels)]
+        want = "\n".join(["label,f0,f1,f2"] + rows) + "\n"
+        assert path.read_bytes() == want.encode("utf-8")
+        back = load_dataset(path, expected_classes=3)
+        assert back.features.tobytes() == features.tobytes()
+
     def test_hand_written_row(self, tmp_path):
         path = tmp_path / "tiny.csv"
         path.write_text("label,f0,f1\n0,1.5,-2.0\n")

@@ -9,6 +9,7 @@ from selmix.policy import (
     GAIN_GENERATORS,
     MixPolicy,
     OnlineGameConfig,
+    _generate_gains,
     greedy_distribution,
     run_online_game,
     sample_pairs,
@@ -224,3 +225,37 @@ class TestOnlineGame:
         finally:
             tracemalloc.stop()
         assert peak <= 30 * 2**20
+
+
+def _anticorrelated(k: int, t: int) -> np.ndarray:
+    cfg = OnlineGameConfig(K=k, T=t, gain_generator="anticorrelated")
+    return _generate_gains(cfg, np.random.default_rng(0)).reshape(t, k * k)
+
+
+class TestAnticorrelatedGenerator:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 10])
+    @pytest.mark.parametrize("t", [1, 2, 7, 37, 100, 301])
+    def test_closed_form_matches_lowest_cumulative_rule(self, k, t):
+        # literal rule: each round pays the m cells ranked lowest by
+        # (cumulative gain so far, row-major index)
+        cells = k * k
+        m = max(1, cells // 2)
+        expected = np.zeros((t, cells))
+        cum = np.zeros(cells)
+        for step in range(t):
+            lowest = np.lexsort((np.arange(cells), cum))[:m]
+            expected[step, lowest] = 1.0
+            cum += expected[step]
+        np.testing.assert_array_equal(_anticorrelated(k, t), expected)
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_pays_the_trailing_half_evenly(self, k):
+        t = 250
+        gains = _anticorrelated(k, t)
+        m = max(1, k * k // 2)
+        assert set(np.unique(gains)) <= {0.0, 1.0}
+        assert (gains.sum(axis=1) == m).all()
+        totals = gains.sum(axis=0)
+        assert totals.max() - totals.min() <= 1.0
+        if k > 1:
+            assert not (gains == gains[0]).all()

@@ -388,6 +388,37 @@ class TestBlockDrawnSgd:
             _draw_block(policy, 30, 4, rng, first_nonempty, second_nonempty, RunHistory())
 
 
+def per_step_pretrain(train, steps, batch_size, logit_adjust, lr=0.5, seed=0):
+    """The warm start drawn, gathered and stepped one batch at a time."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5E1F)))
+    w = np.zeros((train.dim, train.num_classes))
+    shift = logit_adjust * np.log(train.priors()) if logit_adjust else 0.0
+    for _ in range(steps):
+        idx = rng.integers(0, train.n, size=batch_size)
+        x = train.features[idx]
+        p = trainer.softmax(x @ w + shift, axis=1)
+        p[np.arange(batch_size), train.labels[idx]] -= 1.0
+        w -= lr * (x.T @ p) / batch_size
+    return w
+
+
+class TestBlockDrawnPretrain:
+    @pytest.mark.parametrize("steps_per_block", [5, None])
+    @pytest.mark.parametrize("logit_adjust", [0.0, 1.0])
+    @pytest.mark.parametrize("batch_size", [7, 8])
+    def test_weights_byte_equal_to_per_step_draws(self, monkeypatch, batch_size,
+                                                  logit_adjust, steps_per_block):
+        train, _, _ = small_benchmark()
+        steps = 23                                      # not a multiple of 5
+        if steps_per_block is not None:
+            monkeypatch.setattr(trainer, "_BLOCK_ELEMENTS",
+                                steps_per_block * batch_size * train.dim)
+        got = pretrain_erm(train, train.dim, train.num_classes, steps=steps,
+                           batch_size=batch_size, logit_adjust=logit_adjust)
+        want = per_step_pretrain(train, steps, batch_size, logit_adjust)
+        assert got.weights.tobytes() == want.tobytes()
+
+
 class TestTargetedMetricImproves:
     def test_majority_of_seeds_improve_each_kind(self):
         wins = {kind: 0 for kind in METRIC_KINDS}
