@@ -51,5 +51,4 @@ model, history = run_selmix(cfg, train, unlabeled, val, init)
 conf = model_confusion(model, val)
 pseudo = refresh_pseudo_labels(model, unlabeled)
 acc = float(np.mean(pseudo.labels == unlabeled.true_labels))
-print(f"  min recall {conf.recalls().min():.3f}, pseudo-label accuracy {acc:.3f}, "
-      f"empty-pool resamples {history.pseudo_empty_resamples}")
+print(f"  min recall {conf.recalls().min():.3f}, pseudo-label accuracy {acc:.3f}")

@@ -140,8 +140,6 @@ def cmd_train(args) -> int:
         "sgd_steps": history.sgd_steps,
         "recalls": history.records[-1].recalls,
         "coverages": history.records[-1].coverages,
-        "pair_resamples": history.pair_resamples,
-        "pseudo_empty_resamples": history.pseudo_empty_resamples,
         "seed": cfg["seed"],
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")

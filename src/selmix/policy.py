@@ -41,31 +41,47 @@ class MixPolicy:
 
     @cached_property
     def cdf(self) -> np.ndarray:
-        """CDF of the row-major cells, built once for :func:`sample_pairs`."""
-        return np.cumsum(self.probs.reshape(-1))
+        """CDF of the row-major cells, built once for :func:`sample_pairs`;
+        exactly 1 from the last cell with mass on, so no uniform in [0, 1)
+        draws a zero-mass cell when the sum rounds below 1."""
+        flat = self.probs.reshape(-1)
+        cdf = np.cumsum(flat)
+        cdf[np.flatnonzero(flat)[-1]:] = 1.0
+        return cdf
 
     def entropy(self) -> float:
         p = self.probs[self.probs > 0]
         return float(-(p * np.log(p)).sum())
 
 
-def selmix_distribution(g: GainMatrix, s: float, mask_negative: bool = True) -> MixPolicy:
-    """softmax(s * G) over pairs, optionally restricted to nonnegative gains.
+def _formable_cells(k: int, formable: np.ndarray | None) -> np.ndarray:
+    """``formable`` as a bool matrix (every pair when None); raises when
+    no pair is formable."""
+    if formable is None:
+        return np.ones((k, k), dtype=bool)
+    formable = np.asarray(formable, dtype=bool)
+    if not formable.any():
+        raise SelMixError("no class pair can be formed: every pair has an empty pool")
+    return formable
 
-    If masking leaves nothing (every gain negative) the softmax falls back
-    to the full matrix so the least-bad pairs still dominate.
+
+def selmix_distribution(g: GainMatrix, s: float, mask_negative: bool = True,
+                        formable: np.ndarray | None = None) -> MixPolicy:
+    """softmax(s * G) over the ``formable`` pairs (K x K bool, default all),
+    optionally restricted to nonnegative gains: the unrestricted policy
+    conditioned on the pairs that can be drawn.  If masking leaves no
+    formable pair the softmax falls back to all formable pairs so the
+    least-bad ones still dominate.
     """
     if s < 0:
         raise SelMixError("s must be nonnegative")
     values = g.values
-    keep = values >= 0.0
+    formable = _formable_cells(values.shape[0], formable)
+    keep = formable & (values >= 0.0)
     if not (mask_negative and keep.any()):
-        keep = np.ones_like(values, dtype=bool)
+        keep = formable
     scaled = np.where(keep, s * values, -np.inf)
-    flat = scaled.reshape(-1)
-    shifted = flat - flat.max()
-    e = np.where(np.isneginf(shifted), 0.0, np.exp(shifted))
-    return MixPolicy((e / e.sum()).reshape(values.shape))
+    return MixPolicy(softmax(scaled.reshape(-1)).reshape(values.shape))
 
 
 def greedy_distribution(g: GainMatrix, formable: np.ndarray | None = None) -> MixPolicy:
@@ -74,14 +90,16 @@ def greedy_distribution(g: GainMatrix, formable: np.ndarray | None = None) -> Mi
     ``formable`` (K x K bool) restricts the argmax to pairs that can be drawn.
     """
     k = g.values.shape[0]
-    values = g.values if formable is None else np.where(formable, g.values, -np.inf)
+    values = np.where(_formable_cells(k, formable), g.values, -np.inf)
     probs = np.zeros(k * k)
     probs[int(np.argmax(values))] = 1.0
     return MixPolicy(probs.reshape(k, k))
 
 
-def uniform_distribution(k: int) -> MixPolicy:
-    return MixPolicy(np.full((k, k), 1.0 / (k * k)))
+def uniform_distribution(k: int, formable: np.ndarray | None = None) -> MixPolicy:
+    """Equal mass on every formable pair (every pair by default)."""
+    keep = _formable_cells(k, formable)
+    return MixPolicy(keep / keep.sum())
 
 
 def sample_pairs(
@@ -90,7 +108,7 @@ def sample_pairs(
     """``count`` inverse-CDF draws over the row-major cells, one uniform
     each; returns the (i, j) index arrays."""
     flat = np.searchsorted(policy.cdf, rng.random(count), side="right")
-    return np.divmod(np.minimum(flat, policy.cdf.size - 1), policy.probs.shape[1])
+    return np.divmod(flat, policy.probs.shape[1])
 
 
 @dataclass(frozen=True)

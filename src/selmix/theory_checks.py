@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .classifier import log_softmax
+from .classifier import log_softmax, softmax
 from .errors import SelMixError
 
 def _fit_loglog_slope(ts: np.ndarray, values: np.ndarray, floor: float) -> float:
@@ -115,9 +115,7 @@ def _lse_hessians(xi: np.ndarray) -> np.ndarray:
     shape (N, K-1, K-1)."""
     n, km1 = xi.shape
     full = np.concatenate([xi, np.zeros((n, 1))], axis=1)
-    shifted = full - full.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    sigma = (e / e.sum(axis=1, keepdims=True))[:, :km1]
+    sigma = softmax(full, axis=1)[:, :km1]
     h = -sigma[:, :, None] * sigma[:, None, :]
     idx = np.arange(km1)
     h[:, idx, idx] += sigma

@@ -3,13 +3,15 @@ pair-sampling policy, mixup SGD block, and pseudo-label refresh.
 
 Each cycle measures the hard confusion matrix on the validation split,
 refreshes the Lagrange multipliers from it, builds the gain matrix, and
-turns it into the pair-sampling distribution.  The following n SGD steps
-draw (Y1, Y2) from that distribution, pick X1 uniformly from the labeled
-class-Y1 pool and X2 from the pseudo-labeled (ssl) or labeled (supervised)
-class-Y2 pool, and descend the mixup loss at the scheduled learning rate.
-Runs are bitwise deterministic for a given (config, seed): the root seed
-spawns independent streams for pair sampling, beta draws, and batch element
-choice, so toggling one consumer leaves the others unchanged.
+turns it into the pair-sampling distribution, conditioned on the formable
+pairs: those whose labeled class-Y1 pool and second class-Y2 pool are both
+nonempty.  The following n SGD steps draw (Y1, Y2) from that distribution,
+pick X1 uniformly from the labeled class-Y1 pool and X2 from the
+pseudo-labeled (ssl) or labeled (supervised) class-Y2 pool, and descend the
+mixup loss at the scheduled learning rate.  Runs are bitwise deterministic
+for a given (config, seed): the root seed spawns independent streams for
+pair sampling, beta draws, and batch element choice, so toggling one
+consumer leaves the others unchanged.
 
 Within a cycle the policy, both pools and their class layouts are fixed,
 so none of the draws depends on the weights.  The SGD block therefore runs
@@ -57,8 +59,6 @@ from .policy import (
     selmix_distribution,
     uniform_distribution,
 )
-
-MAX_PAIR_RESAMPLES = 100
 
 # Mixed feature entries (steps x batch x d) drawn and gathered at once.
 _BLOCK_ELEMENTS = 1 << 15
@@ -136,6 +136,8 @@ class CycleRecord:
 class RunHistory:
     records: list[CycleRecord] = field(default_factory=list)
     sgd_steps: int = 0
+    # always 0: pairs are drawn from formable cells only, so nothing is
+    # redrawn; kept while the benchmark tracer still reads them
     pair_resamples: int = 0
     pseudo_empty_resamples: int = 0
     final_psi: float = float("nan")
@@ -179,7 +181,11 @@ def pretrain_erm(
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5E1F)))
     w = np.zeros((dim, num_classes))
-    shift = logit_adjust * np.log(train.priors()) if logit_adjust else 0.0
+    shift = 0.0
+    if logit_adjust:  # a class without rows gets logit -inf; its column of w stays zero
+        present = train.class_counts() > 0
+        shift = np.full(num_classes, -np.inf)
+        shift[present] = logit_adjust * np.log(train.priors()[present])
     rows = np.arange(batch_size)
     block = max(1, _BLOCK_ELEMENTS // (batch_size * dim))
     for done in range(0, steps, block):
@@ -215,81 +221,12 @@ def _class_layout(pool: FeatureDataset) -> _ClassLayout:
     return _ClassLayout(order, start, count)
 
 
-def _draw_pairs(
-    policy: MixPolicy,
-    count: int,
-    rng: np.random.Generator,
-    first_nonempty: np.ndarray,
-    second_nonempty: np.ndarray,
-    history: RunHistory,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batch of (Y1, Y2) pairs with resampling when a drawn class pool is
-    empty: Y1 retries are capped, Y2 retries (pseudo-label collapse) are
-    counted and retried generously.  Draws needing a retry are redrawn in
-    batch order, one pair at a time."""
-    y1, y2 = sample_pairs(policy, rng, count)
-    for n in np.flatnonzero(~(first_nonempty[y1] & second_nonempty[y2])):
-        tries_first = 0
-        tries_second = 0
-        while not (first_nonempty[y1[n]] and second_nonempty[y2[n]]):
-            if not first_nonempty[y1[n]]:
-                tries_first += 1
-                history.pair_resamples += 1
-                if tries_first > MAX_PAIR_RESAMPLES:
-                    raise SelMixError(f"class {y1[n]} has no labeled samples to mix")
-            else:
-                tries_second += 1
-                history.pseudo_empty_resamples += 1
-                if tries_second > 10 * MAX_PAIR_RESAMPLES:
-                    raise SelMixError("pseudo-labeled pools collapsed; cannot draw a pair")
-            y1[n : n + 1], y2[n : n + 1] = sample_pairs(policy, rng, 1)
-    return y1, y2
-
-
-def _draw_block(
-    policy: MixPolicy,
-    steps: int,
-    batch: int,
-    rng: np.random.Generator,
-    first_nonempty: np.ndarray,
-    second_nonempty: np.ndarray,
-    history: RunHistory,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(Y1, Y2) for up to ``steps`` batches, each of shape (m, batch), m >= 1.
-
-    One draw serves the whole block unless a drawn cell has an empty pool.
-    Then the generator is rewound and the block redrawn batch by batch
-    through :func:`_draw_pairs`, whose retries take the uniforms after
-    their own batch, as per-step draws do.  A batch that runs out of retries
-    ends the block before it, with the generator rewound to it, so it fails
-    as the next block's first batch, after the steps before it have run.
-    """
-    start = rng.bit_generator.state
-    y1, y2 = sample_pairs(policy, rng, steps * batch)
-    if (first_nonempty[y1] & second_nonempty[y2]).all():
-        return y1.reshape(steps, batch), y2.reshape(steps, batch)
-    rng.bit_generator.state = start
-    y1, y2 = np.empty((2, steps, batch), dtype=np.intp)
-    for n in range(steps):
-        start = rng.bit_generator.state
-        try:
-            y1[n], y2[n] = _draw_pairs(
-                policy, batch, rng, first_nonempty, second_nonempty, history
-            )
-        except SelMixError:
-            if n == 0:
-                raise
-            rng.bit_generator.state = start
-            return y1[:n], y2[:n]
-    return y1, y2
-
-
 def _cycle_policy(cfg: TrainerConfig, gains: GainMatrix, formable: np.ndarray) -> MixPolicy:
     if cfg.policy == "uniform":
-        return uniform_distribution(gains.values.shape[0])
+        return uniform_distribution(gains.values.shape[0], formable)
     if cfg.policy == "greedy":
         return greedy_distribution(gains, formable)
-    return selmix_distribution(gains, cfg.s, cfg.mask_negative)
+    return selmix_distribution(gains, cfg.s, cfg.mask_negative, formable)
 
 
 def run_selmix(
@@ -344,8 +281,7 @@ def run_selmix(
         grad_input = confusion.with_floor(grad_floor)
         gains = gain_matrix(model, centroids, grad_input, spec, lam, config.beta_bar)
         second = _class_layout(second_pool)
-        first_nonempty, second_nonempty = first.count > 0, second.count > 0
-        policy = _cycle_policy(config, gains, np.outer(first_nonempty, second_nonempty))
+        policy = _cycle_policy(config, gains, np.outer(first.count > 0, second.count > 0))
         history.records.append(
             CycleRecord(
                 t=t,
@@ -360,13 +296,10 @@ def run_selmix(
             )
         )
 
-        done = 0
-        while done < config.sgd_steps_per_cycle:
-            y1, y2 = _draw_block(
-                policy, min(block, config.sgd_steps_per_cycle - done), config.batch_size,
-                pair_rng, first_nonempty, second_nonempty, history,
-            )
-            steps = y1.shape[0]
+        for done in range(0, config.sgd_steps_per_cycle, block):
+            steps = min(block, config.sgd_steps_per_cycle - done)
+            pairs = sample_pairs(policy, pair_rng, steps * config.batch_size)
+            y1, y2 = np.reshape(pairs, (2, steps, config.batch_size))
             u = elem_rng.random((steps, 2, config.batch_size))
             betas = beta_rng.uniform(config.beta_min, 1.0, size=(steps, config.batch_size))
             mixed = mix_features(
@@ -380,7 +313,6 @@ def run_selmix(
                     lr = cosine_lr(config.lr, global_step, total_steps)
                 model = sgd_mixup_step(model, mixed[n], y1[n], lr)
                 global_step += 1
-            done += steps
             history.sgd_steps += steps
 
         if config.mode == "ssl":

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +202,29 @@ class TestTrain:
         out = tmp_path / "run"
         assert run_cli("train", "--config", str(conf), "--data", str(small_data_dir),
                        "--out", str(out), "--pretrain-steps", "40") == 0
+
+    @pytest.mark.parametrize("policy", ["selmix", "uniform", "greedy"])
+    def test_train_split_missing_a_class_runs_quietly(self, tmp_path, small_data_dir, policy,
+                                                      capsys):
+        # class 3 has no labeled rows: no pair with first class 3 can be formed
+        # and the logit-adjusted warm start sees a zero prior
+        train_csv = small_data_dir / "train.csv"
+        lines = train_csv.read_text().splitlines()
+        kept = [line for line in lines[1:] if not line.startswith("3,")]
+        assert len(kept) < len(lines) - 1
+        train_csv.write_text("\n".join([lines[0]] + kept) + "\n")
+        conf = tmp_path / "train.cfg"
+        conf.write_text("K=4\nd=6\nmetric=min_recall\ncycles=3\nsgd_steps=10\n"
+                        "batch_size=8\nlr=0.05\nseed=2\n")
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("train", "--config", str(conf), "--data", str(small_data_dir),
+                           "--out", str(tmp_path / "run"), "--policy", policy,
+                           "--pretrain-steps", "200")
+        assert code == 0
+        assert [str(w.message) for w in caught] == []
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_missing_data_dir_exits_2(self, tmp_path):
         conf = tmp_path / "train.cfg"

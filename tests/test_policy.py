@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selmix.errors import SelMixError
 from selmix.gain import GainMatrix
@@ -86,6 +88,56 @@ class TestGreedyDistribution:
         np.testing.assert_array_equal(base, scaled)
 
 
+@st.composite
+def gains_and_formable(draw):
+    k = draw(st.integers(1, 5))
+    values = draw(st.lists(st.floats(-50.0, 50.0), min_size=k * k, max_size=k * k))
+    formable = draw(st.lists(st.booleans(), min_size=k * k, max_size=k * k).filter(any))
+    return GainMatrix(np.reshape(values, (k, k))), np.reshape(formable, (k, k))
+
+
+class TestFormablePairs:
+    """Each builder with a ``formable`` mask gives its unrestricted policy
+    conditioned on the formable pairs, the distribution that redrawing
+    until a pair can be formed would sample."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(gains_and_formable(), st.floats(0.0, 20.0), st.booleans())
+    def test_policies_are_conditioned_on_formable_pairs(self, case, s, mask_negative):
+        g, formable = case
+        k = formable.shape[0]
+        builders = [
+            (lambda f: selmix_distribution(g, s, mask_negative, f),
+             selmix_distribution(g, s, mask_negative).probs),
+            (lambda f: uniform_distribution(k, f), uniform_distribution(k).probs),
+        ]
+        for build, full in builders:
+            p = build(formable).probs
+            assert np.all(p[~formable] == 0.0)
+            restricted = np.where(formable, full, 0.0)
+            mass = restricted.sum()
+            if mass > 1e-12:
+                np.testing.assert_allclose(p, restricted / mass, rtol=1e-9, atol=1e-12)
+            with pytest.raises(SelMixError, match="no class pair can be formed"):
+                build(np.zeros((k, k), dtype=bool))
+        with pytest.raises(SelMixError, match="no class pair can be formed"):
+            greedy_distribution(g, np.zeros((k, k), dtype=bool))
+
+    def test_masked_gains_fall_back_to_every_formable_pair(self):
+        # the only nonnegative gain sits on an unformable pair
+        g = GainMatrix(np.array([[1.0, -1.0], [-2.0, -1.0]]))
+        formable = np.array([[False, True], [True, True]])
+        p = selmix_distribution(g, s=1.0, mask_negative=True, formable=formable).probs
+        e = np.exp([-1.0, -2.0, -1.0])
+        np.testing.assert_allclose(p.reshape(-1)[1:], e / e.sum(), rtol=1e-12)
+        assert p[0, 0] == 0.0
+
+    def test_uniform_spreads_over_formable_pairs(self):
+        formable = np.outer([True, False, True], [True, True, False])
+        p = uniform_distribution(3, formable).probs
+        np.testing.assert_array_equal(p, formable / 4.0)
+
+
 class TestSamplePair:
     def test_one_hot_always_returns_that_pair(self):
         probs = np.zeros((3, 3))
@@ -117,8 +169,8 @@ class TestSamplePair:
         assert abs(hits - 0.75 * n) <= 3.0 * sigma
 
     def test_single_draws_match_one_batch(self):
-        # the trainer's one-at-a-time resamples consume the stream exactly
-        # like one batched draw
+        # one batched draw for a block of SGD steps consumes the stream
+        # exactly like one draw per step
         probs = np.random.default_rng(6).random((4, 4))
         policy = MixPolicy(probs / probs.sum())
         rng, twin = np.random.default_rng(7), np.random.default_rng(7)
@@ -127,6 +179,21 @@ class TestSamplePair:
         np.testing.assert_array_equal([a[0] for a, _ in singles], i)
         np.testing.assert_array_equal([b[0] for _, b in singles], j)
         assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_cdf_rounding_below_one_never_picks_a_zero_mass_cell(self):
+        # ten cells of 0.1 sum to 1 - 2**-53; the largest uniform below 1
+        # used to run past them onto the last, zero-mass cell
+        probs = np.zeros(16)
+        probs[:10] = 0.1
+        policy = MixPolicy(probs.reshape(4, 4))
+        assert np.cumsum(probs)[-1] < 1.0
+
+        class Top:
+            def random(self, count):
+                return np.full(count, np.nextafter(1.0, 0.0))
+
+        i, j = sample_pairs(policy, Top(), 3)
+        np.testing.assert_array_equal(4 * i + j, [9, 9, 9])
 
     def test_policy_validation(self):
         with pytest.raises(SelMixError):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,14 +17,13 @@ from selmix.metrics import (
     model_confusion,
     update_lagrange,
 )
+from selmix.policy import sample_pairs
 from selmix.trainer import (
     CycleRecord,
     RunHistory,
     TrainerConfig,
     _class_layout,
     _cycle_policy,
-    _draw_block,
-    _draw_pairs,
     cosine_lr,
     pretrain_erm,
     refresh_pseudo_labels,
@@ -161,31 +162,6 @@ class TestRunSelmix:
             assert len(history.records) == 2
 
 
-class TestPairResampling:
-    def test_first_pool_empty_errors_after_cap(self):
-        from selmix.policy import MixPolicy
-        from selmix.trainer import RunHistory, _draw_pairs
-
-        probs = np.zeros((3, 3))
-        probs[1, 0] = 1.0                      # all mass on an empty first pool
-        rng = np.random.default_rng(0)
-        nonempty = np.array([True, False, True])
-        with pytest.raises(SelMixError, match="class 1 has no labeled samples"):
-            _draw_pairs(MixPolicy(probs), 4, rng, nonempty, np.full(3, True), RunHistory())
-
-    def test_second_pool_collapse_is_counted_and_recovered(self):
-        from selmix.policy import MixPolicy
-        from selmix.trainer import RunHistory, _draw_pairs
-
-        probs = np.full((2, 2), 0.25)          # pseudo pool for class 1 collapsed
-        rng = np.random.default_rng(1)
-        history = RunHistory()
-        y1, y2 = _draw_pairs(MixPolicy(probs), 64, rng, np.full(2, True),
-                             np.array([True, False]), history)
-        assert np.all(y2 == 0)
-        assert history.pseudo_empty_resamples > 0
-
-
 class TestGreedyFormablePairs:
     def test_ssl_greedy_run_never_draws_an_empty_pseudo_pool(self):
         # the argmax cell's pseudo-labelled pool is empty in this run; greedy
@@ -198,7 +174,23 @@ class TestGreedyFormablePairs:
         _, history = run_selmix(cfg, train, unlabeled, val, init)
         assert len(history.records) == 3
         assert history.sgd_steps == 21
-        assert history.pair_resamples == history.pseudo_empty_resamples == 0
+
+
+class TestMissingLabeledClasses:
+    @pytest.mark.parametrize("mode", ["supervised", "ssl"])
+    def test_no_seed_aborts_when_two_classes_have_no_labeled_rows(self, mode):
+        # classes 4 and 5 keep no labeled rows; the min-recall multipliers
+        # push the gain toward them, and every pair drawn must avoid them
+        for seed in range(20):
+            ds = generate_longtail(LTSpec(K=6, d=8, N1=100, rho=20.0, seed=seed))
+            train, val, unlabeled = split(ds, (0.5, 0.3, 0.2), seed=seed)
+            keep = train.labels <= 3
+            train = FeatureDataset(train.features[keep], train.labels[keep], train.num_classes)
+            init = pretrain_erm(train, train.dim, train.num_classes, steps=60, seed=seed)
+            cfg = TrainerConfig(metric=MetricSpec(MIN_RECALL), cycles=5, sgd_steps_per_cycle=20,
+                                batch_size=32, lr=0.1, seed=seed, mode=mode)
+            _, history = run_selmix(cfg, train, unlabeled if mode == "ssl" else None, val, init)
+            assert history.sgd_steps == 100, seed
 
 
 class TestClassLayout:
@@ -218,28 +210,11 @@ class TestClassLayout:
         assert set(layout.order[: np.sum(labels == -1)]) == set(np.flatnonzero(labels == -1))
 
 
-class TestPairDraws:
-    def test_nonempty_pools_take_one_vectorised_draw(self):
-        from selmix.policy import MixPolicy
-        from selmix.trainer import RunHistory, _draw_pairs
-
-        probs = np.random.default_rng(6).random((4, 4))
-        policy = MixPolicy(probs / probs.sum())
-        rng, twin = np.random.default_rng(9), np.random.default_rng(9)
-        history = RunHistory()
-        y1, y2 = _draw_pairs(policy, 50, rng, np.full(4, True), np.full(4, True), history)
-        cdf = np.cumsum(policy.probs.reshape(-1))
-        flat = np.minimum(np.searchsorted(cdf, twin.random(50), side="right"), 15)
-        np.testing.assert_array_equal(y1, flat // 4)
-        np.testing.assert_array_equal(y2, flat % 4)
-        assert rng.bit_generator.state == twin.bit_generator.state
-        assert history.pair_resamples == history.pseudo_empty_resamples == 0
-
-
 def per_step_run(config, train, unlabeled, validation, init):
     """``run_selmix`` with one pair draw, gather, mix and update per SGD step,
-    the loop that block drawing replaced; returns (model, history, end
-    states of the pair, beta and element streams)."""
+    the loop that block drawing replaced, checking that every drawn pair is
+    formable; returns (model, history, end states of the pair, beta and
+    element streams, number of cycles with an unformable pair)."""
     ss = np.random.SeedSequence(config.seed)
     pair_rng, beta_rng, elem_rng = (np.random.default_rng(s) for s in ss.spawn(3))
     model = init
@@ -252,6 +227,7 @@ def per_step_run(config, train, unlabeled, validation, init):
     total_steps = max(config.cycles * config.sgd_steps_per_cycle, 1)
     spec = config.metric
     global_step = 0
+    gapped_cycles = 0
     for t in range(1, config.cycles + 1):
         confusion = model_confusion(model, validation)
         lam = update_lagrange(spec, confusion)
@@ -259,8 +235,9 @@ def per_step_run(config, train, unlabeled, validation, init):
         gains = gain_matrix(model, centroids, confusion.with_floor(0.5 / validation.n), spec,
                             lam, config.beta_bar)
         second = _class_layout(second_pool)
-        first_nonempty, second_nonempty = first.count > 0, second.count > 0
-        policy = _cycle_policy(config, gains, np.outer(first_nonempty, second_nonempty))
+        formable = np.outer(first.count > 0, second.count > 0)
+        gapped_cycles += not formable.all()
+        policy = _cycle_policy(config, gains, formable)
         history.records.append(CycleRecord(
             t=t, psi=float(psi), recalls=[float(r) for r in confusion.recalls()],
             coverages=[float(c) for c in confusion.coverages()],
@@ -268,8 +245,8 @@ def per_step_run(config, train, unlabeled, validation, init):
             gain_min=float(gains.values.min()), policy_entropy=policy.entropy(), wall_ms=0.0,
         ))
         for _ in range(config.sgd_steps_per_cycle):
-            y1, y2 = _draw_pairs(policy, config.batch_size, pair_rng, first_nonempty,
-                                 second_nonempty, history)
+            y1, y2 = sample_pairs(policy, pair_rng, config.batch_size)
+            assert formable[y1, y2].all()
             u1, u2 = elem_rng.random(config.batch_size), elem_rng.random(config.batch_size)
             betas = beta_rng.uniform(config.beta_min, 1.0, size=config.batch_size)
             x1 = train.features[first.rows(y1, u1)]
@@ -290,7 +267,8 @@ def per_step_run(config, train, unlabeled, validation, init):
             second_pool = refresh_pseudo_labels(model, unlabeled)
     final_conf = model_confusion(model, validation)
     history.final_psi = float(evaluate_metric(spec, final_conf, update_lagrange(spec, final_conf)))
-    return model, history, [g.bit_generator.state for g in (pair_rng, beta_rng, elem_rng)]
+    states = [g.bit_generator.state for g in (pair_rng, beta_rng, elem_rng)]
+    return model, history, states, gapped_cycles
 
 
 def _first_pool_gaps():
@@ -300,16 +278,9 @@ def _first_pool_gaps():
     return FeatureDataset(train.features[keep], train.labels[keep], train.num_classes), val
 
 
-def _outcome(run):
-    try:
-        return run()
-    except SelMixError as exc:
-        return str(exc)
-
-
 class TestBlockDrawnSgd:
-    """Block-drawn SGD against the per-step reference: equal weights, history,
-    resample counts, errors and final generator states."""
+    """Block-drawn SGD against the per-step reference: equal weights, history
+    and final generator states."""
 
     @pytest.mark.parametrize("case, steps_per_block", [
         (dict(cycles=3, sgd_steps_per_cycle=7, batch_size=8), 3),
@@ -321,15 +292,15 @@ class TestBlockDrawnSgd:
         (dict(cycles=3, sgd_steps_per_cycle=7, batch_size=16, mode="ssl"), None),
         (dict(cycles=3, sgd_steps_per_cycle=7, batch_size=8, policy="uniform",
               pools="first_gaps"), 3),
-        (dict(cycles=3, sgd_steps_per_cycle=7, batch_size=8, pools="first_gaps",
-              fails=True), 3),
+        (dict(cycles=3, sgd_steps_per_cycle=7, batch_size=8, pools="first_gaps"), 3),
     ], ids=["cosine", "constant", "batch1", "batch1-one-block", "no-steps", "ssl",
+            # "first-pool-*": uniform and selmix on a labeled pool without classes 2-4
             "ssl-one-block", "first-pool-retries", "first-pool-error"])
     def test_matches_per_step_reference(self, monkeypatch, case, steps_per_block):
         case = dict(case)
-        pools, fails = case.pop("pools", None), case.pop("fails", False)
+        pools = case.pop("pools", None)
         if case.get("mode") == "ssl":
-            # pseudo-labelled pools of this run empty out: the pair draws retry
+            # pseudo-labelled pools of this run empty out
             ds = generate_longtail(LTSpec(K=6, d=8, N1=100, rho=20.0, seed=0))
             train, val, unlabeled = split(ds, (0.5, 0.3, 0.2), seed=0)
         elif pools == "first_gaps":
@@ -342,8 +313,8 @@ class TestBlockDrawnSgd:
             monkeypatch.setattr(trainer, "_BLOCK_ELEMENTS",
                                 steps_per_block * config.batch_size * train.dim)
 
-        want = _outcome(lambda: per_step_run(config, train, unlabeled, val, init))
-        assert isinstance(want, str) == fails
+        want_model, want_history, want_states, gapped_cycles = per_step_run(
+            config, train, unlabeled, val, init)
         streams = []
 
         def recording_rng(seed=None, _make=np.random.default_rng):
@@ -351,41 +322,15 @@ class TestBlockDrawnSgd:
             return streams[-1]
 
         monkeypatch.setattr(np.random, "default_rng", recording_rng)
-        got = _outcome(lambda: run_selmix(config, train, unlabeled, val, init))
+        model, history = run_selmix(config, train, unlabeled, val, init)
         monkeypatch.undo()
-        if isinstance(want, str):
-            assert got == want
-            return
-        (want_model, want_history, want_states), (model, history) = want, got
         np.testing.assert_array_equal(model.weights, want_model.weights)
         assert history.to_jsonl() == want_history.to_jsonl()
-        for field in ("sgd_steps", "pair_resamples", "pseudo_empty_resamples", "final_psi"):
+        for field in ("sgd_steps", "final_psi"):
             assert getattr(history, field) == getattr(want_history, field), field
         assert [g.bit_generator.state for g in streams] == want_states
-        if case.get("mode") == "ssl":
-            assert history.pseudo_empty_resamples > 0
-        if pools == "first_gaps":
-            assert history.pair_resamples > 0
-
-    def test_exhausted_retries_end_the_block_before_their_batch(self):
-        from selmix.policy import MixPolicy
-
-        # class 1 has no labeled rows and holds 97% of the mass: a draw runs
-        # out of its 100 retries with probability 0.97**101, about 5%
-        policy = MixPolicy(np.array([[0.015, 0.015], [0.485, 0.485]]))
-        first_nonempty, second_nonempty = np.array([True, False]), np.full(2, True)
-        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
-        y1, y2 = _draw_block(policy, 30, 4, rng, first_nonempty, second_nonempty, RunHistory())
-        assert 0 < y1.shape[0] < 30
-        for n in range(y1.shape[0]):
-            want = _draw_pairs(policy, 4, twin, first_nonempty, second_nonempty, RunHistory())
-            np.testing.assert_array_equal(y1[n], want[0])
-            np.testing.assert_array_equal(y2[n], want[1])
-        assert rng.bit_generator.state == twin.bit_generator.state
-        with pytest.raises(SelMixError, match="class 1 has no labeled samples"):
-            _draw_pairs(policy, 4, twin, first_nonempty, second_nonempty, RunHistory())
-        with pytest.raises(SelMixError, match="class 1 has no labeled samples"):
-            _draw_block(policy, 30, 4, rng, first_nonempty, second_nonempty, RunHistory())
+        if case.get("mode") == "ssl" or pools == "first_gaps":
+            assert gapped_cycles > 0
 
 
 def per_step_pretrain(train, steps, batch_size, logit_adjust, lr=0.5, seed=0):
@@ -417,6 +362,21 @@ class TestBlockDrawnPretrain:
                            batch_size=batch_size, logit_adjust=logit_adjust)
         want = per_step_pretrain(train, steps, batch_size, logit_adjust)
         assert got.weights.tobytes() == want.tobytes()
+
+
+class TestPretrainAbsentClass:
+    @pytest.mark.parametrize("logit_adjust", [0.5, 1.0, -1.0])
+    def test_absent_class_column_stays_zero_without_warning(self, logit_adjust):
+        train, _, _ = small_benchmark()
+        keep = train.labels != 4
+        gap = FeatureDataset(train.features[keep], train.labels[keep], train.num_classes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = pretrain_erm(gap, gap.dim, gap.num_classes, steps=50,
+                                 logit_adjust=logit_adjust)
+        assert np.all(model.weights[:, 4] == 0.0)
+        assert np.all(np.isfinite(model.weights))
+        assert np.any(model.weights[:, :4] != 0.0)
 
 
 class TestTargetedMetricImproves:
