@@ -153,7 +153,7 @@ def sgd_mixup_step(
     if n == 0:
         raise SelMixError("mixup needs a nonempty batch")
     p = softmax(mixed @ model.weights, axis=1)
-    p[np.arange(n), labels] -= 1.0
+    p.reshape(-1)[np.arange(0, p.size, p.shape[1]) + labels] -= 1.0
     step = mixed.T @ p
     step /= n
     step *= lr

@@ -18,7 +18,7 @@ from . import __version__
 from .classifier import LinearModel
 from .config import load_config
 from .data import (POOL_FRACTIONS, FeatureDataset, balanced_validation, generate_longtail,
-                   load_dataset, save_dataset, split)
+                   load_dataset, load_weights, save_dataset, split)
 from .errors import ConfigError, SelMixError
 from .gain import gain_oracle_median_error
 from .metrics import (
@@ -47,20 +47,7 @@ def save_model_csv(model: LinearModel, path) -> None:
 
 
 def load_model_csv(path) -> LinearModel:
-    rows = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rows.append([float(v) for v in line.split(",")])
-        except ValueError as exc:
-            raise SelMixError(f"{path}: line {lineno}: {exc}") from None
-        if len(rows[-1]) != len(rows[0]):
-            raise SelMixError(f"{path}: line {lineno}: expected {len(rows[0])} fields, "
-                              f"got {len(rows[-1])}")
-    if not rows:
-        raise SelMixError(f"{path}: empty model file")
-    return LinearModel(np.array(rows))
+    return LinearModel(load_weights(path))
 
 
 def cmd_gen_data(args) -> int:
@@ -99,8 +86,6 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     data_dir = Path(args.data)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     k = cfg["K"]
     train = load_dataset(data_dir / "train.csv", expected_classes=k)
     val = load_dataset(data_dir / "val.csv", expected_classes=k)
@@ -121,6 +106,8 @@ def cmd_train(args) -> int:
                             seed=cfg["seed"], logit_adjust=args.pretrain_la)
     else:
         init = LinearModel(np.zeros((train.dim, k)))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     trainer_cfg = cfg.trainer_config()
     if args.policy != "selmix":

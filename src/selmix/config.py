@@ -131,3 +131,6 @@ def load_config(path) -> RunConfig:
             return parse_config_text(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config {path}: not UTF-8 text "
+                          f"({exc.reason} at byte {exc.start})") from None

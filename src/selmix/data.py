@@ -9,6 +9,7 @@ the current model assigned.  A pseudo label of -1 means "not assigned yet".
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,15 +183,60 @@ def save_dataset(ds: FeatureDataset, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, split where ``str.splitlines`` splits."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def _loadtxt(lines: list[str], label: bool) -> np.ndarray | None:
+    """``lines`` parsed by numpy's C reader, or None where it refuses them.
+
+    A ``label`` first column goes through ``int``, so ``3.0`` is refused.
+    Any value numpy takes, ``float`` takes with the same bits, except that
+    numpy also strips ``\\x1c``-``\\x1f`` around a value; ``splitlines``
+    has already broken the lines at the first three.
+    """
+    if any("\x1f" in line for line in lines):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")         # "input contained no data"
+            return np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2,
+                              converters={0: int} if label else None)
+    except ValueError:
+        return None
+
+
 def load_dataset(path, expected_classes: int | None = None) -> FeatureDataset:
     """Parse a dataset CSV written by :func:`save_dataset`.
 
     Raises :class:`DataError` naming the offending line for ragged rows,
     non-numeric or non-finite fields, or labels outside
-    ``[0, expected_classes)``.
+    ``[0, expected_classes)``.  numpy's C reader parses a well-formed file;
+    every other file goes to the per-line pass, which names the line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
+    raw = _read_lines(path)
+    d = raw[0].count(",") if raw else 0
+    table = None
+    if d >= 1 and raw[0] == ",".join([CSV_HEADER_PREFIX] + [f"f{i}" for i in range(d)]):
+        table = _loadtxt(raw[1:], label=True)
+    top = expected_classes if expected_classes is not None else 2 ** 53   # exact in float64
+    if (table is not None and table.shape[0] and table.shape[1] == d + 1
+            and np.isfinite(table[:, 1:]).all()
+            and table[:, 0].min() >= 0 and table[:, 0].max() < top):
+        labels, features = table[:, 0].astype(np.int64), table[:, 1:]
+    else:
+        labels, features = _parse_dataset_lines(path, raw, expected_classes)
+    k = expected_classes if expected_classes is not None else int(labels.max()) + 1
+    return FeatureDataset(features=features, labels=labels, num_classes=k)
+
+
+def _parse_dataset_lines(path, raw: list[str], expected_classes: int | None):
+    """(labels, features) of a dataset CSV's lines, one line at a time."""
     if not raw:
         raise DataError(f"{path}: empty file")
     header = raw[0].split(",")
@@ -222,12 +268,40 @@ def load_dataset(path, expected_classes: int | None = None) -> FeatureDataset:
     if bad.size:
         lineno = [n for n, line in enumerate(raw[1:], start=2) if line][bad[0]]
         raise DataError(f"{path}: line {lineno}: non-finite feature value")
-    k = expected_classes if expected_classes is not None else max(labels) + 1
-    return FeatureDataset(
-        features=features,
-        labels=np.array(labels, dtype=np.int64),
-        num_classes=k,
-    )
+    return np.array(labels, dtype=np.int64), features
+
+
+def load_weights(path) -> np.ndarray:
+    """The rows of a headerless weight CSV; whitespace-only lines are skipped.
+    Raises :class:`DataError` naming the line, like :func:`load_dataset`."""
+    raw = _read_lines(path)
+    table = _loadtxt(raw, label=False)
+    if table is None or not table.shape[0] or not np.isfinite(table).all():
+        table = _parse_weight_lines(path, raw)
+    return table
+
+
+def _parse_weight_lines(path, raw: list[str]) -> np.ndarray:
+    """The weight rows of a model CSV's lines, one line at a time."""
+    rows, linenos = [], []
+    for lineno, line in enumerate(raw, start=1):
+        if not line.strip():
+            continue
+        try:
+            rows.append([float(v) for v in line.split(",")])
+        except ValueError as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from None
+        if len(rows[-1]) != len(rows[0]):
+            raise DataError(f"{path}: line {lineno}: expected {len(rows[0])} fields, "
+                            f"got {len(rows[-1])}")
+        linenos.append(lineno)
+    if not rows:
+        raise DataError(f"{path}: empty model file")
+    weights = np.array(rows, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(weights).all(axis=1))
+    if bad.size:
+        raise DataError(f"{path}: line {linenos[bad[0]]}: non-finite weight value")
+    return weights
 
 
 def split(

@@ -19,6 +19,14 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def run_cli_raising_warnings(*argv):
+    """run_cli with every warning raised, so a warning headed for stderr
+    fails the call instead."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run_cli(*argv)
+
+
 def _value_strategy(key):
     """Raw text for one config key: mostly well-typed, sometimes out of
     range or non-finite, occasionally junk."""
@@ -226,6 +234,18 @@ class TestTrain:
         assert [str(w.message) for w in caught] == []
         assert len(capsys.readouterr().err.splitlines()) == 1
 
+    def test_ragged_train_csv_exits_1_and_creates_no_output(self, tmp_path, small_data_dir,
+                                                             capsys):
+        with open(small_data_dir / "train.csv", "a") as fh:
+            fh.write("0,1.0\n")
+        conf = tmp_path / "train.cfg"
+        conf.write_text("K=4\nd=6\ncycles=1\nsgd_steps=1\n")
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", str(conf), "--data", str(small_data_dir),
+                       "--out", str(out)) == 1
+        assert "expected 7 fields, got 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_data_dir_exits_2(self, tmp_path):
         conf = tmp_path / "train.cfg"
         conf.write_text("K=4\nd=6\n")
@@ -390,3 +410,48 @@ class TestEval:
         save_model_csv(LinearModel(np.eye(2)), model)
         assert run_cli("eval", "--model", str(model), "--data", str(data)) == 1
         assert "line 3: non-finite feature value" in capsys.readouterr().err
+
+    def test_header_only_csv_prints_no_data_rows(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("label,f0,f1\n")
+        model = tmp_path / "m.csv"
+        save_model_csv(LinearModel(np.eye(2)), model)
+        assert run_cli_raising_warnings("eval", "--model", str(model), "--data", str(data)) == 1
+        assert capsys.readouterr().err == f"error: {data}: no data rows\n"
+
+    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    def test_empty_model_file_exits_1(self, tmp_path, capsys, text):
+        model = tmp_path / "m.csv"
+        model.write_text(text)
+        data = tmp_path / "d.csv"
+        save_dataset(FeatureDataset(np.eye(2), np.arange(2), num_classes=2), data)
+        assert run_cli_raising_warnings("eval", "--model", str(model), "--data", str(data)) == 1
+        assert capsys.readouterr().err == f"error: {model}: empty model file\n"
+
+    def test_non_finite_model_value_names_its_line(self, tmp_path, capsys):
+        model = tmp_path / "m.csv"
+        model.write_text("1.0,0.0\n0.0,nan\n")
+        data = tmp_path / "d.csv"
+        save_dataset(FeatureDataset(np.eye(2), np.arange(2), num_classes=2), data)
+        assert run_cli_raising_warnings("eval", "--model", str(model), "--data", str(data)) == 1
+        assert capsys.readouterr().err == f"error: {model}: line 2: non-finite weight value\n"
+
+
+@pytest.mark.parametrize("bad", ["data", "model", "config"])
+def test_non_utf8_input_gives_one_line_naming_the_file(tmp_path, capsys, bad):
+    data = tmp_path / "d.csv"
+    save_dataset(FeatureDataset(np.eye(2), np.arange(2), num_classes=2), data)
+    model = tmp_path / "m.csv"
+    save_model_csv(LinearModel(np.eye(2)), model)
+    conf = tmp_path / "c.cfg"
+    conf.write_text("K=4\nd=4\nn1=20\nrho=2\n")
+    path = {"data": data, "model": model, "config": conf}[bad]
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    if bad == "config":
+        code = run_cli("gen-data", "--config", str(conf), "--out", str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+    else:
+        code = run_cli("eval", "--model", str(model), "--data", str(data))
+    err = capsys.readouterr().err
+    assert code == (2 if bad == "config" else 1)
+    assert err.count("\n") == 1 and f"{path}: not UTF-8 text" in err

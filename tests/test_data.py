@@ -1,5 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from selmix.benchmark import BenchmarkSetting, make_benchmark
 from selmix.classifier import class_centroids
@@ -8,11 +13,89 @@ from selmix.data import (
     LTSpec,
     balanced_validation,
     generate_longtail,
+    _parse_dataset_lines,
+    _parse_weight_lines,
+    _read_lines,
     load_dataset,
+    load_weights,
     save_dataset,
     split,
 )
 from selmix.errors import DataError
+
+# a fixture file is rewritten by every example of a property
+REUSED_TMP_PATH = settings(max_examples=150, deadline=None,
+                           suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+BOUNDARY_FLOATS = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 1e16, 1e16 + 2.0, -(1e16 - 1.0),
+    9007199254740992.0, 0.1, 1.0 / 3.0,
+])
+FINITE_FLOATS = (st.floats(allow_nan=False, allow_infinity=False) | BOUNDARY_FLOATS
+                 | st.floats(9e15, 1.1e16) | st.floats(-1e-307, 1e-307))
+
+
+@st.composite
+def labeled_tables(draw):
+    n, d, k = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    features = draw(arrays(np.float64, (n, d), elements=FINITE_FLOATS))
+    labels = draw(arrays(np.int64, n, elements=st.integers(0, k - 1)))
+    return features, labels, k
+
+
+# pieces of CSV text, mostly well formed: a valid value, or junk the reader
+# must refuse exactly as the per-line pass does
+JUNK_FIELDS = st.sampled_from([
+    "", " ", "3.0", "-1", "1_0", "+2", " 1", "2 ", "\t3", "1\x0b", "\x0c2", "1\x1f", "\x1f1",
+    "\xa01", "nan", "inf", "-inf", "1e400", "abc", "#", "#1", "0x1", "\uff11", "99999999999999999999",
+])
+FIELDS = (FINITE_FLOATS.map(repr) | st.integers(0, 3).map(str) | st.integers(0, 3).map(str)
+          | JUNK_FIELDS)
+SEPARATORS = st.sampled_from([","] * 12 + [",,", " ,", "\x0c,", ",\x1c"])
+LINE_ENDS = st.sampled_from(["\n"] * 12 + ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d",
+                                          "\x1e", "\x85", "\u2028", " ", ""])
+ODD_LINES = st.sampled_from(["", "", "  ", "\t", "\x0c", "#", ",", "# label,f0"])
+
+
+@st.composite
+def csv_line(draw, width):
+    fields = draw(st.lists(FIELDS, min_size=width, max_size=width)
+                  | st.lists(FIELDS, min_size=max(width - 1, 1), max_size=width + 1))
+    seps = draw(st.lists(SEPARATORS, min_size=len(fields) - 1, max_size=len(fields) - 1))
+    return "".join(f + sep for f, sep in zip(fields, seps + [""]))
+
+
+@st.composite
+def csv_texts(draw, header: bool):
+    d = draw(st.integers(1, 3))
+    width = d + 1 if header else d
+    lines = draw(st.lists(csv_line(width) | csv_line(width) | ODD_LINES, max_size=6))
+    if header:
+        good = ",".join(["label"] + [f"f{i}" for i in range(d)])
+        lines = [draw(st.sampled_from([good] * 6 + ["label", "klass,f0", "label,f1", ""]))] + lines
+    ends = draw(st.lists(LINE_ENDS, min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _outcome(read, path, *args):
+    """Result bytes of ``read(path, *args)``, or its DataError text; any
+    warning fails the call."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = read(path, *args)
+    except DataError as exc:
+        return str(exc)
+    if isinstance(result, FeatureDataset):
+        return result.features.tobytes(), result.labels.tobytes(), result.num_classes
+    return result.tobytes(), result.shape
+
+
+def _dataset_per_line(path, expected_classes):
+    labels, features = _parse_dataset_lines(path, _read_lines(path), expected_classes)
+    k = expected_classes if expected_classes is not None else int(labels.max()) + 1
+    return FeatureDataset(features=features, labels=labels, num_classes=k)
 
 
 class TestGenerateLongtail:
@@ -133,6 +216,70 @@ class TestCsvRoundTrip:
             load_dataset(path)
 
 
+class TestCsvReader:
+    @REUSED_TMP_PATH
+    @given(table=labeled_tables(), pseudo=st.booleans())
+    def test_save_then_load_is_byte_exact(self, tmp_path, table, pseudo):
+        features, labels, k = table
+        if pseudo:
+            ds = FeatureDataset(features, np.full(labels.size, -1), num_classes=k,
+                                pseudo=True, true_labels=labels)
+        else:
+            ds = FeatureDataset(features, labels, num_classes=k)
+        path = tmp_path / "round.csv"
+        save_dataset(ds, path)
+        back = load_dataset(path, expected_classes=k)
+        assert back.features.tobytes() == features.tobytes()
+        assert back.labels.tobytes() == labels.tobytes()
+
+    @REUSED_TMP_PATH
+    @given(text=csv_texts(header=True), expected_classes=st.sampled_from([None, 2, 3]))
+    def test_dataset_reader_equals_the_per_line_pass(self, tmp_path, text, expected_classes):
+        path = tmp_path / "gen.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert (_outcome(load_dataset, path, expected_classes)
+                == _outcome(_dataset_per_line, path, expected_classes))
+
+    @REUSED_TMP_PATH
+    @given(text=csv_texts(header=False))
+    def test_weight_reader_equals_the_per_line_pass(self, tmp_path, text):
+        path = tmp_path / "gen.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert (_outcome(load_weights, path)
+                == _outcome(lambda p: _parse_weight_lines(p, _read_lines(p)), path))
+
+    @pytest.mark.parametrize("text", ["label,f0,f1\n", "label,f0,f1\n\n\n", "label,f0\r\n\r\n"])
+    def test_header_only_file_has_no_data_rows(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text, newline="")
+        assert _outcome(load_dataset, path) == f"{path}: no data rows"
+
+    def test_field_split_by_a_form_feed_is_two_lines(self, tmp_path):
+        # numpy reading the file handle would see one three-field row here
+        path = tmp_path / "ff.csv"
+        path.write_text("label,f0,f1\n0,1\x0c,2.0\n")
+        assert _outcome(load_dataset, path) == f"{path}: line 2: expected 3 fields, got 2"
+
+    def test_unit_separator_around_a_value_is_refused(self, tmp_path):
+        # numpy strips \x1f around a value; float() does not
+        path = tmp_path / "us.csv"
+        path.write_text("label,f0\n0,1.0\x1f\n")
+        assert _outcome(load_dataset, path) == (
+            f"{path}: line 2: could not convert string to float: '1.0\\x1f'")
+
+    @pytest.mark.parametrize("read", [load_dataset, load_weights])
+    def test_non_utf8_file_names_the_file(self, tmp_path, read):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"label,f0\n0,\xff\n")
+        assert _outcome(read, path) == (
+            f"{path}: not UTF-8 text (invalid start byte at byte 11)")
+
+    def test_non_finite_weight_names_its_line(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("1.0,0.0\n\n  \n0.0,-inf\n")
+        assert _outcome(load_weights, path) == f"{path}: line 4: non-finite weight value"
+
+
 class TestBalancedValidation:
     def test_per_class_counts_and_pool_stream_unused(self):
         spec = LTSpec(K=5, d=6, N1=80, rho=8.0, seed=2)
@@ -207,3 +354,29 @@ class TestSplit:
         ds = generate_longtail(LTSpec(K=3, d=4, N1=30, rho=2.0, seed=9))
         with pytest.raises(DataError):
             split(ds, (0.5, 0.4, 0.2), seed=0)
+
+
+@st.composite
+def split_cases(draw):
+    counts = draw(st.lists(st.integers(3, 30), min_size=1, max_size=6))
+    weights = draw(st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))
+                   .filter(lambda w: sum(w) > 0))
+    fractions = tuple(w / sum(weights) for w in weights)
+    return np.array(counts), fractions, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_cases())
+def test_split_is_a_stratified_partition(case):
+    counts, fractions, seed = case
+    labels = np.repeat(np.arange(counts.size), counts)
+    ds = FeatureDataset(np.arange(labels.size, dtype=np.float64)[:, None], labels,
+                        num_classes=counts.size)
+    parts = split(ds, fractions, seed=seed)
+    rows = [part.features[:, 0].astype(np.int64) for part in parts]
+    np.testing.assert_array_equal(np.sort(np.concatenate(rows)), np.arange(labels.size))
+    for part, part_rows, fraction in zip(parts, rows, fractions):
+        truth = part.true_labels if part.pseudo else part.labels
+        np.testing.assert_array_equal(truth, labels[part_rows])
+        if fraction > 0:
+            assert np.all(np.bincount(truth, minlength=counts.size) >= 1)
