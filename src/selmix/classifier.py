@@ -146,7 +146,9 @@ def sgd_mixup_step(
     """One SGD step on the batch-mean cross-entropy of already-mixed rows
     (see :func:`mix_features`); returns a new model.
 
-    Row n is labeled labels[n].  Gradients are averaged (not summed) so lr
+    Row n is labeled labels[n], which must lie in [0, K): the labels index a
+    flattened (n, K) array, so an out-of-range label is not caught and
+    lands on a neighbouring row.  Gradients are averaged (not summed) so lr
     does not scale with batch size.
     """
     n = mixed.shape[0]

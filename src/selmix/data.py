@@ -9,7 +9,6 @@ the current model assigned.  A pseudo label of -1 means "not assigned yet".
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,21 +191,20 @@ def _read_lines(path) -> list[str]:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def _loadtxt(lines: list[str], label: bool) -> np.ndarray | None:
-    """``lines`` parsed by numpy's C reader, or None where it refuses them.
+def _loadtxt(lines: list[str]) -> np.ndarray | None:
+    """Label-first rows parsed by numpy's C reader, or None where it refuses
+    them or they hold no data.
 
-    A ``label`` first column goes through ``int``, so ``3.0`` is refused.
-    Any value numpy takes, ``float`` takes with the same bits, except that
-    numpy also strips ``\\x1c``-``\\x1f`` around a value; ``splitlines``
-    has already broken the lines at the first three.
+    The label column goes through ``int``, so ``3.0`` is refused.  Any value
+    numpy takes, ``float`` takes with the same bits, except that numpy also
+    strips ``\\x1c``-``\\x1f`` around a value; ``splitlines`` has already
+    broken the lines at the first three.
     """
-    if any("\x1f" in line for line in lines):
+    if not any(lines) or any("\x1f" in line for line in lines):
         return None
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")         # "input contained no data"
-            return np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2,
-                              converters={0: int} if label else None)
+        return np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2,
+                          converters={0: int})
     except ValueError:
         return None
 
@@ -220,31 +218,34 @@ def load_dataset(path, expected_classes: int | None = None) -> FeatureDataset:
     every other file goes to the per-line pass, which names the line.
     """
     raw = _read_lines(path)
-    d = raw[0].count(",") if raw else 0
-    table = None
-    if d >= 1 and raw[0] == ",".join([CSV_HEADER_PREFIX] + [f"f{i}" for i in range(d)]):
-        table = _loadtxt(raw[1:], label=True)
+    d = _header_width(path, raw)
+    table = _loadtxt(raw[1:])
     top = expected_classes if expected_classes is not None else 2 ** 53   # exact in float64
-    if (table is not None and table.shape[0] and table.shape[1] == d + 1
+    if (table is not None and table.shape[1] == d + 1
             and np.isfinite(table[:, 1:]).all()
             and table[:, 0].min() >= 0 and table[:, 0].max() < top):
         labels, features = table[:, 0].astype(np.int64), table[:, 1:]
     else:
-        labels, features = _parse_dataset_lines(path, raw, expected_classes)
+        labels, features = _parse_dataset_lines(path, raw, d, expected_classes)
     k = expected_classes if expected_classes is not None else int(labels.max()) + 1
     return FeatureDataset(features=features, labels=labels, num_classes=k)
 
 
-def _parse_dataset_lines(path, raw: list[str], expected_classes: int | None):
-    """(labels, features) of a dataset CSV's lines, one line at a time."""
+def _header_width(path, raw: list[str]) -> int:
+    """The number of feature columns a dataset CSV's header line declares."""
     if not raw:
         raise DataError(f"{path}: empty file")
     header = raw[0].split(",")
     if header[0] != CSV_HEADER_PREFIX or header[1:] != [f"f{i}" for i in range(len(header) - 1)]:
         raise DataError(f"{path}: line 1: malformed header {raw[0]!r}")
-    d = len(header) - 1
-    if d < 1:
+    if len(header) < 2:
         raise DataError(f"{path}: line 1: header declares no feature columns")
+    return len(header) - 1
+
+
+def _parse_dataset_lines(path, raw: list[str], d: int, expected_classes: int | None):
+    """(labels, features) of a dataset CSV's lines after a header declaring
+    ``d`` features, one line at a time."""
     labels, rows = [], []
     for lineno, line in enumerate(raw[1:], start=2):
         if not line:
@@ -274,17 +275,8 @@ def _parse_dataset_lines(path, raw: list[str], expected_classes: int | None):
 def load_weights(path) -> np.ndarray:
     """The rows of a headerless weight CSV; whitespace-only lines are skipped.
     Raises :class:`DataError` naming the line, like :func:`load_dataset`."""
-    raw = _read_lines(path)
-    table = _loadtxt(raw, label=False)
-    if table is None or not table.shape[0] or not np.isfinite(table).all():
-        table = _parse_weight_lines(path, raw)
-    return table
-
-
-def _parse_weight_lines(path, raw: list[str]) -> np.ndarray:
-    """The weight rows of a model CSV's lines, one line at a time."""
     rows, linenos = [], []
-    for lineno, line in enumerate(raw, start=1):
+    for lineno, line in enumerate(_read_lines(path), start=1):
         if not line.strip():
             continue
         try:

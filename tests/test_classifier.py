@@ -10,6 +10,7 @@ from selmix.classifier import (
     mix_features,
     mixup_loss,
     sgd_mixup_step,
+    softmax,
 )
 from selmix.data import FeatureDataset
 from selmix.errors import DataError, SelMixError
@@ -186,6 +187,19 @@ class TestSgdMixupStep:
         out = sgd_mixup_step(LinearModel(w), mix_features(a, b, betas), labels, lr)
         np.testing.assert_allclose(out.weights, np.mean([m.weights for m in singles], axis=0),
                                    rtol=0, atol=1e-12)
+
+    def test_matches_row_indexed_gradient_bit_for_bit(self):
+        # for labels in [0, K) the flat-index subtraction is p[n, labels[n]] -= 1
+        rng = np.random.default_rng(9)
+        w, mixed = rng.normal(size=(6, 5)), rng.normal(size=(40, 6))
+        labels, lr = rng.integers(5, size=40), 0.2
+        p = softmax(mixed @ w, axis=1)
+        p[np.arange(40), labels] -= 1.0
+        step = mixed.T @ p
+        step /= 40
+        step *= lr
+        out = sgd_mixup_step(LinearModel(w), mixed, labels, lr)
+        assert out.weights.tobytes() == (w - step).tobytes()
 
     def test_small_lr_decreases_batch_loss(self):
         rng = np.random.default_rng(7)

@@ -13,8 +13,8 @@ from selmix.data import (
     LTSpec,
     balanced_validation,
     generate_longtail,
+    _header_width,
     _parse_dataset_lines,
-    _parse_weight_lines,
     _read_lines,
     load_dataset,
     load_weights,
@@ -67,13 +67,11 @@ def csv_line(draw, width):
 
 
 @st.composite
-def csv_texts(draw, header: bool):
+def csv_texts(draw):
     d = draw(st.integers(1, 3))
-    width = d + 1 if header else d
-    lines = draw(st.lists(csv_line(width) | csv_line(width) | ODD_LINES, max_size=6))
-    if header:
-        good = ",".join(["label"] + [f"f{i}" for i in range(d)])
-        lines = [draw(st.sampled_from([good] * 6 + ["label", "klass,f0", "label,f1", ""]))] + lines
+    lines = draw(st.lists(csv_line(d + 1) | csv_line(d + 1) | ODD_LINES, max_size=6))
+    good = ",".join(["label"] + [f"f{i}" for i in range(d)])
+    lines = [draw(st.sampled_from([good] * 6 + ["label", "klass,f0", "label,f1", ""]))] + lines
     ends = draw(st.lists(LINE_ENDS, min_size=len(lines), max_size=len(lines)))
     return "".join(line + end for line, end in zip(lines, ends))
 
@@ -93,7 +91,8 @@ def _outcome(read, path, *args):
 
 
 def _dataset_per_line(path, expected_classes):
-    labels, features = _parse_dataset_lines(path, _read_lines(path), expected_classes)
+    raw = _read_lines(path)
+    labels, features = _parse_dataset_lines(path, raw, _header_width(path, raw), expected_classes)
     k = expected_classes if expected_classes is not None else int(labels.max()) + 1
     return FeatureDataset(features=features, labels=labels, num_classes=k)
 
@@ -233,20 +232,12 @@ class TestCsvReader:
         assert back.labels.tobytes() == labels.tobytes()
 
     @REUSED_TMP_PATH
-    @given(text=csv_texts(header=True), expected_classes=st.sampled_from([None, 2, 3]))
+    @given(text=csv_texts(), expected_classes=st.sampled_from([None, 2, 3]))
     def test_dataset_reader_equals_the_per_line_pass(self, tmp_path, text, expected_classes):
         path = tmp_path / "gen.csv"
         path.write_text(text, encoding="utf-8", newline="")
         assert (_outcome(load_dataset, path, expected_classes)
                 == _outcome(_dataset_per_line, path, expected_classes))
-
-    @REUSED_TMP_PATH
-    @given(text=csv_texts(header=False))
-    def test_weight_reader_equals_the_per_line_pass(self, tmp_path, text):
-        path = tmp_path / "gen.csv"
-        path.write_text(text, encoding="utf-8", newline="")
-        assert (_outcome(load_weights, path)
-                == _outcome(lambda p: _parse_weight_lines(p, _read_lines(p)), path))
 
     @pytest.mark.parametrize("text", ["label,f0,f1\n", "label,f0,f1\n\n\n", "label,f0\r\n\r\n"])
     def test_header_only_file_has_no_data_rows(self, tmp_path, text):
