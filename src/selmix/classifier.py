@@ -84,9 +84,11 @@ def mix_features(feat_a: np.ndarray, feat_b: np.ndarray, betas: np.ndarray) -> n
     valid = (betas >= 0.0) & (betas <= 1.0)
     if not valid.all():
         raise SelMixError(f"beta must lie in [0, 1], got {betas[~valid][0]}")
-    b = betas[..., None]
+    b = np.repeat(betas, np.shape(feat_a)[-1]).reshape(np.shape(feat_a))
     mixed = b * feat_a
-    mixed += (1.0 - b) * feat_b
+    np.subtract(1.0, b, out=b)
+    b *= feat_b
+    mixed += b
     return mixed
 
 
@@ -137,26 +139,60 @@ def direction_matrix(
     return np.outer(zeta, e_i - p)
 
 
+def label_cells(labels: np.ndarray, k: int) -> np.ndarray:
+    """Flat index of each row's label cell in a row-major (n, k) array,
+    n = ``labels.shape[-1]``; raises :class:`SelMixError` for a label outside
+    [0, k), whose index would land on a neighbouring row."""
+    if labels.size and (labels.min() < 0 or labels.max() >= k):
+        raise SelMixError(f"labels must lie in [0, {k})")
+    return labels + np.arange(0, labels.shape[-1] * k, k)
+
+
+def softmax_rows_inplace(p: np.ndarray, col: np.ndarray) -> None:
+    """Row softmax of the (n, K) logits ``p`` in place, in :func:`softmax`'s
+    op order; ``col`` is an (n, 1) scratch buffer."""
+    np.maximum.reduce(p, axis=1, keepdims=True, out=col)
+    p -= col
+    np.exp(p, out=p)
+    np.add.reduce(p, axis=1, keepdims=True, out=col)
+    p /= col
+
+
+def sgd_mixup_block(weights: np.ndarray, mixed: np.ndarray, labels: np.ndarray, lrs) -> None:
+    """SGD steps in place on the float64 (d, K) ``weights``: step s descends
+    the batch-mean cross-entropy of the (n, d) mixed rows ``mixed[s]`` against
+    ``labels[s]`` (each in [0, K)) at rate ``lrs[s]``.  Gradients are averaged
+    so lr does not scale with batch size.  A step that leaves a weight
+    non-finite raises :class:`SelMixError`, leaving ``weights`` as it made them.
+    """
+    n = mixed.shape[1]
+    if n == 0:
+        raise SelMixError("mixup needs a nonempty batch")
+    if labels.shape != mixed.shape[:2]:
+        raise SelMixError("need one label per mixed row")
+    cells = label_cells(labels, weights.shape[1])
+    p, col, grad = np.empty((n, weights.shape[1])), np.empty((n, 1)), np.empty_like(weights)
+    for x, c, lr in zip(mixed, cells, lrs):
+        np.matmul(x, weights, out=p)
+        softmax_rows_inplace(p, col)
+        p.reshape(-1)[c] -= 1.0
+        np.matmul(x.T, p, out=grad)
+        grad /= n
+        grad *= lr
+        weights -= grad
+        if not np.isfinite(weights).all():
+            raise SelMixError("weights must be finite")
+
+
 def sgd_mixup_step(
     model: LinearModel,
     mixed: np.ndarray,
     labels: np.ndarray,
     lr: float,
 ) -> LinearModel:
-    """One SGD step on the batch-mean cross-entropy of already-mixed rows
-    (see :func:`mix_features`); returns a new model.
-
-    Row n is labeled labels[n], which must lie in [0, K): the labels index a
-    flattened (n, K) array, so an out-of-range label is not caught and
-    lands on a neighbouring row.  Gradients are averaged (not summed) so lr
-    does not scale with batch size.
-    """
-    n = mixed.shape[0]
-    if n == 0:
-        raise SelMixError("mixup needs a nonempty batch")
-    p = softmax(mixed @ model.weights, axis=1)
-    p.reshape(-1)[np.arange(0, p.size, p.shape[1]) + labels] -= 1.0
-    step = mixed.T @ p
-    step /= n
-    step *= lr
-    return LinearModel(model.weights - step)
+    """One :func:`sgd_mixup_block` step on the (n, d) mixed rows; returns a
+    new model and leaves ``model`` as it was."""
+    weights = model.weights.copy()
+    sgd_mixup_block(weights, np.asarray(mixed, dtype=np.float64)[None],
+                    np.asarray(labels)[None], [lr])
+    return LinearModel(weights)

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DataError
 
 CSV_HEADER_PREFIX = "label"
+LABEL_BOUND = 2 ** 53    # labels below it are exact in float64, so in numpy's reader
 POOL_FRACTIONS = (0.8, 0.0, 0.2)    # labeled / (unused) / unlabeled share of the LT pool
 
 
@@ -214,13 +215,14 @@ def load_dataset(path, expected_classes: int | None = None) -> FeatureDataset:
 
     Raises :class:`DataError` naming the offending line for ragged rows,
     non-numeric or non-finite fields, or labels outside
-    ``[0, expected_classes)``.  numpy's C reader parses a well-formed file;
-    every other file goes to the per-line pass, which names the line.
+    ``[0, expected_classes)``, or ``[0, LABEL_BOUND)`` without it.  numpy's
+    C reader parses a well-formed file; every other file goes to the
+    per-line pass, which names the line.
     """
     raw = _read_lines(path)
     d = _header_width(path, raw)
     table = _loadtxt(raw[1:])
-    top = expected_classes if expected_classes is not None else 2 ** 53   # exact in float64
+    top = LABEL_BOUND if expected_classes is None else expected_classes
     if (table is not None and table.shape[1] == d + 1
             and np.isfinite(table[:, 1:]).all()
             and table[:, 0].min() >= 0 and table[:, 0].max() < top):
@@ -258,7 +260,7 @@ def _parse_dataset_lines(path, raw: list[str], d: int, expected_classes: int | N
             row = [float(v) for v in parts[1:]]
         except ValueError as exc:
             raise DataError(f"{path}: line {lineno}: {exc}") from None
-        if lab < 0 or (expected_classes is not None and lab >= expected_classes):
+        if not 0 <= lab < (LABEL_BOUND if expected_classes is None else expected_classes):
             raise DataError(f"{path}: line {lineno}: label {lab} out of range")
         labels.append(lab)
         rows.append(row)

@@ -18,10 +18,10 @@ so none of the draws depends on the weights.  The SGD block therefore runs
 in blocks of whole steps, at most ``_BLOCK_ELEMENTS`` mixed entries each: a
 block is one pair draw, one draw of element choices and one of betas, one
 row gather per side (``_class_layout`` lays the labeled pool out by class
-once per run, the second pool once per cycle) and one mix.  Each step then
-only computes logits, softmax and gradient and updates the weights.  A
-generator's n-value draw yields the same values and end state as n
-one-value draws, so blocks consume every stream exactly as per-step draws
+once per run, the pseudo-labelled pool once per cycle) and one mix, and
+``sgd_mixup_block`` then runs its steps in place on the cycle's one weights
+array.  A generator's n-value draw yields the same values and end state as
+n one-value draws, so blocks consume every stream exactly as per-step draws
 do and the run is bitwise the same for any block size.
 """
 
@@ -38,10 +38,13 @@ from .classifier import (
     CentroidSet,
     LinearModel,
     class_centroids,
+    label_cells,
     mix_features,
     predict,
-    sgd_mixup_step,
-    softmax,
+    sgd_mixup_block,
+    sgd_mixup_step,  # noqa: F401  (the benchmark's tracer wraps it here)
+    softmax,  # noqa: F401  (tests reach it here)
+    softmax_rows_inplace,
 )
 from .data import FeatureDataset
 from .errors import SelMixError
@@ -177,7 +180,8 @@ def pretrain_erm(
     adds that multiple of log class priors to the logits inside the loss
     (logit-adjusted training), giving the debiased starting point the
     fine-tuning recipe assumes.  Deterministic given seed.  Batch indices
-    are drawn a block of steps at a time, as in the SGD block.
+    are drawn, and rows gathered, a block of steps at a time, as in the SGD
+    block; each step then works in place.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5E1F)))
     w = np.zeros((dim, num_classes))
@@ -186,14 +190,19 @@ def pretrain_erm(
         present = train.class_counts() > 0
         shift = np.full(num_classes, -np.inf)
         shift[present] = logit_adjust * np.log(train.priors()[present])
-    rows = np.arange(batch_size)
     block = max(1, _BLOCK_ELEMENTS // (batch_size * dim))
+    p, col, grad = np.empty((batch_size, num_classes)), np.empty((batch_size, 1)), np.empty_like(w)
     for done in range(0, steps, block):
-        for idx in rng.integers(0, train.n, size=(min(block, steps - done), batch_size)):
-            x = train.features[idx]
-            p = softmax(x @ w + shift, axis=1)
-            p[rows, train.labels[idx]] -= 1.0
-            w -= lr * (x.T @ p) / batch_size
+        idx = rng.integers(0, train.n, size=(min(block, steps - done), batch_size))
+        for x, c in zip(train.features[idx], label_cells(train.labels[idx], num_classes)):
+            np.matmul(x, w, out=p)
+            p += shift
+            softmax_rows_inplace(p, col)
+            p.reshape(-1)[c] -= 1.0
+            np.matmul(x.T, p, out=grad)       # w -= lr * (x.T @ p) / batch_size
+            grad *= lr
+            grad /= batch_size
+            w -= grad
     return LinearModel(w)
 
 
@@ -258,15 +267,11 @@ def run_selmix(
     model = init
     # frozen features: validation centroids never move, compute them once
     centroids: CentroidSet = class_centroids(validation)
-    second_pool = train
-    if config.mode == "ssl":
-        second_pool = refresh_pseudo_labels(model, unlabeled)
-
     history = RunHistory()
     first = _class_layout(train)
+    second_pool, second = train, first
     total_steps = max(config.cycles * config.sgd_steps_per_cycle, 1)
     spec = config.metric
-    global_step = 0
     block = max(1, _BLOCK_ELEMENTS // (config.batch_size * train.dim))
 
     # gradient-input smoothing: half a count keeps collapsed prediction
@@ -275,12 +280,14 @@ def run_selmix(
     grad_floor = 0.5 / validation.n
 
     for t in range(1, config.cycles + 1):
+        if config.mode == "ssl":
+            second_pool = refresh_pseudo_labels(model, unlabeled)
+            second = _class_layout(second_pool)
         confusion = model_confusion(model, validation)
         lam = update_lagrange(spec, confusion)
         psi = evaluate_metric(spec, confusion, lam)
         grad_input = confusion.with_floor(grad_floor)
         gains = gain_matrix(model, centroids, grad_input, spec, lam, config.beta_bar)
-        second = _class_layout(second_pool)
         policy = _cycle_policy(config, gains, np.outer(first.count > 0, second.count > 0))
         history.records.append(
             CycleRecord(
@@ -296,6 +303,7 @@ def run_selmix(
             )
         )
 
+        weights = model.weights.copy()
         for done in range(0, config.sgd_steps_per_cycle, block):
             steps = min(block, config.sgd_steps_per_cycle - done)
             pairs = sample_pairs(policy, pair_rng, steps * config.batch_size)
@@ -307,16 +315,13 @@ def run_selmix(
                 second_pool.features[second.rows(y2, u[:, 1])],
                 betas,
             )
-            for n in range(steps):
-                lr = config.lr
-                if config.lr_schedule == "cosine":
-                    lr = cosine_lr(config.lr, global_step, total_steps)
-                model = sgd_mixup_step(model, mixed[n], y1[n], lr)
-                global_step += 1
+            lrs = [config.lr] * steps
+            if config.lr_schedule == "cosine":
+                start = (t - 1) * config.sgd_steps_per_cycle + done
+                lrs = [cosine_lr(config.lr, start + n, total_steps) for n in range(steps)]
+            sgd_mixup_block(weights, mixed, y1, lrs)
             history.sgd_steps += steps
-
-        if config.mode == "ssl":
-            second_pool = refresh_pseudo_labels(model, unlabeled)
+        model = LinearModel(weights)
 
     final_conf = model_confusion(model, validation)
     history.final_psi = float(

@@ -189,6 +189,13 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match="line 3"):
             load_dataset(path, expected_classes=3)
 
+    @pytest.mark.parametrize("label", [2 ** 63, 9007199254740993])
+    def test_huge_label_without_expected_classes_names_line(self, tmp_path, label):
+        path = tmp_path / "huge.csv"
+        path.write_text(f"label,f0\n0,1.0\n{label},2.0\n")
+        with pytest.raises(DataError, match=f"line 3: label {label} out of range"):
+            load_dataset(path)
+
     def test_ragged_row_names_line(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("label,f0,f1\n0,1.0,2.0\n1,3.0\n")

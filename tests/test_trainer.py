@@ -2,9 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selmix import trainer
-from selmix.classifier import LinearModel, class_centroids
+from selmix.classifier import LinearModel, class_centroids, sgd_mixup_block, sgd_mixup_step
 from selmix.data import FeatureDataset, LTSpec, generate_longtail, split
 from selmix.errors import SelMixError
 from selmix.gain import gain_matrix
@@ -210,6 +212,17 @@ class TestClassLayout:
         assert set(layout.order[: np.sum(labels == -1)]) == set(np.flatnonzero(labels == -1))
 
 
+def reference_sgd_step(model, mixed, labels, lr):
+    """One mixup SGD step written out with fresh arrays: the batch-mean
+    cross-entropy gradient of the mixed rows, row-indexed label cells."""
+    shifted = mixed @ model.weights
+    shifted = shifted - shifted.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    p = e / e.sum(axis=1, keepdims=True)
+    p[np.arange(mixed.shape[0]), labels] -= 1.0
+    return LinearModel(model.weights - lr * (mixed.T @ p / mixed.shape[0]))
+
+
 def per_step_run(config, train, unlabeled, validation, init):
     """``run_selmix`` with one pair draw, gather, mix and update per SGD step,
     the loop that block drawing replaced, checking that every drawn pair is
@@ -255,12 +268,7 @@ def per_step_run(config, train, unlabeled, validation, init):
             if config.lr_schedule == "cosine":
                 lr = cosine_lr(config.lr, global_step, total_steps)
             mixed = betas[:, None] * x1 + (1.0 - betas[:, None]) * x2
-            shifted = mixed @ model.weights
-            shifted = shifted - shifted.max(axis=1, keepdims=True)
-            e = np.exp(shifted)
-            p = e / e.sum(axis=1, keepdims=True)
-            p[np.arange(config.batch_size), y1] -= 1.0
-            model = LinearModel(model.weights - lr * (mixed.T @ p / config.batch_size))
+            model = reference_sgd_step(model, mixed, y1, lr)
             global_step += 1
             history.sgd_steps += 1
         if config.mode == "ssl":
@@ -333,6 +341,84 @@ class TestBlockDrawnSgd:
             assert gapped_cycles > 0
 
 
+def reference_chain(weights, mixed, labels, lrs):
+    """``sgd_mixup_block``'s steps as a chain of reference steps."""
+    model = LinearModel(weights)
+    for x, y, lr in zip(mixed, labels, lrs):
+        model = reference_sgd_step(model, x, y, lr)
+    return model.weights
+
+
+class TestSgdMixupBlock:
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(2, 12), d=st.integers(1, 20), n=st.integers(1, 70),
+           steps=st.integers(1, 40), schedule=st.sampled_from(["zero", "cosine"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_byte_equal_to_a_chain_of_reference_steps(self, k, d, n, steps, schedule, seed):
+        rng = np.random.default_rng(seed)
+        weights = rng.normal(size=(d, k))
+        mixed = rng.normal(size=(steps, n, d)) * rng.uniform(0.1, 3.0)
+        labels = rng.integers(k, size=(steps, n))
+        lrs = [0.0] * steps
+        if schedule == "cosine":
+            total, start, base = steps + 40, int(rng.integers(0, 41)), rng.uniform(0.0, 1.0)
+            lrs = [cosine_lr(base, start + s, total) for s in range(steps)]
+        want = reference_chain(weights, mixed, labels, lrs)
+        got = weights.copy()
+        sgd_mixup_block(got, mixed, labels, lrs)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_label_outside_classes_rejected(self, bad):
+        rng = np.random.default_rng(1)
+        weights, mixed = rng.normal(size=(3, 4)), rng.normal(size=(2, 5, 3))
+        labels = rng.integers(4, size=(2, 5))
+        labels[1, 2] = bad
+        with pytest.raises(SelMixError, match=r"labels must lie in \[0, 4\)"):
+            sgd_mixup_block(weights.copy(), mixed, labels, [0.1, 0.1])
+        with pytest.raises(SelMixError, match=r"labels must lie in \[0, 4\)"):
+            sgd_mixup_step(LinearModel(weights), mixed[1], labels[1], 0.1)
+
+    def test_overflow_raises_at_the_reference_step(self):
+        rng = np.random.default_rng(2)
+        weights, labels = rng.normal(size=(4, 3)), rng.integers(3, size=(6, 8))
+        mixed = rng.normal(size=(6, 8, 4))
+        mixed[3:] *= 1e200
+        lrs = [0.5] * 6
+        model, failing = LinearModel(weights), None
+        with np.errstate(all="ignore"):
+            for s in range(6):
+                try:
+                    model = reference_sgd_step(model, mixed[s], labels[s], lrs[s])
+                except SelMixError as exc:
+                    failing, message = s, str(exc)
+                    break
+            assert failing is not None and failing >= 3
+            sgd_mixup_block(weights.copy(), mixed[:failing], labels[:failing], lrs)
+            with pytest.raises(SelMixError) as raised:
+                sgd_mixup_block(weights.copy(), mixed[:failing + 1], labels[:failing + 1], lrs)
+        assert str(raised.value) == message == "weights must be finite"
+
+    def test_step_leaves_its_model_alone(self):
+        rng = np.random.default_rng(3)
+        model = LinearModel(rng.normal(size=(3, 4)))
+        before = model.weights.tobytes()
+        stepped = sgd_mixup_step(model, rng.normal(size=(5, 3)), rng.integers(4, size=5), 0.3)
+        assert model.weights.tobytes() == before
+        assert stepped.weights.tobytes() != before
+
+    @pytest.mark.parametrize("mode", ["supervised", "ssl"])
+    def test_run_leaves_init_alone(self, mode):
+        train, val, unlabeled = small_benchmark(seed=3, within_std=0.2)
+        init = biased_init(train)
+        before = init.weights.tobytes()
+        cfg = TrainerConfig(metric=MetricSpec(MIN_RECALL), cycles=2, sgd_steps_per_cycle=5,
+                            batch_size=8, lr=0.1, seed=0, mode=mode)
+        model, _ = run_selmix(cfg, train, unlabeled, val, init)
+        assert init.weights.tobytes() == before
+        assert model.weights.tobytes() != before
+
+
 def per_step_pretrain(train, steps, batch_size, logit_adjust, lr=0.5, seed=0):
     """The warm start drawn, gathered and stepped one batch at a time."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5E1F)))
@@ -361,6 +447,15 @@ class TestBlockDrawnPretrain:
         got = pretrain_erm(train, train.dim, train.num_classes, steps=steps,
                            batch_size=batch_size, logit_adjust=logit_adjust)
         want = per_step_pretrain(train, steps, batch_size, logit_adjust)
+        assert got.weights.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("lr", [0.3, 0.7])
+    def test_keeps_the_scale_then_average_order(self, lr):
+        # lr 0.5 scales exactly, so only an lr that rounds tells lr * M / B from M / B * lr
+        train, _, _ = small_benchmark()
+        got = pretrain_erm(train, train.dim, train.num_classes, steps=23, batch_size=7,
+                           lr=lr, logit_adjust=1.0)
+        want = per_step_pretrain(train, 23, 7, 1.0, lr=lr)
         assert got.weights.tobytes() == want.tobytes()
 
 
