@@ -14,12 +14,20 @@ Ct that is expressible purely in terms of C:
 softmax fixes it, and the finite-difference tests pin it down).  Lagrange
 multipliers are treated as constants during differentiation and refreshed
 once per validation cycle.
+
+The nine metric kinds differ in three choices, and the table ``_KINDS``
+alone records them: the base mean of the recalls (mean, G- or H-mean, or
+none), the multiplier family (simplex weights on recalls, clamped penalties
+on coverages, or none), and whether the multipliers act on each class or on
+the head and tail group means.  Every objective, multiplier and gradient
+function below reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import ceil
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,28 +45,28 @@ H_MEAN_COVERAGE = "h_mean_coverage"
 MEAN_RECALL_COVERAGE_HEAD_TAIL = "mean_recall_coverage_head_tail"
 H_MEAN_COVERAGE_HEAD_TAIL = "h_mean_coverage_head_tail"
 
-METRIC_KINDS = (
-    MEAN_RECALL,
-    G_MEAN,
-    H_MEAN,
-    MIN_RECALL,
-    MIN_RECALL_HEAD_TAIL,
-    MEAN_RECALL_COVERAGE,
-    H_MEAN_COVERAGE,
-    MEAN_RECALL_COVERAGE_HEAD_TAIL,
-    H_MEAN_COVERAGE_HEAD_TAIL,
-)
-HEAD_TAIL_KINDS = (
-    MIN_RECALL_HEAD_TAIL,
-    MEAN_RECALL_COVERAGE_HEAD_TAIL,
-    H_MEAN_COVERAGE_HEAD_TAIL,
-)
-COVERAGE_KINDS = (
-    MEAN_RECALL_COVERAGE,
-    H_MEAN_COVERAGE,
-    MEAN_RECALL_COVERAGE_HEAD_TAIL,
-    H_MEAN_COVERAGE_HEAD_TAIL,
-)
+_SIMPLEX = "simplex"
+_COVERAGE = "coverage"
+
+
+class _KindRule(NamedTuple):
+    base: str | None  # MEAN_RECALL, G_MEAN or H_MEAN; None for min-recall kinds
+    family: str | None  # _SIMPLEX, _COVERAGE, or None for unconstrained kinds
+    grouped: bool  # multipliers act on the head and tail means, not on each class
+
+
+_KINDS = {
+    MEAN_RECALL: _KindRule(MEAN_RECALL, None, False),
+    G_MEAN: _KindRule(G_MEAN, None, False),
+    H_MEAN: _KindRule(H_MEAN, None, False),
+    MIN_RECALL: _KindRule(None, _SIMPLEX, False),
+    MIN_RECALL_HEAD_TAIL: _KindRule(None, _SIMPLEX, True),
+    MEAN_RECALL_COVERAGE: _KindRule(MEAN_RECALL, _COVERAGE, False),
+    H_MEAN_COVERAGE: _KindRule(H_MEAN, _COVERAGE, False),
+    MEAN_RECALL_COVERAGE_HEAD_TAIL: _KindRule(MEAN_RECALL, _COVERAGE, True),
+    H_MEAN_COVERAGE_HEAD_TAIL: _KindRule(H_MEAN, _COVERAGE, True),
+}
+METRIC_KINDS = tuple(_KINDS)
 
 
 @dataclass(frozen=True)
@@ -127,7 +135,7 @@ class MetricSpec:
     head_set: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in METRIC_KINDS:
+        if self.kind not in _KINDS:
             raise SelMixError(f"unknown metric kind {self.kind!r}")
         if not all(0 < v < np.inf for v in (self.omega, self.lambda_max, self.tau)):
             raise SelMixError("omega, lambda_max, tau must be positive and finite")
@@ -146,7 +154,7 @@ class MetricSpec:
             if head.size and (head.min() < 0 or head.max() >= k):
                 raise SelMixError("head_set indices out of range")
         tail = np.setdiff1d(np.arange(k), head)
-        if self.kind in HEAD_TAIL_KINDS and (head.size == 0 or tail.size == 0):
+        if _KINDS[self.kind].grouped and (head.size == 0 or tail.size == 0):
             raise SelMixError("head_set must be a nonempty proper subset for head/tail kinds")
         return head, tail
 
@@ -162,30 +170,33 @@ class LagrangeState:
         object.__setattr__(self, "lambdas", np.asarray(self.lambdas, dtype=np.float64))
 
 
+def _multiplier_count(rule: _KindRule, k: int) -> int:
+    """One multiplier per head/tail group or per class; none without a family."""
+    return 0 if rule.family is None else 2 if rule.grouped else k
+
+
 def neutral_lagrange(spec: MetricSpec, k: int) -> LagrangeState:
     """State usable before the first update: uniform simplex for min-recall
     kinds, zeros for coverage kinds, empty for unconstrained kinds."""
-    if spec.kind == MIN_RECALL:
-        return LagrangeState(np.full(k, 1.0 / k))
-    if spec.kind == MIN_RECALL_HEAD_TAIL:
-        return LagrangeState(np.full(2, 0.5))
-    if spec.kind in (MEAN_RECALL_COVERAGE, H_MEAN_COVERAGE):
-        return LagrangeState(np.zeros(k))
-    if spec.kind in (MEAN_RECALL_COVERAGE_HEAD_TAIL, H_MEAN_COVERAGE_HEAD_TAIL):
-        return LagrangeState(np.zeros(2))
-    return LagrangeState()
+    rule = _KINDS[spec.kind]
+    n = _multiplier_count(rule, k)
+    return LagrangeState(np.full(n, 1.0 / n) if rule.family == _SIMPLEX else np.zeros(n))
 
 
 def validate_lagrange(spec: MetricSpec, lam: LagrangeState, k: int) -> None:
+    """Reject multipliers of the wrong length or outside their family's set;
+    unconstrained kinds ignore them.  The comparisons are positive, so a NaN
+    or infinite multiplier fails them."""
+    rule = _KINDS[spec.kind]
     lams = lam.lambdas
-    if spec.kind in (MIN_RECALL, MIN_RECALL_HEAD_TAIL):
-        size = k if spec.kind == MIN_RECALL else 2
-        if lams.shape != (size,) or np.any(lams < -1e-12) or abs(lams.sum() - 1.0) > 1e-9:
+    if rule.family is None:
+        return
+    ok = lams.shape == (_multiplier_count(rule, k),) and np.all(lams >= -1e-12)
+    if rule.family == _SIMPLEX:
+        if not (ok and abs(lams.sum() - 1.0) <= 1e-9):
             raise SelMixError("min-recall multipliers must lie on the simplex")
-    elif spec.kind in COVERAGE_KINDS:
-        size = 2 if spec.kind in HEAD_TAIL_KINDS else k
-        if lams.shape != (size,) or np.any(lams < -1e-12) or np.any(lams > spec.lambda_max + 1e-9):
-            raise SelMixError("coverage multipliers must lie in [0, lambda_max]")
+    elif not (ok and np.all(lams <= spec.lambda_max + 1e-9)):
+        raise SelMixError("coverage multipliers must lie in [0, lambda_max]")
 
 
 def confusion_from_predictions(labels, predictions, num_classes: int) -> ConfusionMatrix:
@@ -244,88 +255,82 @@ def unconstrained_to_confusion(c_tilde: np.ndarray, priors: np.ndarray) -> Confu
     return ConfusionMatrix(entries, priors)
 
 
-def _group_coverages(c: ConfusionMatrix, head: np.ndarray, tail: np.ndarray) -> np.ndarray:
-    cov = c.coverages()
-    return np.array([cov[head].mean(), cov[tail].mean()])
+def _groups(spec: MetricSpec, k: int) -> tuple[np.ndarray, ...] | None:
+    """(head, tail) for grouped kinds, None when each class has its own multiplier."""
+    return spec.head_tail(k) if _KINDS[spec.kind].grouped else None
+
+
+def _per_group(values: np.ndarray, groups: tuple[np.ndarray, ...] | None) -> np.ndarray:
+    """Per-class values, or their mean over each group."""
+    return values if groups is None else np.array([values[g].mean() for g in groups])
+
+
+def _base_mean(base: str, rec: np.ndarray) -> float:
+    """Mean, G-mean or H-mean of the recalls; the last two give 0 at a zero recall."""
+    if base == MEAN_RECALL:
+        return float(rec.mean())
+    if np.any(rec <= 0):
+        return 0.0
+    if base == G_MEAN:
+        return float(np.exp(np.log(rec).mean()))
+    return float(rec.size / np.sum(1.0 / rec))
+
+
+def _base_mean_grad(base: str, c: ConfusionMatrix) -> np.ndarray:
+    """d base / d C[i, i]; the base depends on no off-diagonal entry."""
+    k = c.k
+    if base == MEAN_RECALL:
+        return 1.0 / (k * c.priors)
+    diag = np.diag(c.entries)
+    if np.any(diag <= 0):
+        raise SelMixError("metric gradient undefined at zero recall")
+    rec = c.recalls()
+    if base == G_MEAN:
+        return np.exp(np.log(rec).mean()) / (k * diag)
+    psi = k / np.sum(1.0 / rec)
+    return psi**2 * c.priors / (k * diag**2)
 
 
 def evaluate_metric(spec: MetricSpec, c: ConfusionMatrix, lam: LagrangeState) -> float:
-    """psi(C) for the given kind, with the current multipliers plugged in.
-
-    G-mean and H-mean return their limit value 0 when any diagonal entry is
-    zero instead of dividing by zero.
-    """
+    """psi(C) with the current multipliers plugged in: lambda . recall for
+    min-recall kinds, the base mean plus lambda . (coverage - alpha/K) for
+    coverage kinds, with head and tail means in place of per-class values
+    for grouped kinds.  G-mean and H-mean give their limit 0 at a zero
+    recall instead of dividing by zero."""
     validate_lagrange(spec, lam, c.k)
+    rule = _KINDS[spec.kind]
     rec = c.recalls()
-    k = c.k
-
-    def base(kind: str) -> float:
-        if kind == MEAN_RECALL:
-            return float(rec.mean())
-        if kind == G_MEAN:
-            if np.any(rec <= 0):
-                return 0.0
-            return float(np.exp(np.log(rec).mean()))
-        if kind == H_MEAN:
-            if np.any(rec <= 0):
-                return 0.0
-            return float(k / np.sum(1.0 / rec))
-        raise SelMixError(kind)
-
-    if spec.kind in (MEAN_RECALL, G_MEAN, H_MEAN):
-        return base(spec.kind)
-    if spec.kind == MIN_RECALL:
-        return float(lam.lambdas @ rec)
-    if spec.kind == MIN_RECALL_HEAD_TAIL:
-        head, tail = spec.head_tail(k)
-        return float(lam.lambdas @ [rec[head].mean(), rec[tail].mean()])
-    target = spec.alpha / k
-    if spec.kind in (MEAN_RECALL_COVERAGE, H_MEAN_COVERAGE):
-        kind = MEAN_RECALL if spec.kind == MEAN_RECALL_COVERAGE else H_MEAN
-        return base(kind) + float(lam.lambdas @ (c.coverages() - target))
-    head, tail = spec.head_tail(k)
-    kind = MEAN_RECALL if spec.kind == MEAN_RECALL_COVERAGE_HEAD_TAIL else H_MEAN
-    return base(kind) + float(lam.lambdas @ (_group_coverages(c, head, tail) - target))
+    if rule.family is None:
+        return _base_mean(rule.base, rec)
+    groups = _groups(spec, c.k)
+    if rule.family == _SIMPLEX:
+        return float(lam.lambdas @ _per_group(rec, groups))
+    slack = _per_group(c.coverages(), groups) - spec.alpha / c.k
+    return _base_mean(rule.base, rec) + float(lam.lambdas @ slack)
 
 
 def _dpsi_dc(spec: MetricSpec, c: ConfusionMatrix, lam: LagrangeState) -> np.ndarray:
     """Partial derivatives of psi w.r.t. the confusion entries themselves
     (multipliers held constant)."""
+    rule = _KINDS[spec.kind]
     k = c.k
-    rec = c.recalls()
-    diag = np.diag(c.entries)
     out = np.zeros((k, k))
     idx = np.arange(k)
-
-    def add_base(kind: str) -> None:
-        if kind == MEAN_RECALL:
-            out[idx, idx] += 1.0 / (k * c.priors)
-        elif kind == G_MEAN:
-            psi = np.exp(np.log(rec).mean())
-            out[idx, idx] += psi / (k * diag)
-        elif kind == H_MEAN:
-            psi = k / np.sum(1.0 / rec)
-            out[idx, idx] += psi**2 * c.priors / (k * diag**2)
-
-    if spec.kind in (G_MEAN, H_MEAN, H_MEAN_COVERAGE, H_MEAN_COVERAGE_HEAD_TAIL):
-        if np.any(diag <= 0):
-            raise SelMixError("metric gradient undefined at zero recall")
-    if spec.kind in (MEAN_RECALL, G_MEAN, H_MEAN):
-        add_base(spec.kind)
-    elif spec.kind == MIN_RECALL:
-        out[idx, idx] += lam.lambdas / c.priors
-    elif spec.kind == MIN_RECALL_HEAD_TAIL:
-        head, tail = spec.head_tail(k)
-        out[head, head] += lam.lambdas[0] / (head.size * c.priors[head])
-        out[tail, tail] += lam.lambdas[1] / (tail.size * c.priors[tail])
-    elif spec.kind in (MEAN_RECALL_COVERAGE, H_MEAN_COVERAGE):
-        add_base(MEAN_RECALL if spec.kind == MEAN_RECALL_COVERAGE else H_MEAN)
-        out += lam.lambdas[None, :]
+    if rule.base is not None:
+        out[idx, idx] += _base_mean_grad(rule.base, c)
+    if rule.family is None:
+        return out
+    # each class's multiplier, and the size of the group whose mean it weights
+    weight, size = lam.lambdas, 1
+    groups = _groups(spec, k)
+    if groups is not None:
+        weight, size = np.empty(k), np.empty(k)
+        for lam_g, g in zip(lam.lambdas, groups):
+            weight[g], size[g] = lam_g, g.size
+    if rule.family == _SIMPLEX:
+        out[idx, idx] += weight / (size * c.priors)
     else:
-        add_base(MEAN_RECALL if spec.kind == MEAN_RECALL_COVERAGE_HEAD_TAIL else H_MEAN)
-        head, tail = spec.head_tail(k)
-        out[:, head] += lam.lambdas[0] / head.size
-        out[:, tail] += lam.lambdas[1] / tail.size
+        out += (weight / size)[None, :]
     return out
 
 
@@ -345,27 +350,19 @@ def metric_grad_unconstrained(
 
 
 def update_lagrange(spec: MetricSpec, c: ConfusionMatrix) -> LagrangeState:
-    """Momentum-free multiplier refresh.
+    """Momentum-free multiplier refresh, on per-class or group-mean values.
 
     Min-recall kinds: softmax(-omega * recall), concentrating on the worst
     classes.  Coverage kinds: lambda_j = max(0, lambda_max * (1 -
     exp((cov_j - alpha/K) / tau))), clamped at zero exactly when the
     constraint is met.
     """
-    rec = c.recalls()
-    k = c.k
-    if spec.kind == MIN_RECALL:
-        return LagrangeState(softmax(-spec.omega * rec))
-    if spec.kind == MIN_RECALL_HEAD_TAIL:
-        head, tail = spec.head_tail(k)
-        return LagrangeState(softmax(-spec.omega * np.array([rec[head].mean(), rec[tail].mean()])))
-    if spec.kind in COVERAGE_KINDS:
-        if spec.kind in HEAD_TAIL_KINDS:
-            head, tail = spec.head_tail(k)
-            cov = _group_coverages(c, head, tail)
-        else:
-            cov = c.coverages()
-        slack = (cov - spec.alpha / k) / spec.tau
-        lam = spec.lambda_max * (1.0 - np.exp(np.minimum(slack, 0.0)))
-        return LagrangeState(np.where(slack >= 0.0, 0.0, lam))
-    return LagrangeState()
+    family = _KINDS[spec.kind].family
+    if family is None:
+        return LagrangeState()
+    groups = _groups(spec, c.k)
+    if family == _SIMPLEX:
+        return LagrangeState(softmax(-spec.omega * _per_group(c.recalls(), groups)))
+    slack = (_per_group(c.coverages(), groups) - spec.alpha / c.k) / spec.tau
+    lam = spec.lambda_max * (1.0 - np.exp(np.minimum(slack, 0.0)))
+    return LagrangeState(np.where(slack >= 0.0, 0.0, lam))

@@ -5,10 +5,6 @@ metric gradients."""
 import numpy as np
 
 from selmix.metrics import (
-    COVERAGE_KINDS,
-    HEAD_TAIL_KINDS,
-    MIN_RECALL,
-    MIN_RECALL_HEAD_TAIL,
     ConfusionMatrix,
     LagrangeState,
     MetricSpec,
@@ -29,13 +25,16 @@ def random_confusion(rng: np.random.Generator, k: int, floor: float = 0.02) -> C
 
 
 def random_lagrange(rng: np.random.Generator, spec: MetricSpec, k: int) -> LagrangeState:
-    if spec.kind in (MIN_RECALL, MIN_RECALL_HEAD_TAIL):
-        size = k if spec.kind == MIN_RECALL else 2
+    """Random multipliers shaped like ``neutral_lagrange``: a Dirichlet draw
+    where the neutral state is a uniform simplex, uniform in [0, lambda_max]
+    where it is zeros, and the empty state for unconstrained kinds."""
+    neutral = neutral_lagrange(spec, k)
+    size = neutral.lambdas.size
+    if neutral.lambdas.any():
         return LagrangeState(rng.dirichlet(np.ones(size)))
-    if spec.kind in COVERAGE_KINDS:
-        size = 2 if spec.kind in HEAD_TAIL_KINDS else k
+    if size:
         return LagrangeState(rng.uniform(0.0, spec.lambda_max, size=size))
-    return neutral_lagrange(spec, k)
+    return neutral
 
 
 def fd_metric_grad(

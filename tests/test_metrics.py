@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fd_metric_grad, random_confusion, random_lagrange
 from selmix.classifier import LinearModel
@@ -8,10 +10,14 @@ from selmix.errors import DataError, SelMixError
 from selmix.metrics import (
     G_MEAN,
     H_MEAN,
+    H_MEAN_COVERAGE,
+    H_MEAN_COVERAGE_HEAD_TAIL,
     MEAN_RECALL,
     MEAN_RECALL_COVERAGE,
+    MEAN_RECALL_COVERAGE_HEAD_TAIL,
     METRIC_KINDS,
     MIN_RECALL,
+    MIN_RECALL_HEAD_TAIL,
     ConfusionMatrix,
     LagrangeState,
     MetricSpec,
@@ -22,6 +28,7 @@ from selmix.metrics import (
     soft_confusion,
     unconstrained_to_confusion,
     update_lagrange,
+    validate_lagrange,
 )
 
 
@@ -255,3 +262,103 @@ class TestSpecValidation:
     def test_confusion_invariants_enforced(self):
         with pytest.raises(SelMixError):
             ConfusionMatrix(np.array([[0.6, 0.1], [0.1, 0.3]]), np.array([0.5, 0.5]))
+
+
+# recalls (0.8, 0.6, 0.6, 0.4) and coverages (0.4, 0.3, 0.2, 0.1) under equal priors
+HAND_C = ConfusionMatrix(np.array([[4, 1, 0, 0], [2, 3, 0, 0], [1, 1, 3, 0], [1, 1, 1, 2]]) / 20.0,
+                         np.full(4, 0.25))
+
+
+class TestHeadTailKinds:
+    @pytest.mark.parametrize("head_set, means", [(None, (2.0 / 3.0, 0.4)), ((0, 2), (0.7, 0.5))])
+    def test_min_recall_head_tail_hand_values(self, head_set, means):
+        spec = MetricSpec(MIN_RECALL_HEAD_TAIL, omega=5.0, head_set=head_set)
+        lam = update_lagrange(spec, HAND_C)
+        weights = np.exp(-5.0 * np.array(means))
+        np.testing.assert_allclose(lam.lambdas, weights / weights.sum(), rtol=1e-12)
+        assert evaluate_metric(spec, HAND_C, lam) == pytest.approx(lam.lambdas @ means, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", [MEAN_RECALL_COVERAGE_HEAD_TAIL, H_MEAN_COVERAGE_HEAD_TAIL])
+    @pytest.mark.parametrize("head_set, covs", [(None, (0.3, 0.1)), ((2, 3), (0.15, 0.35))])
+    def test_coverage_head_tail_refresh_uses_group_means(self, kind, head_set, covs):
+        spec = MetricSpec(kind, alpha=0.95, tau=0.01, lambda_max=100.0, head_set=head_set)
+        target = 0.95 / 4
+        lam = update_lagrange(spec, HAND_C)
+        expected = [0.0 if cov >= target else 100.0 * (1.0 - np.exp((cov - target) / 0.01))
+                    for cov in covs]
+        np.testing.assert_allclose(lam.lambdas, expected, rtol=1e-12)
+        assert np.count_nonzero(lam.lambdas) == 1
+        base = 0.6 if kind == MEAN_RECALL_COVERAGE_HEAD_TAIL else 4.0 / (1 / 0.8 + 2 / 0.6 + 1 / 0.4)
+        psi = base + lam.lambdas @ (np.array(covs) - target)
+        assert evaluate_metric(spec, HAND_C, lam) == pytest.approx(psi, rel=1e-12)
+
+    @pytest.mark.parametrize("head_set", [None, (1, 4)])
+    def test_neutral_lagrange_for_every_kind(self, head_set):
+        k = 7
+        expected = {
+            MEAN_RECALL: [], G_MEAN: [], H_MEAN: [],
+            MIN_RECALL: np.full(k, 1.0 / k), MIN_RECALL_HEAD_TAIL: [0.5, 0.5],
+            MEAN_RECALL_COVERAGE: np.zeros(k), H_MEAN_COVERAGE: np.zeros(k),
+            MEAN_RECALL_COVERAGE_HEAD_TAIL: [0.0, 0.0], H_MEAN_COVERAGE_HEAD_TAIL: [0.0, 0.0],
+        }
+        assert set(expected) == set(METRIC_KINDS)
+        for kind, lams in expected.items():
+            got = neutral_lagrange(MetricSpec(kind, head_set=head_set), k).lambdas
+            assert got.shape == (len(lams),), kind
+            np.testing.assert_array_equal(got, lams, err_msg=kind)
+
+
+class TestNonFiniteMultipliers:
+    FAMILIES = [(MIN_RECALL, "simplex"), (MIN_RECALL_HEAD_TAIL, "simplex"),
+                (MEAN_RECALL_COVERAGE, r"\[0, lambda_max\]"), (H_MEAN_COVERAGE, r"\[0, lambda_max\]"),
+                (MEAN_RECALL_COVERAGE_HEAD_TAIL, r"\[0, lambda_max\]"),
+                (H_MEAN_COVERAGE_HEAD_TAIL, r"\[0, lambda_max\]")]
+
+    @pytest.mark.parametrize("kind, message", FAMILIES)
+    @pytest.mark.parametrize("value, entries", [(np.nan, 1), (np.inf, 1), (-np.inf, 1), (np.nan, None)])
+    def test_rejected_by_value_and_gradient(self, kind, message, value, entries):
+        spec = MetricSpec(kind)
+        c = random_confusion(np.random.default_rng(3), 5)
+        lams = neutral_lagrange(spec, 5).lambdas.copy()
+        lams[:entries] = value
+        for fn in (evaluate_metric, metric_grad_unconstrained):
+            with pytest.raises(SelMixError, match=message):
+                fn(spec, c, LagrangeState(lams))
+
+
+@st.composite
+def spec_and_confusion(draw):
+    k = draw(st.integers(2, 12))
+    head_set = draw(st.none() | st.lists(st.integers(0, k - 1), min_size=1, max_size=k - 1,
+                                         unique=True))
+    spec = MetricSpec(draw(st.sampled_from(METRIC_KINDS)), head_set=head_set)
+    priors = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+    c_tilde = np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=k * k, max_size=k * k)))
+    return spec, unconstrained_to_confusion(c_tilde.reshape(k, k), priors / priors.sum())
+
+
+class TestMetricProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(spec_and_confusion())
+    def test_refresh_is_valid_and_gradient_rows_sum_to_zero(self, case):
+        spec, c = case
+        lam = update_lagrange(spec, c)
+        validate_lagrange(spec, lam, c.k)
+        g = metric_grad_unconstrained(spec, c, lam)
+        assert np.all(np.isfinite(g))
+        assert np.all(np.abs(g.sum(axis=1)) <= 1e-12 * (1.0 + np.abs(g).sum(axis=1)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 12).flatmap(lambda k: st.tuples(
+        st.just(k), st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), max_size=80))))
+    def test_confusion_from_random_predictions(self, case):
+        k, pairs = case
+        # every class appears at least once among the labels
+        labels = [y for y, _ in pairs] + list(range(k))
+        predictions = [p for _, p in pairs] + list(range(k)[::-1])
+        c = confusion_from_predictions(labels, predictions, k)
+        assert np.all(c.entries >= 0.0)
+        assert c.entries.sum() == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(c.entries.sum(axis=1), np.bincount(labels) / len(labels),
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(c.priors, c.entries.sum(axis=1))
