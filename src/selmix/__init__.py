@@ -9,7 +9,6 @@ from .classifier import (
     LinearModel,
     class_centroids,
     direction_matrix,
-    mixup_loss,
     predict,
     sgd_mixup_step,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "load_dataset",
     "make_benchmark",
     "metric_grad_unconstrained",
-    "mixup_loss",
     "mixup_regularization_check",
     "model_confusion",
     "neutral_lagrange",

@@ -1,5 +1,5 @@
-"""Linear classifier over frozen features: logits, mixup loss, centroids,
-and the per-pair update directions used by the gain computation.
+"""Linear classifier over frozen features: logits, exact argmax, mixup SGD,
+centroids, and the per-pair update directions used by the gain computation.
 
 All softmax / log-softmax evaluations subtract the max logit first; no
 probability below ~1e-300 is ever formed.
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureDataset
+from .data import FeatureDataset, norm_bounds
 from .errors import DataError, SelMixError
 
 
@@ -67,9 +67,83 @@ def batch_logits(model: LinearModel, features: np.ndarray) -> np.ndarray:
     return features @ model.weights
 
 
-def predict(model: LinearModel, features: np.ndarray) -> np.ndarray:
-    """Argmax class per row; ties go to the smallest class index."""
-    return np.argmax(batch_logits(model, features), axis=1)
+def predict(model: LinearModel, data: FeatureDataset) -> np.ndarray:
+    """Argmax class per row of ``data``'s features; ties go to the smallest
+    class index.  Exactly ``np.argmax(features @ weights, axis=1)``, which
+    it computes outright when :func:`_screened_argmax` cannot decide."""
+    labels = _screened_argmax(model, data)
+    if labels is None:
+        labels = np.argmax(batch_logits(model, data.features), axis=1)
+    return labels
+
+
+# The float32 screen pays where each row holds enough logit work d*K for the
+# halved matmul to outweigh its top-2 passes over the K float32 logits, and
+# the float64 product n*d*K amortizes its fixed per-call work.  Screen time
+# over plain float64 time per call, random clusters (2 cores, numpy 2.4.6,
+# scipy-openblas 0.3.31, one BLAS thread), n=15000: d=16 K=10 2.69, K=200
+# 0.87; d=64 K=10 1.56, K=50 1.13, K=100 0.79; d=128 K=10 1.08, K=20 0.90,
+# K=100 0.65.  d=64 K=100: n=300 1.23, n=1000 0.96, n=3000 0.80.
+_SCREEN_MIN_ROW_WORK = 4096          # d*K
+_SCREEN_MIN_WORK = 8_000_000         # n*d*K
+
+
+def _rounding_error(norms: np.ndarray, wnorm: float, d: int, dtype) -> np.ndarray:
+    """Per row, a bound on |computed - exact| for every logit when the
+    product runs in ``dtype`` (a cast of float64 inputs to it included),
+    whatever the summation order or FMA use: (d+2)·eps·‖v‖·max‖w‖, twice
+    the classical (d+2)·u bound (eps = 2u) so the rounding of the norms and
+    margins fits in the slack, plus (d+2)·tiny·(‖v‖ + max‖w‖ + 2) for the
+    absolute errors where a cast, product or sum underflows or is flushed
+    to zero.  ``norms`` and ``wnorm`` bound ‖v‖ and max‖w‖ from above."""
+    f = np.finfo(dtype)
+    return (d + 2) * (f.eps * wnorm * norms + f.tiny * (norms + wnorm + 2))
+
+
+def _top2(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(argmax per row, the row's max minus its runner-up); overwrites
+    each row's max with -inf."""
+    labels = logits.argmax(axis=1)
+    cells = label_cells(labels, logits.shape[1])
+    flat = logits.reshape(-1)
+    top = flat[cells]
+    flat[cells] = -np.inf
+    return labels, top - logits.max(axis=1)
+
+
+def _screened_argmax(model: LinearModel, data: FeatureDataset) -> np.ndarray | None:
+    """The exact float64 argmax through a float32 screen, or None where the
+    screen cannot decide it.
+
+    Rows whose float32 top-2 margin exceeds 2(e32 + e64) (:func:`_rounding_error`)
+    keep their float32 argmax: the float64 logits differ from the float32
+    ones by at most that much, so they have the same unique maximum.  The
+    other rows, NaN margins included, are recomputed in float64.  That
+    row-subset product may take another BLAS kernel than the full one (a
+    few rows differ in the last bits), so any recomputed row whose margin
+    is within 4·e64 sends the whole call to the full product, which also
+    keeps exact ties on the smallest index.  The screen is skipped for
+    shapes where it does not pay (``_SCREEN_MIN_ROW_WORK``,
+    ``_SCREEN_MIN_WORK``) and where float32 could overflow.
+    """
+    x, w = data.features, model.weights
+    n, d = x.shape
+    row_work = d * model.classes
+    if d != model.dim or row_work < _SCREEN_MIN_ROW_WORK or n * row_work < _SCREEN_MIN_WORK:
+        return None
+    x32, norms = data.screen_arrays()
+    wnorm = norm_bounds(w, axis=0).max()
+    if not (norms.max() + 1) * (wnorm + 1) <= np.finfo(np.float32).max / 4:
+        return None
+    e64 = _rounding_error(norms, wnorm, d, np.float64)
+    labels, margin = _top2(x32 @ w.astype(np.float32))
+    rows = np.flatnonzero(~(margin > 2 * (_rounding_error(norms, wnorm, d, np.float32) + e64)))
+    if rows.size:
+        sub_labels, sub_margin = _top2(x[rows] @ w)
+        if not (sub_margin > 4 * e64[rows]).all():
+            return None
+        labels[rows] = sub_labels
+    return labels
 
 
 def mix_features(feat_a: np.ndarray, feat_b: np.ndarray, betas: np.ndarray) -> np.ndarray:
@@ -90,19 +164,6 @@ def mix_features(feat_a: np.ndarray, feat_b: np.ndarray, betas: np.ndarray) -> n
     b *= feat_b
     mixed += b
     return mixed
-
-
-def mixup_loss(
-    model: LinearModel,
-    feat_a: np.ndarray,
-    feat_b: np.ndarray,
-    labels: np.ndarray,
-    betas: np.ndarray,
-) -> np.ndarray:
-    """Per-row softmax cross-entropy of the mixed features against labels
-    (each mixup is labeled with its first sample's class)."""
-    log_p = log_softmax(batch_logits(model, mix_features(feat_a, feat_b, betas)), axis=1)
-    return -log_p[np.arange(log_p.shape[0]), labels]
 
 
 def class_centroids(features: FeatureDataset) -> CentroidSet:

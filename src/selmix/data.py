@@ -9,7 +9,7 @@ the current model assigned.  A pseudo label of -1 means "not assigned yet".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,18 +20,39 @@ LABEL_BOUND = 2 ** 53    # labels below it are exact in float64, so in numpy's r
 POOL_FRACTIONS = (0.8, 0.0, 0.2)    # labeled / (unused) / unlabeled share of the LT pool
 
 
+def norm_bounds(a: np.ndarray, axis: int) -> np.ndarray:
+    """Upper bounds on the Euclidean norms of the vectors that run along
+    ``axis`` of the 2-D ``a`` (``axis=1``: one per row).
+
+    The ``d * tiny`` floor covers squares that underflow (or are flushed to
+    zero), so a vector of tiny entries never gets a norm of 0; otherwise
+    the result is the plain norm.
+    """
+    sq = np.einsum("ij,ij->j" if axis == 0 else "ij,ij->i", a, a)
+    sq += a.shape[axis] * np.finfo(np.float64).tiny
+    return np.sqrt(sq, out=sq)
+
+
 @dataclass(frozen=True)
 class FeatureDataset:
-    """Fixed feature vectors with labels and per-class index sets."""
+    """Fixed feature vectors with labels and per-class index sets.
+
+    ``features`` is stored as a read-only view (of the caller's array when
+    no copy is needed), so nothing writes through the dataset;
+    :meth:`screen_arrays` assumes the features never change.
+    """
 
     features: np.ndarray          # (N, d) float64
     labels: np.ndarray            # (N,) int64; -1 = unassigned pseudo slot
     num_classes: int
     pseudo: bool = False
     true_labels: np.ndarray | None = None
+    # what screen_arrays built; shared with every with_labels copy
+    _screen: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        feats = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
+        feats = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64)).view()
+        feats.flags.writeable = False
         labels = np.asarray(self.labels, dtype=np.int64)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
@@ -71,14 +92,25 @@ class FeatureDataset:
         return counts / counts.sum()
 
     def with_labels(self, labels: np.ndarray) -> "FeatureDataset":
-        """New dataset value with replaced (pseudo) labels; features shared."""
+        """New dataset value with replaced (pseudo) labels; features and
+        :meth:`screen_arrays` shared."""
         return FeatureDataset(
             features=self.features,
             labels=labels,
             num_classes=self.num_classes,
             pseudo=self.pseudo,
             true_labels=self.true_labels,
+            _screen=self._screen,
         )
+
+    def screen_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(float32 copy of the features, :func:`norm_bounds` of its rows),
+        built on first use and kept: the features never change, so one
+        build serves every later call."""
+        if not self._screen:
+            self._screen["x32"] = self.features.astype(np.float32)
+            self._screen["norms"] = norm_bounds(self.features, axis=1)
+        return self._screen["x32"], self._screen["norms"]
 
 
 @dataclass(frozen=True)
@@ -215,7 +247,9 @@ def load_dataset(path, expected_classes: int | None = None) -> FeatureDataset:
 
     Raises :class:`DataError` naming the offending line for ragged rows,
     non-numeric or non-finite fields, or labels outside
-    ``[0, expected_classes)``, or ``[0, LABEL_BOUND)`` without it.  numpy's
+    ``[0, expected_classes)``, or ``[0, LABEL_BOUND)`` without it.  Without
+    ``expected_classes`` the class count is the largest label plus one,
+    which may not exceed the row count.  numpy's
     C reader parses a well-formed file; every other file goes to the
     per-line pass, which names the line.
     """
@@ -229,8 +263,22 @@ def load_dataset(path, expected_classes: int | None = None) -> FeatureDataset:
         labels, features = table[:, 0].astype(np.int64), table[:, 1:]
     else:
         labels, features = _parse_dataset_lines(path, raw, d, expected_classes)
-    k = expected_classes if expected_classes is not None else int(labels.max()) + 1
-    return FeatureDataset(features=features, labels=labels, num_classes=k)
+    return _dataset(path, raw, labels, features, expected_classes)
+
+
+def _dataset(path, raw: list[str], labels, features, expected_classes: int | None):
+    """The parsed rows of a dataset CSV's lines ``raw`` as a dataset.  Without
+    ``expected_classes`` the class count is the largest label plus one; a
+    label at or above the row count raises :class:`DataError` naming its
+    line, before any per-class array is sized by it."""
+    if expected_classes is not None:
+        return FeatureDataset(features=features, labels=labels, num_classes=expected_classes)
+    top = int(labels.argmax())
+    if labels[top] >= labels.size:
+        lineno = [n for n, line in enumerate(raw[1:], start=2) if line][top]
+        raise DataError(f"{path}: line {lineno}: label {labels[top]} implies more classes "
+                        f"than the file's {labels.size} rows")
+    return FeatureDataset(features=features, labels=labels, num_classes=int(labels[top]) + 1)
 
 
 def _header_width(path, raw: list[str]) -> int:

@@ -133,6 +133,8 @@ class MetricSpec:
     lambda_max: float = 100.0
     tau: float = 0.01
     head_set: tuple[int, ...] | None = None
+    # head_tail's read-only results by K: the split depends on nothing else
+    _head_tail: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -145,8 +147,11 @@ class MetricSpec:
             object.__setattr__(self, "head_set", tuple(sorted(set(self.head_set))))
 
     def head_tail(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(head, tail) index arrays; the default tail is the last ceil(K/10)
-        classes (least frequent under the long-tailed ordering)."""
+        """(head, tail) read-only index arrays, built once per K; the default
+        tail is the last ceil(K/10) classes (least frequent under the
+        long-tailed ordering)."""
+        if k in self._head_tail:
+            return self._head_tail[k]
         if self.head_set is None:
             head = np.arange(k - ceil(k / 10))
         else:
@@ -156,6 +161,8 @@ class MetricSpec:
         tail = np.setdiff1d(np.arange(k), head)
         if _KINDS[self.kind].grouped and (head.size == 0 or tail.size == 0):
             raise SelMixError("head_set must be a nonempty proper subset for head/tail kinds")
+        head.flags.writeable = tail.flags.writeable = False
+        self._head_tail[k] = head, tail
         return head, tail
 
 
@@ -223,7 +230,7 @@ def confusion_from_predictions(labels, predictions, num_classes: int) -> Confusi
 def model_confusion(model: LinearModel, features: FeatureDataset) -> ConfusionMatrix:
     """Hard confusion of the model's argmax predictions on a labeled set."""
     return confusion_from_predictions(
-        features.labels, predict(model, features.features), features.num_classes
+        features.labels, predict(model, features), features.num_classes
     )
 
 

@@ -160,7 +160,7 @@ def cosine_lr(base: float, step: int, total: int) -> float:
 def refresh_pseudo_labels(model: LinearModel, unlabeled: FeatureDataset) -> FeatureDataset:
     """Assign every sample the argmax class of its logits (ties to the
     smallest index) and rebuild the per-class index sets."""
-    return unlabeled.with_labels(predict(model, unlabeled.features))
+    return unlabeled.with_labels(predict(model, unlabeled))
 
 
 def pretrain_erm(

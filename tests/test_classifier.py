@@ -7,13 +7,21 @@ from selmix.classifier import (
     batch_logits,
     class_centroids,
     direction_matrix,
+    log_softmax,
     mix_features,
-    mixup_loss,
     sgd_mixup_step,
     softmax,
 )
 from selmix.data import FeatureDataset
 from selmix.errors import DataError, SelMixError
+
+
+def mixup_loss(model, feat_a, feat_b, labels, betas):
+    """Per-row softmax cross-entropy of the mixed features against labels
+    (each mixup is labeled with its first sample's class): the loss whose
+    gradient the SGD step and the update directions follow."""
+    log_p = log_softmax(batch_logits(model, mix_features(feat_a, feat_b, betas)), axis=1)
+    return -log_p[np.arange(log_p.shape[0]), labels]
 
 
 def _loss_of_weights(w, a, b, label, beta):

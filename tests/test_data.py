@@ -13,6 +13,7 @@ from selmix.data import (
     LTSpec,
     balanced_validation,
     generate_longtail,
+    _dataset,
     _header_width,
     _parse_dataset_lines,
     _read_lines,
@@ -93,8 +94,7 @@ def _outcome(read, path, *args):
 def _dataset_per_line(path, expected_classes):
     raw = _read_lines(path)
     labels, features = _parse_dataset_lines(path, raw, _header_width(path, raw), expected_classes)
-    k = expected_classes if expected_classes is not None else int(labels.max()) + 1
-    return FeatureDataset(features=features, labels=labels, num_classes=k)
+    return _dataset(path, raw, labels, features, expected_classes)
 
 
 class TestGenerateLongtail:
@@ -195,6 +195,22 @@ class TestCsvRoundTrip:
         path.write_text(f"label,f0\n0,1.0\n{label},2.0\n")
         with pytest.raises(DataError, match=f"line 3: label {label} out of range"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("label", [3, 9007199254740991])
+    def test_label_beyond_the_row_count_names_its_line(self, tmp_path, label):
+        # without expected_classes K would be label + 1: 2**53 classes would
+        # fail in numpy's allocator rather than here
+        path = tmp_path / "sparse.csv"
+        path.write_text(f"label,f0\n0,1.0\n\n{label},2.0\n1,3.0\n")
+        with pytest.raises(DataError, match=f"line 4: label {label} implies more classes "
+                                            "than the file's 3 rows"):
+            load_dataset(path)
+        assert load_dataset(path, expected_classes=label + 1).num_classes == label + 1
+
+    def test_largest_label_may_equal_the_last_row_index(self, tmp_path):
+        path = tmp_path / "dense.csv"
+        path.write_text("label,f0\n2,1.0\n0,2.0\n0,3.0\n")
+        assert load_dataset(path).num_classes == 3
 
     def test_ragged_row_names_line(self, tmp_path):
         path = tmp_path / "ragged.csv"

@@ -252,8 +252,23 @@ class TestSpecValidation:
 
     def test_head_set_must_be_proper(self):
         spec = MetricSpec("min_recall_head_tail", head_set=tuple(range(4)))
-        with pytest.raises(SelMixError):
-            spec.head_tail(4)
+        for _ in range(2):      # a failed split is not cached
+            with pytest.raises(SelMixError):
+                spec.head_tail(4)
+
+    def test_head_tail_built_once_per_k_and_read_only(self):
+        spec = MetricSpec("h_mean_coverage_head_tail", head_set=(0, 2))
+        head, tail = spec.head_tail(5)
+        assert spec.head_tail(5)[0] is head and spec.head_tail(5)[1] is tail
+        assert list(head) == [0, 2] and list(tail) == [1, 3, 4]
+        assert list(spec.head_tail(3)[1]) == [1]
+        with pytest.raises(ValueError):
+            head[0] = 1
+        with pytest.raises(ValueError):
+            tail[0] = 0
+        # the cache takes no part in equality or hashing
+        other = MetricSpec("h_mean_coverage_head_tail", head_set=(2, 0))
+        assert other == spec and hash(other) == hash(spec)
 
     def test_invalid_kind_rejected(self):
         with pytest.raises(SelMixError, match="unknown metric kind"):
