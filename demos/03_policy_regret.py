@@ -7,6 +7,9 @@ the best fixed pair in hindsight; the Hedge-style variant (past rounds
 only, horizon-tuned temperature) carries 2 sqrt(log K) / sqrt(T).
 """
 
+import time
+import tracemalloc
+
 import numpy as np
 
 from selmix import OnlineGameConfig, run_online_game
@@ -34,3 +37,18 @@ for generator in GAIN_GENERATORS:
 
 print("note: negative regret means the adaptive policy beat every fixed pair;")
 print("the uniform and greedy baselines carry no guarantee and can trail badly.")
+
+# Chunked play keeps one game at O(r·K² + T) floats for r rounds per chunk: at the
+# paper's K=100 scale a whole-horizon game would hold several 800 MB arrays.
+wide = OnlineGameConfig(K=100, T=10_000, gain_generator="iid_uniform",
+                        policy_kind="selmix_hedge_variant", seed=0)
+start = time.perf_counter()
+out = run_online_game(wide)
+wall = time.perf_counter() - start
+tracemalloc.start()
+run_online_game(wide)
+peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+tracemalloc.stop()
+print()
+print(f"K={wide.K}, T={wide.T} {wide.policy_kind} game: regret {out['regret']:.4f} "
+      f"(bound {out['bound']:.4f}), {wall:.1f} s, tracemalloc peak {peak_mb:.1f} MB")

@@ -86,6 +86,11 @@ def predict(model: LinearModel, data: FeatureDataset) -> np.ndarray:
 # K=100 0.65.  d=64 K=100: n=300 1.23, n=1000 0.96, n=3000 0.80.
 _SCREEN_MIN_ROW_WORK = 4096          # d*K
 _SCREEN_MIN_WORK = 8_000_000         # n*d*K
+# Past this share of rechecked rows, take the full float64 product: subset
+# time over full time by share, n=15000, d=128 K=100: 0.03 0.04, 0.125 0.17,
+# 1 1.37.  A zero model rechecks every row (50 ms, plain 16 ms, before the
+# cap); trained models on the benchmark's validation sets recheck 0.1%.
+_SCREEN_MAX_RECHECK_SHARE = 1 / 32
 
 
 def _rounding_error(norms: np.ndarray, wnorm: float, d: int, dtype) -> np.ndarray:
@@ -122,7 +127,8 @@ def _screened_argmax(model: LinearModel, data: FeatureDataset) -> np.ndarray | N
     row-subset product may take another BLAS kernel than the full one (a
     few rows differ in the last bits), so any recomputed row whose margin
     is within 4·e64 sends the whole call to the full product, which also
-    keeps exact ties on the smallest index.  The screen is skipped for
+    keeps exact ties on the smallest index, as does rechecking more than
+    ``_SCREEN_MAX_RECHECK_SHARE`` of the rows.  The screen is skipped for
     shapes where it does not pay (``_SCREEN_MIN_ROW_WORK``,
     ``_SCREEN_MIN_WORK``) and where float32 could overflow.
     """
@@ -138,6 +144,8 @@ def _screened_argmax(model: LinearModel, data: FeatureDataset) -> np.ndarray | N
     e64 = _rounding_error(norms, wnorm, d, np.float64)
     labels, margin = _top2(x32 @ w.astype(np.float32))
     rows = np.flatnonzero(~(margin > 2 * (_rounding_error(norms, wnorm, d, np.float32) + e64)))
+    if rows.size > _SCREEN_MAX_RECHECK_SHARE * n:
+        return None
     if rows.size:
         sub_labels, sub_margin = _top2(x[rows] @ w)
         if not (sub_margin > 4 * e64[rows]).all():

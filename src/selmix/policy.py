@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .classifier import softmax
+from .classifier import softmax, softmax_rows_inplace
 from .errors import SelMixError
 from .gain import GainMatrix
 
@@ -134,9 +134,19 @@ class OnlineGameConfig:
             raise SelMixError("s must be positive and finite")
 
 
-def _generate_gains(cfg: OnlineGameConfig, rng: np.random.Generator) -> np.ndarray:
-    """Synthetic gain sequences, shape (T, K, K), all values in [0, 1]
-    except ``spiky`` which deliberately overshoots to exercise clamping.
+# Rounds x cells per chunk of run_online_game: each float64 chunk array stays
+# in L2 and under glibc's 128 KiB mmap threshold, so it is reused from the
+# heap, not faulted in afresh.  The benchmark's 40-game grid (2 cores, numpy
+# 2.4.6): 12000-16384 310-336 ms, 32768 342-381 ms with 10x the page faults.
+_CHUNK_ELEMENTS = 16_000
+
+
+def _generate_gains(cfg: OnlineGameConfig, rng: np.random.Generator,
+                    t0: int = 0, t1: int | None = None) -> np.ndarray:
+    """Synthetic gains of rounds t0..t1 (the whole horizon by default),
+    shape (t1 - t0, K, K), all values in [0, 1] except ``spiky`` which
+    deliberately overshoots to exercise clamping.  Drawing the horizon chunk
+    by chunk from one generator gives the same gains as one draw.
 
     ``anticorrelated`` pays 1 in each round to the m = max(1, K²//2) cells
     with the lowest cumulative gain so far, ties going to the lower
@@ -144,53 +154,55 @@ def _generate_gains(cfg: OnlineGameConfig, rng: np.random.Generator) -> np.ndarr
     round-robin over the row-major cells, built here in closed form: round t
     pays cells (t·m + j) mod K² for j < m.
     """
-    t, k = cfg.T, cfg.K
+    k = cfg.K
+    rounds = np.arange(t0, cfg.T if t1 is None else t1)
+    t = rounds.size
     if cfg.gain_generator == "constant":
         return np.full((t, k, k), 0.5)
     if cfg.gain_generator == "iid_uniform":
         return rng.random((t, k, k))
     if cfg.gain_generator == "alternating":
-        steps = np.arange(t)[:, None, None]
-        cells = (np.arange(k)[:, None] + np.arange(k)[None, :])[None, :, :]
-        return ((steps + cells) % 2).astype(np.float64)
+        # cell (i, j) pays (t + i + j) mod 2: one of two rows by t's parity
+        parity = (np.arange(k)[:, None] + np.arange(k)) % 2
+        return np.stack([parity, 1 - parity]).astype(np.float64)[rounds % 2]
     if cfg.gain_generator == "anticorrelated":
-        # offset of each cell past round t's first paid cell, t·m mod K²
+        # round t's row is the first one's, m ones then zeros, rotated right
+        # by t·m mod K²: a window of two copies of that row side by side
         cells = k * k
         m = max(1, cells // 2)
-        offset = (np.arange(cells) - m * np.arange(t)[:, None]) % cells
-        return (offset < m).astype(np.float64).reshape(t, k, k)
+        ring = np.tile(np.arange(cells) < m, 2).astype(np.float64)
+        windows = np.lib.stride_tricks.sliding_window_view(ring, cells)
+        return windows[cells - m * rounds % cells].reshape(t, k, k)
     # spiky: iid in [-2, 2], out of range on purpose
     return rng.random((t, k, k)) * 4.0 - 2.0
 
 
-def _policy_sequence(cfg: OnlineGameConfig, gains: np.ndarray) -> np.ndarray:
-    """Per-round pair distributions, shape (T, K*K)."""
-    t, k = cfg.T, cfg.K
-    cells = k * k
-    flat = gains.reshape(t, cells)
+def _policy_sequence(cfg: OnlineGameConfig, flat: np.ndarray, cum: np.ndarray,
+                     before: np.ndarray | None) -> np.ndarray:
+    """Pair distributions of one chunk of rounds, shape (rows, K*K), from
+    the chunk's clamped gains ``flat``, their running sums over the horizon
+    ``cum`` (this round included; the hedge policies overwrite it) and the
+    sum ``before`` of every earlier chunk's rounds (None for the first)."""
+    rows, cells = flat.shape
     if cfg.policy_kind == "uniform":
-        return np.full((t, cells), 1.0 / cells)
+        return np.full((rows, cells), 1.0 / cells)
     if cfg.policy_kind == "fixed":
         i, j = cfg.fixed_pair
-        if not (0 <= i < k and 0 <= j < k):
-            raise SelMixError("fixed pair out of range")
-        probs = np.zeros((t, cells))
-        probs[:, i * k + j] = 1.0
+        probs = np.zeros((rows, cells))
+        probs[:, i * cfg.K + j] = 1.0
         return probs
     if cfg.policy_kind == "greedy":
-        probs = np.zeros((t, cells))
-        probs[np.arange(t), np.argmax(flat, axis=1)] = 1.0
+        probs = np.zeros((rows, cells))
+        probs[np.arange(rows), np.argmax(flat, axis=1)] = 1.0
         return probs
-    scores = np.empty((t, cells))
     if cfg.policy_kind == "selmix_hedge":
-        np.cumsum(flat, axis=0, out=scores)       # includes the current round
-        scores *= cfg.s
+        cum *= cfg.s                              # includes the current round
     else:
-        s_var = np.log(1.0 + 2.0 * np.sqrt(np.log(max(k, 2)) / t))
-        scores[0] = 0.0
-        np.cumsum(flat[:-1], axis=0, out=scores[1:])
-        scores *= s_var                           # Hedge: past rounds only
-    return softmax(scores, axis=1)
+        cum[1:] = cum[:-1]                        # Hedge: past rounds only
+        cum[0] = 0.0 if before is None else before
+        cum *= np.log(1.0 + 2.0 * np.sqrt(np.log(max(cfg.K, 2)) / cfg.T))
+    softmax_rows_inplace(cum, np.empty((rows, 1)))
+    return cum
 
 
 def run_online_game(cfg: OnlineGameConfig) -> dict:
@@ -198,26 +210,50 @@ def run_online_game(cfg: OnlineGameConfig) -> dict:
 
     Gains outside the admissible range ([0, 1] for the variant policy,
     [-1, 1] otherwise) are clamped and counted in ``clamped_rounds``.
+
+    Rounds are played in chunks of at most ``_CHUNK_ELEMENTS`` rounds x
+    cells.  Every step is row-wise except the running sums, which carry the
+    last row over as s[t] = s[t-1] + f[t], so the report equals
+    whole-horizon play bit for bit.
     """
+    k, t, cells = cfg.K, cfg.T, cfg.K * cfg.K
+    if cfg.policy_kind == "fixed" and not all(0 <= v < k for v in cfg.fixed_pair):
+        raise SelMixError("fixed pair out of range")
     gen_ss, play_ss = np.random.SeedSequence(cfg.seed).spawn(2)
-    gains = _generate_gains(cfg, np.random.default_rng(gen_ss))
+    gen_rng, play_rng = np.random.default_rng(gen_ss), np.random.default_rng(play_ss)
     lo = 0.0 if cfg.policy_kind == "selmix_hedge_variant" else -1.0
-    flat = gains.reshape(cfg.T, -1)
-    clamped_rounds = int(((flat.min(axis=1) < lo) | (flat.max(axis=1) > 1.0)).sum())
-    np.clip(flat, lo, 1.0, out=flat)
+    step = max(1, _CHUNK_ELEMENTS // cells)
+    expected, realized = np.empty(t), np.empty(t)
+    clamped_rounds = 0
+    total = None                                  # summed gains of the rounds played
+    for t0 in range(0, t, step):
+        t1 = min(t0 + step, t)
+        rows = np.arange(t1 - t0)
+        flat = _generate_gains(cfg, gen_rng, t0, t1).reshape(rows.size, cells)
+        if flat.min() < lo or flat.max() > 1.0:      # count rows out of range only if any
+            clamped_rounds += int(((flat.min(axis=1) < lo) | (flat.max(axis=1) > 1.0)).sum())
+        np.clip(flat, lo, 1.0, out=flat)
+        cum = flat.copy()
+        if total is not None:
+            cum[0] += total
+        np.cumsum(cum, axis=0, out=cum)
+        before, total = total, cum[-1].copy()
 
-    probs = _policy_sequence(cfg, gains)
-    avg_expected = float((probs * flat).sum(axis=1).mean())
-    rng = np.random.default_rng(play_ss)
-    # row-wise inverse-CDF sampling of one cell per round; ``<=`` is
-    # searchsorted's side="right", the rule of :func:`sample_pairs`
-    cdf = np.cumsum(probs, axis=1, out=probs)
-    u = rng.random(cfg.T)
-    chosen = np.minimum((cdf <= u[:, None]).sum(axis=1), flat.shape[1] - 1)
-    realized = flat[np.arange(cfg.T), chosen]
+        probs = _policy_sequence(cfg, flat, cum, before)
+        expected[t0:t1] = (probs * flat).sum(axis=1)
+        # row-wise inverse-CDF sampling of one cell per round; ``<=`` is
+        # searchsorted's side="right", the rule of :func:`sample_pairs`
+        cdf = np.cumsum(probs, axis=1, out=probs)
+        u = play_rng.random(rows.size)
+        chosen = np.minimum((cdf <= u[:, None]).sum(axis=1), cells - 1)
+        realized[t0:t1] = flat[rows, chosen]
 
+    avg_expected = float(expected.mean())
     avg_policy = float(realized.mean())
-    avg_best_fixed = float(flat.mean(axis=0).max())
+    # numpy's mean over the rows of a (T, K²) array adds them in order, as
+    # ``total`` did, but sums a single column pairwise: at K=1 that column
+    # is every round's realized gain
+    avg_best_fixed = avg_policy if cells == 1 else float((total / t).max())
     log_k = np.log(max(cfg.K, 2))
     if cfg.policy_kind == "selmix_hedge":
         bound = 2.0 * log_k / (cfg.s * cfg.T)

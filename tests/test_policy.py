@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -5,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selmix import policy
+from selmix.classifier import softmax
 from selmix.errors import SelMixError
 from selmix.gain import GainMatrix
 from selmix.policy import (
     GAIN_GENERATORS,
+    POLICY_KINDS,
     MixPolicy,
     OnlineGameConfig,
     _generate_gains,
@@ -293,6 +297,107 @@ class TestOnlineGame:
             tracemalloc.stop()
         assert peak <= 30 * 2**20
 
+    def test_chunked_variant_game_peaks_under_8mb(self):
+        # one (T, K²) float64 array alone takes 64 MB here
+        cfg = OnlineGameConfig(K=20, T=20_000, gain_generator="iid_uniform",
+                               policy_kind="selmix_hedge_variant", seed=4)
+        tracemalloc.start()
+        try:
+            run_online_game(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+
+
+def reference_online_game(cfg: OnlineGameConfig) -> dict:
+    """The whole-horizon game: every (T, K²) array at once."""
+    t, k = cfg.T, cfg.K
+    cells = k * k
+    gen_ss, play_ss = np.random.SeedSequence(cfg.seed).spawn(2)
+    gains = _generate_gains(cfg, np.random.default_rng(gen_ss))
+    lo = 0.0 if cfg.policy_kind == "selmix_hedge_variant" else -1.0
+    flat = gains.reshape(t, cells)
+    clamped_rounds = int(((flat.min(axis=1) < lo) | (flat.max(axis=1) > 1.0)).sum())
+    np.clip(flat, lo, 1.0, out=flat)
+
+    if cfg.policy_kind == "uniform":
+        probs = np.full((t, cells), 1.0 / cells)
+    elif cfg.policy_kind == "fixed":
+        i, j = cfg.fixed_pair
+        if not (0 <= i < k and 0 <= j < k):
+            raise SelMixError("fixed pair out of range")
+        probs = np.zeros((t, cells))
+        probs[:, i * k + j] = 1.0
+    elif cfg.policy_kind == "greedy":
+        probs = np.zeros((t, cells))
+        probs[np.arange(t), np.argmax(flat, axis=1)] = 1.0
+    else:
+        scores = np.empty((t, cells))
+        if cfg.policy_kind == "selmix_hedge":
+            np.cumsum(flat, axis=0, out=scores)
+            scores *= cfg.s
+        else:
+            s_var = np.log(1.0 + 2.0 * np.sqrt(np.log(max(k, 2)) / t))
+            scores[0] = 0.0
+            np.cumsum(flat[:-1], axis=0, out=scores[1:])
+            scores *= s_var
+        probs = softmax(scores, axis=1)
+
+    avg_expected = float((probs * flat).sum(axis=1).mean())
+    cdf = np.cumsum(probs, axis=1, out=probs)
+    u = np.random.default_rng(play_ss).random(t)
+    chosen = np.minimum((cdf <= u[:, None]).sum(axis=1), cells - 1)
+    avg_policy = float(flat[np.arange(t), chosen].mean())
+    avg_best_fixed = float(flat.mean(axis=0).max())
+    log_k = np.log(max(k, 2))
+    if cfg.policy_kind == "selmix_hedge":
+        bound = 2.0 * log_k / (cfg.s * t)
+    elif cfg.policy_kind == "selmix_hedge_variant":
+        bound = 2.0 * np.sqrt(log_k) / np.sqrt(t)
+    else:
+        bound = float("nan")
+    return {
+        "K": k, "T": t, "policy": cfg.policy_kind, "generator": cfg.gain_generator,
+        "seed": cfg.seed, "avg_gain_policy": avg_policy,
+        "avg_gain_policy_expected": avg_expected, "avg_gain_best_fixed": avg_best_fixed,
+        "regret": avg_best_fixed - avg_policy, "regret_expected": avg_best_fixed - avg_expected,
+        "bound": bound, "clamped_rounds": clamped_rounds,
+    }
+
+
+class TestChunkedGame:
+    """Chunked play reports exactly what whole-horizon play does."""
+
+    CHUNK = 256        # rounds per chunk: K=1 256, K=2 64, K=3 28, K=10 2
+
+    @pytest.mark.parametrize("generator", GAIN_GENERATORS)
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    def test_reports_equal_whole_horizon_play(self, monkeypatch, kind, generator):
+        monkeypatch.setattr(policy, "_CHUNK_ELEMENTS", self.CHUNK)
+        for k in (1, 2, 3, 10):
+            rows = self.CHUNK // (k * k)
+            for t in sorted({1, 2, rows - 1, rows, rows + 1, 3 * rows + 5}):
+                cfg = OnlineGameConfig(K=k, T=t, s=3.0, gain_generator=generator,
+                                       policy_kind=kind, seed=t + k, fixed_pair=(k - 1, k // 2))
+                got, want = run_online_game(cfg), reference_online_game(cfg)
+                assert json.dumps(got) == json.dumps(want), (k, t)
+
+    @pytest.mark.parametrize("k, t", [(1, 100_000), (10, 10_000)])
+    def test_long_games_equal_whole_horizon_play(self, k, t):
+        # the real chunk size: 7 chunks at K=1, 63 at K=10
+        for kind in ("selmix_hedge", "selmix_hedge_variant", "greedy"):
+            cfg = OnlineGameConfig(K=k, T=t, gain_generator="spiky", policy_kind=kind, seed=5)
+            assert json.dumps(run_online_game(cfg)) == json.dumps(reference_online_game(cfg))
+
+    def test_fixed_pair_out_of_range_raises_before_any_draw(self, monkeypatch):
+        cfg = OnlineGameConfig(K=3, T=10, policy_kind="fixed", fixed_pair=(3, 0))
+        with pytest.raises(SelMixError, match="fixed pair out of range"):
+            reference_online_game(cfg)
+        monkeypatch.setattr(policy, "_generate_gains", lambda *a: pytest.fail("gains drawn"))
+        with pytest.raises(SelMixError, match="fixed pair out of range"):
+            run_online_game(cfg)
+
 
 def _anticorrelated(k: int, t: int) -> np.ndarray:
     cfg = OnlineGameConfig(K=k, T=t, gain_generator="anticorrelated")
@@ -326,3 +431,19 @@ class TestAnticorrelatedGenerator:
         assert totals.max() - totals.min() <= 1.0
         if k > 1:
             assert not (gains == gains[0]).all()
+
+
+class TestGainGenerators:
+    @pytest.mark.parametrize("generator", GAIN_GENERATORS)
+    def test_chunked_draws_equal_one_draw(self, generator):
+        cfg = OnlineGameConfig(K=3, T=50, gain_generator=generator)
+        whole = _generate_gains(cfg, np.random.default_rng(1))
+        rng = np.random.default_rng(1)
+        parts = [_generate_gains(cfg, rng, t0, min(t0 + 7, 50)) for t0 in range(0, 50, 7)]
+        np.testing.assert_array_equal(np.concatenate(parts), whole)
+
+    def test_alternating_pays_the_parity_of_round_and_cell(self):
+        cfg = OnlineGameConfig(K=3, T=50, gain_generator="alternating")
+        t, i, j = np.ogrid[:50, :3, :3]
+        gains = _generate_gains(cfg, np.random.default_rng(0))
+        np.testing.assert_array_equal(gains, (t + i + j) % 2)

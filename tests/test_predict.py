@@ -161,6 +161,17 @@ class TestScreenPaths:
         assert classifier._screened_argmax(model, ds) is None
         assert_exact(model, ds)
 
+    def test_a_model_without_margins_skips_the_row_subset_product(self, monkeypatch):
+        # a zero model ties every logit, so every row fails the screen; past
+        # the recheck share the call goes straight to the full product
+        rng = np.random.default_rng(10)
+        ds = FeatureDataset(rng.normal(size=(15000, 128)), rng.integers(0, 100, 15000), 100)
+        model = LinearModel(np.zeros((128, 100)))
+        shapes, top2 = [], classifier._top2
+        monkeypatch.setattr(classifier, "_top2", lambda l: shapes.append(l.shape) or top2(l))
+        assert_exact(model, ds)
+        assert shapes == [(15000, 100)]
+
     def test_dimension_mismatch_raises(self):
         ds, _ = clusters(np.random.default_rng(6), 2000, 64, 100)
         with pytest.raises(SelMixError, match="n x 32 matrix"):
