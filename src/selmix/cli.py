@@ -309,6 +309,9 @@ def main(argv=None) -> int:
     except (SelMixError, OSError) as exc:
         _log(f"error: {exc}")
         return 1
+    except MemoryError as exc:
+        _log(f"error: {str(exc) or 'out of memory'}")
+        return 1
 
 
 if __name__ == "__main__":

@@ -6,10 +6,13 @@ along the weight update V_ij the mixup would induce.  It is approximated as
     G_ij = sum_{k,l} dpsi/dCt[k,l] * (V_ij column l . z_k)
 
 which, with V_ij = zeta_ij (e_i - p_ij)^T, needs only the K x K products
-Z W and Z (Z^T dpsi/dCt): all K^2 pairs cost O(K^2 d + K^3) time and
-O(rows K^2) memory, streamed over blocks of rows i.  The oracle instead
-perturbs W by +-eta V_ij and differences the objective of the smooth
-surrogate confusion; the hard argmax confusion is never differentiated.
+Z W and Z (Z^T dpsi/dCt): the pair softmaxes factorise into two K x K
+exponential tables, so all K^2 pairs cost O(K^2 d + K^3) time (three
+K x K matrix products), O(K^2) exps and O(K^2) memory; a guard
+recomputes pair by pair the few whose shared shift underflows.  The
+oracle instead perturbs W by +-eta V_ij and differences the objective of
+the smooth surrogate confusion; the hard argmax confusion is never
+differentiated.
 """
 
 from __future__ import annotations
@@ -48,8 +51,11 @@ class GainMatrix:
             raise SelMixError("gain matrix must be finite")
 
 
-# Entries of the (rows, K, K) block held at once; bounds the peak memory.
-_BLOCK_ELEMENTS = 1 << 18
+# Logits recomputed at once by the underflow guard; bounds its peak memory.
+_GUARD_ELEMENTS = 1 << 18
+# Smallest trusted normaliser of the factorised form: the terms it loses to
+# underflow, each below e^-708, stay under e^-108 of it.
+_MIN_NORMALISER = float(np.exp(-600.0))
 
 
 def gain_from_metric_grad(
@@ -64,33 +70,54 @@ def gain_from_metric_grad(
     :func:`selmix.classifier.direction_matrix`.  The mixed centroid
     zeta_ij = beta_bar z_i + (1 - beta_bar) z_j is linear, so its logits and
     its projection M_ij = zeta_ij Z^T dgrad are the same mix of rows i and j
-    of the K x K products Z W and Z Z^T dgrad, and
+    of the K x K products A = Z W and B = Z Z^T dgrad, and
 
         G_ij = M_ij[i] - sum_l M_ij[l] p_ij[l],   p_ij = softmax(zeta_ij W).
 
-    O(K^2 d + K^3) time and O(rows K^2) memory: rows i are taken in blocks
-    of about ``_BLOCK_ELEMENTS / K^2``, at least one.
+    With each row of A shifted by its own max, the unnormalised softmax
+    factorises as e_ij[l] = U[i, l] V[j, l], U = exp(beta_bar A),
+    V = exp((1 - beta_bar) A), so its sum and both halves of the M-weighted
+    sum are the K x K products U V^T, (B o U) V^T and U (B o V)^T.  That is
+    O(K^2 d + K^3) time, O(K^2) exps and O(K^2) memory.  The shared shift
+    can overshoot a pair's own max logit until its normaliser underflows;
+    every pair whose normaliser is not >= ``_MIN_NORMALISER`` (0 and NaN
+    included) is recomputed with its own max subtracted, in chunks of about
+    ``_GUARD_ELEMENTS / K`` pairs.
     """
     if not 0.0 < beta_bar <= 1.0:
         raise SelMixError("beta_bar must lie in (0, 1]")
     z = centroids.centroids                       # (K, d)
-    k = z.shape[0]
     alpha = 1.0 - beta_bar
-    zw = z @ model.weights                        # logits at each centroid
     zb = z @ (z.T @ dgrad)                        # zb[i, l] = sum_k (z_i . z_k) dgrad[k, l]
-    own = beta_bar * np.diag(zb)[:, None] + alpha * zb.T   # M_ij[i]
-    partner = alpha * zw                          # row j's share of the logits at zeta_ij
-    rows = max(1, _BLOCK_ELEMENTS // (k * k))
-    out = np.empty((k, k))
-    for lo in range(0, k, rows):
-        blk = slice(lo, lo + rows)
-        # unnormalised softmax at each zeta_ij, max logit subtracted
-        e = beta_bar * zw[blk, None, :] + partner
-        e -= e.max(axis=-1, keepdims=True)
-        np.exp(e, out=e)
-        # sum_l M_ij[l] e_ij[l], one term per row that M_ij mixes
-        mixed = beta_bar * (e @ zb[blk, :, None])[..., 0] + alpha * np.einsum("ijl,jl->ij", e, zb)
-        out[blk] = own[blk] - mixed / e.sum(axis=-1)
+    v = z @ model.weights                         # logits at each centroid
+    v -= v.max(axis=1, keepdims=True)
+    u = np.exp(beta_bar * v)
+    v *= alpha
+    np.exp(v, out=v)
+    norm = u @ v.T                                # sum_l e_ij[l]
+    buf = zb * v
+    out = u @ buf.T                               # sum_l zb[j, l] e_ij[l]
+    out *= alpha
+    np.multiply(zb, u, out=buf)
+    np.matmul(buf, v.T, out=u)                    # sum_l zb[i, l] e_ij[l]
+    u *= beta_bar
+    out += u
+    trusted = norm >= _MIN_NORMALISER
+    np.divide(out, norm, out=out, where=trusted)
+    own = np.multiply(zb.T, alpha, out=buf)       # M_ij[i]
+    own += beta_bar * np.diag(zb)[:, None]
+    np.subtract(own, out, out=out)
+    rows, cols = np.nonzero(~trusted)             # recomputed pair by pair
+    if rows.size:
+        zw = z @ model.weights
+        step = max(1, _GUARD_ELEMENTS // zw.shape[1])
+        for lo in range(0, rows.size, step):
+            i, j = rows[lo:lo + step], cols[lo:lo + step]
+            e = beta_bar * zw[i] + alpha * zw[j]
+            e -= e.max(axis=1, keepdims=True)
+            np.exp(e, out=e)
+            mixed = np.einsum("pl,pl->p", e, beta_bar * zb[i] + alpha * zb[j])
+            out[i, j] = own[i, j] - mixed / e.sum(axis=1)
     return out
 
 

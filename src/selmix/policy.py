@@ -126,6 +126,8 @@ class OnlineGameConfig:
     def __post_init__(self):
         if self.K < 1 or self.T < 1:
             raise SelMixError("K and T must be >= 1")
+        if self.seed < 0:
+            raise SelMixError("seed must be >= 0")
         if self.policy_kind not in POLICY_KINDS:
             raise SelMixError(f"unknown policy kind {self.policy_kind!r}")
         if self.gain_generator not in GAIN_GENERATORS:

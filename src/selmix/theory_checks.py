@@ -70,6 +70,10 @@ def convergence_check(
         raise SelMixError("alignment_c must lie in (0, 1]")
     if T < 100:
         raise SelMixError("T must be >= 100")
+    if K < 1 or d < 1:
+        raise SelMixError("need K >= 1, d >= 1")
+    if seed < 0:
+        raise SelMixError("seed must be >= 0")
     gamma = 2.0
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0)))
     w_star = rng.standard_normal((d, K))
@@ -171,8 +175,10 @@ def mixup_regularization_check(
         raise SelMixError("regularizer moment diverges: need finite alpha, beta > 1")
     if not np.isfinite(theta_scale):
         raise SelMixError("theta_scale must be finite")
-    if K < 2 or N < 2 or mc_pairs < 1:
-        raise SelMixError("need K >= 2, N >= 2, mc_pairs >= 1")
+    if K < 2 or d < 1 or N < 2 or mc_pairs < 1:
+        raise SelMixError("need K >= 2, d >= 1, N >= 2, mc_pairs >= 1")
+    if seed < 0:
+        raise SelMixError("seed must be >= 0")
     if w is None:
         w = np.eye(K)
     w = np.asarray(w, dtype=np.float64)

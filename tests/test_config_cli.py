@@ -455,3 +455,33 @@ def test_non_utf8_input_gives_one_line_naming_the_file(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert code == (2 if bad == "config" else 1)
     assert err.count("\n") == 1 and f"{path}: not UTF-8 text" in err
+
+
+_NO_MEMORY = "Unable to allocate 74.5 GiB for an array with shape (1, 100000, 100000)"
+
+
+def _out_of_memory(cfg):
+    raise MemoryError(_NO_MEMORY)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("simulate-policy", "--seeds", "-1"), "seed must be >= 0"),
+    (("check-theory", "--seeds", "-1"), "seed must be >= 0"),
+    (("check-theory", "--which", "mixup", "--seeds", "-1"), "seed must be >= 0"),
+    (("check-theory", "--which", "convergence", "--K", "-1"), "need K >= 1, d >= 1"),
+    (("check-theory", "--which", "convergence", "--d", "-2"), "need K >= 1, d >= 1"),
+    (("check-theory", "--which", "convergence", "--K", "0"), "need K >= 1, d >= 1"),
+    (("check-theory", "--which", "convergence", "--d", "0"), "need K >= 1, d >= 1"),
+    (("check-theory", "--which", "mixup", "--K", "2", "--d", "-1"), "d >= 1"),
+    (("check-theory", "--which", "mixup", "--d", "0"), "d >= 1"),
+    (("simulate-policy", "--K", "100000", "--T", "1", "--seeds", "0"), _NO_MEMORY),
+], ids=["sim-seed", "theory-seed", "mixup-seed", "conv-K-neg", "conv-d-neg", "conv-K-0",
+        "conv-d-0", "mixup-d-neg", "mixup-d-0", "sim-out-of-memory"])
+def test_bad_arguments_exit_with_one_line_and_no_traceback(monkeypatch, capsys, argv, message):
+    # the out-of-memory case stands in a callee that raises instead of allocating
+    monkeypatch.setattr("selmix.cli.run_online_game", _out_of_memory)
+    code = run_cli(*argv)
+    out = capsys.readouterr()
+    assert code in (1, 2)
+    assert out.err.count("\n") == 1 and message in out.err
+    assert "Traceback" not in out.err + out.out

@@ -105,22 +105,48 @@ class TestGainMatrix:
             np.testing.assert_allclose(fast, reference_gains(model, cents, dgrad, 0.75),
                                        atol=1e-12)
 
+    @staticmethod
+    def _random_case(k, d_minus_k, scale=1.0):
+        rng = np.random.default_rng(k + d_minus_k)
+        d = k + d_minus_k
+        model = LinearModel(scale * rng.normal(size=(d, k)) / np.sqrt(d))
+        cents = CentroidSet(rng.normal(size=(k, d)))
+        return model, cents, rng.normal(size=(k, k))
+
     @pytest.mark.parametrize("k", [17, 40, 64])
     @pytest.mark.parametrize("d_minus_k", [-9, 9])
     @pytest.mark.parametrize("beta_bar", [0.5, 1.0])
-    @pytest.mark.parametrize("rows", [1, 3, None])
-    def test_row_blocks_match_dense_reference(self, monkeypatch, k, d_minus_k, beta_bar, rows):
-        # 3 rows per block divides none of the K; None keeps the default budget
-        if rows is not None:
-            monkeypatch.setattr(gain, "_BLOCK_ELEMENTS", rows * k * k)
-        rng = np.random.default_rng(k + d_minus_k)
-        d = k + d_minus_k
-        model = LinearModel(rng.normal(size=(d, k)) / np.sqrt(d))
-        cents = CentroidSet(rng.normal(size=(k, d)))
-        dgrad = rng.normal(size=(k, k))
+    def test_factorised_form_matches_dense_reference(self, k, d_minus_k, beta_bar):
+        model, cents, dgrad = self._random_case(k, d_minus_k)
         dense = dense_gains(model, cents, dgrad, beta_bar)
         fast = gain_from_metric_grad(model, cents, dgrad, beta_bar)
         assert np.abs(fast - dense).max() <= 1e-13 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("k", [17, 40, 64])
+    @pytest.mark.parametrize("d_minus_k", [-9, 9])
+    @pytest.mark.parametrize("beta_bar", [0.5, 1.0])
+    @pytest.mark.parametrize("scale", [1e3, 1e4])
+    @pytest.mark.parametrize("pairs", [1, 3, None])
+    def test_underflowing_pairs_match_dense_reference(self, monkeypatch, k, d_minus_k,
+                                                      beta_bar, scale, pairs):
+        # Logit ranges in the thousands: at beta_bar = 0.5 the shared shift
+        # underflows the factorised normaliser of some pairs, and the guard
+        # recomputes them, 1 or 3 pairs per chunk or the default budget.
+        if pairs is not None:
+            monkeypatch.setattr(gain, "_GUARD_ELEMENTS", pairs * k)
+        model, cents, dgrad = self._random_case(k, d_minus_k, scale)
+        logits = cents.centroids @ model.weights
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        norm = np.exp(beta_bar * shifted) @ np.exp((1.0 - beta_bar) * shifted).T
+        assert (norm < gain._MIN_NORMALISER).any() == (beta_bar < 1.0)
+        dense = dense_gains(model, cents, dgrad, beta_bar)
+        fast = gain_from_metric_grad(model, cents, dgrad, beta_bar)
+        # Rounding a logit moves G by up to about eps |logit| max|M|, which
+        # exceeds 1e-13 max|G| at a few of these points for the dense form
+        # and the per-pair form alike, so that term is added to the bound.
+        zb = cents.centroids @ (cents.centroids.T @ dgrad)
+        rounding = np.finfo(float).eps * np.abs(logits).max() * np.abs(zb).max()
+        assert np.abs(fast - dense).max() <= 1e-13 * np.abs(dense).max() + rounding
 
     def test_bilinearity_in_metric_gradient(self):
         rng = np.random.default_rng(3)
@@ -197,9 +223,14 @@ class TestComplexity:
 
 
 class TestMemory:
-    def test_k300_call_peaks_under_32mb(self):
-        # the dense form peaked at 869 MB here
-        k, d = 300, 64
+    @pytest.mark.parametrize("k, limit", [
+        (300, 32 * 2**20),        # the dense form peaked at 869 MB here
+        # 7.25 K x K float64 arrays: six in the gain, the metric gradient and
+        # a boolean mask; the row-block form held 8.0
+        (1000, 7.5 * 1000**2 * 8),
+    ])
+    def test_call_peaks_under_budget(self, k, limit):
+        d = 64
         rng = np.random.default_rng(12)
         model = LinearModel(rng.normal(size=(d, k)))
         cents = CentroidSet(rng.normal(size=(k, d)))
@@ -212,4 +243,4 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 32 * 2**20
+        assert peak <= limit

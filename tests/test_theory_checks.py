@@ -37,6 +37,9 @@ class TestConvergenceCheck:
             convergence_check(3, 3, alignment_c=0.0, T=200, seed=0)
         with pytest.raises(SelMixError):
             convergence_check(3, 3, alignment_c=0.5, T=50, seed=0)
+        for k, d, seed in ((0, 3, 0), (3, 0, 0), (-1, 3, 0), (3, 3, -1)):
+            with pytest.raises(SelMixError):
+                convergence_check(k, d, alignment_c=1.0, T=100, seed=seed)
 
 
 class TestMixupRegularizationCheck:
