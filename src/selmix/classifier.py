@@ -91,6 +91,11 @@ _SCREEN_MIN_WORK = 8_000_000         # n*d*K
 # 1 1.37.  A zero model rechecks every row (50 ms, plain 16 ms, before the
 # cap); trained models on the benchmark's validation sets recheck 0.1%.
 _SCREEN_MAX_RECHECK_SHARE = 1 / 32
+# Past this share of rows left uncertified by the carried margins, screen
+# all of x32 rather than a gathered copy of those rows: gathered time over
+# full time by share, n=15000, d=128 K=100: 0.5 0.53, 0.7 0.78, 0.9 1.01,
+# 0.97 1.11.
+_SCREEN_MAX_GATHER_SHARE = 0.8
 
 
 def _rounding_error(norms: np.ndarray, wnorm: float, d: int, dtype) -> np.ndarray:
@@ -103,6 +108,29 @@ def _rounding_error(norms: np.ndarray, wnorm: float, d: int, dtype) -> np.ndarra
     to zero.  ``norms`` and ``wnorm`` bound ‖v‖ and max‖w‖ from above."""
     f = np.finfo(dtype)
     return (d + 2) * (f.eps * wnorm * norms + f.tiny * (norms + wnorm + 2))
+
+
+def _drift_bounds(delta: np.ndarray) -> np.ndarray:
+    """Per class c, an upper bound on maxₗ ‖δ_c − δ_l‖ over the columns of
+    the exact difference δ of two float64 (d, K) weight matrices, given
+    ``delta``, its float64 rounding.
+
+    One Gram product gives ‖δ_c − δ_l‖² = g_cc + g_ll − 2g_cl.  Its
+    cancellation is bounded by (d+4)·eps·(‖δ_c‖ + ‖δ_l‖)², twice the Gram
+    product's and the sum's rounding, plus an underflow floor; eps·(‖δ_c‖ +
+    max‖δ_l‖) covers the rounding of ``delta`` itself, and the factor
+    1 + (d+4)·eps the square root, the row norms it is multiplied by and
+    that product."""
+    d = delta.shape[0]
+    f = np.finfo(np.float64)
+    gram = delta.T @ delta
+    sq = gram.diagonal()
+    cols = norm_bounds(delta, axis=0)
+    pair = cols[:, None] + cols
+    spread = sq[:, None] + sq - 2 * gram + (d + 4) * (f.eps * pair * pair + 16 * f.tiny)
+    bound = np.sqrt(np.maximum(spread, 0.0).max(axis=1))
+    bound += f.eps * (cols + cols.max())
+    return bound * (1 + (d + 4) * f.eps)
 
 
 def _top2(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -131,7 +159,21 @@ def _screened_argmax(model: LinearModel, data: FeatureDataset) -> np.ndarray | N
     ``_SCREEN_MAX_RECHECK_SHARE`` of the rows.  The screen is skipped for
     shapes where it does not pay (``_SCREEN_MIN_ROW_WORK``,
     ``_SCREEN_MIN_WORK``) and where float32 could overflow.
+
+    Each decided call leaves in ``data._screen["carry"]`` its weights W₀,
+    the labels and, per row, a lower bound m on the exact margin of its
+    label at W₀: m32 − 2·e32 or m64 − 2·e64 (the spare half of e covers the
+    rounding of m).  The next call at W carries it over: with δ = W − W₀,
+    the exact margin at W is at least m − ‖x‖·maxₗ‖δ_c − δ_l‖
+    (:func:`_drift_bounds`), so a row whose carried bound exceeds 2·e64
+    has the same unique maximum in any float64 product and keeps its label
+    without a product.  Only the other rows take the screen above, over a
+    gathered copy of them while they are at most
+    ``_SCREEN_MAX_GATHER_SHARE`` of the rows.  Every kept label is the
+    float64 argmax at W, so the answer never depends on the call history.
+    A call that is not decided here drops the carried state.
     """
+    carry = data._screen.pop("carry", None)
     x, w = data.features, model.weights
     n, d = x.shape
     row_work = d * model.classes
@@ -142,16 +184,34 @@ def _screened_argmax(model: LinearModel, data: FeatureDataset) -> np.ndarray | N
     if not (norms.max() + 1) * (wnorm + 1) <= np.finfo(np.float32).max / 4:
         return None
     e64 = _rounding_error(norms, wnorm, d, np.float64)
-    labels, margin = _top2(x32 @ w.astype(np.float32))
-    rows = np.flatnonzero(~(margin > 2 * (_rounding_error(norms, wnorm, d, np.float32) + e64)))
-    if rows.size > _SCREEN_MAX_RECHECK_SHARE * n:
-        return None
+    if carry is not None and carry[0].shape == w.shape:
+        w0, labels, bound = carry
+        bound -= norms * _drift_bounds(w - w0)[labels]
+        rows = np.flatnonzero(~(bound > 2 * e64))
+        bound *= 1 - np.finfo(np.float64).eps      # its own rounding, for the next carry
+    else:
+        labels, bound, rows = np.empty(n, dtype=np.intp), np.empty(n), np.arange(n)
     if rows.size:
-        sub_labels, sub_margin = _top2(x[rows] @ w)
-        if not (sub_margin > 4 * e64[rows]).all():
-            return None
+        w32 = w.astype(np.float32)
+        if rows.size > _SCREEN_MAX_GATHER_SHARE * n:
+            sub_labels, margin = _top2(x32 @ w32)
+            sub_labels, margin = sub_labels[rows], margin[rows]
+        else:
+            sub_labels, margin = _top2(x32[rows] @ w32)
+        e32 = _rounding_error(norms[rows], wnorm, d, np.float32)
         labels[rows] = sub_labels
-    return labels
+        bound[rows] = margin - 2 * e32
+        rows = rows[~(margin > 2 * (e32 + e64[rows]))]
+        if rows.size > _SCREEN_MAX_RECHECK_SHARE * n:
+            return None
+        if rows.size:
+            sub_labels, margin = _top2(x[rows] @ w)
+            if not (margin > 4 * e64[rows]).all():
+                return None
+            labels[rows] = sub_labels
+            bound[rows] = margin - 2 * e64[rows]
+    data._screen["carry"] = (w.copy(), labels, bound)
+    return labels.copy()
 
 
 def mix_features(feat_a: np.ndarray, feat_b: np.ndarray, betas: np.ndarray) -> np.ndarray:

@@ -47,7 +47,8 @@ class FeatureDataset:
     num_classes: int
     pseudo: bool = False
     true_labels: np.ndarray | None = None
-    # what screen_arrays built; shared with every with_labels copy
+    # shared with every with_labels copy: what screen_arrays built, and the
+    # last screened predict's weights, labels and margin bounds ("carry")
     _screen: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -107,7 +108,7 @@ class FeatureDataset:
         """(float32 copy of the features, :func:`norm_bounds` of its rows),
         built on first use and kept: the features never change, so one
         build serves every later call."""
-        if not self._screen:
+        if "x32" not in self._screen:
             self._screen["x32"] = self.features.astype(np.float32)
             self._screen["norms"] = norm_bounds(self.features, axis=1)
         return self._screen["x32"], self._screen["norms"]

@@ -134,6 +134,8 @@ class OnlineGameConfig:
             raise SelMixError(f"unknown gain generator {self.gain_generator!r}")
         if not 0 < self.s < np.inf:
             raise SelMixError("s must be positive and finite")
+        if not 2.0 * float(self.s) * self.T < np.inf:    # hedge scores span [-s*T, s*T]
+            raise SelMixError("2 * s * T must be finite")
 
 
 # Rounds x cells per chunk of run_online_game: each float64 chunk array stays

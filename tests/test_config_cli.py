@@ -475,8 +475,10 @@ def _out_of_memory(cfg):
     (("check-theory", "--which", "mixup", "--K", "2", "--d", "-1"), "d >= 1"),
     (("check-theory", "--which", "mixup", "--d", "0"), "d >= 1"),
     (("simulate-policy", "--K", "100000", "--T", "1", "--seeds", "0"), _NO_MEMORY),
+    (("simulate-policy", "--s", "1e308", "--K", "3", "--T", "5", "--seeds", "0"),
+     "2 * s * T must be finite"),
 ], ids=["sim-seed", "theory-seed", "mixup-seed", "conv-K-neg", "conv-d-neg", "conv-K-0",
-        "conv-d-0", "mixup-d-neg", "mixup-d-0", "sim-out-of-memory"])
+        "conv-d-0", "mixup-d-neg", "mixup-d-0", "sim-out-of-memory", "sim-s-overflow"])
 def test_bad_arguments_exit_with_one_line_and_no_traceback(monkeypatch, capsys, argv, message):
     # the out-of-memory case stands in a callee that raises instead of allocating
     monkeypatch.setattr("selmix.cli.run_online_game", _out_of_memory)

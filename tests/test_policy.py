@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -284,6 +285,19 @@ class TestOnlineGame:
     def test_non_positive_or_non_finite_s_rejected(self, s):
         with pytest.raises(SelMixError, match="s must be positive and finite"):
             OnlineGameConfig(K=3, T=10, s=s)
+
+    def test_s_whose_score_span_overflows_is_rejected(self):
+        # spiky gains clamp to [-1, 1], so one round's scores span 2*s; the
+        # largest accepted s plays without an overflow warning
+        with pytest.raises(SelMixError, match="2 \\* s \\* T must be finite"):
+            OnlineGameConfig(K=3, T=5, s=1e308)
+        s = np.finfo(np.float64).max / 2
+        with pytest.raises(SelMixError, match="2 \\* s \\* T must be finite"):
+            OnlineGameConfig(K=3, T=2, s=s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_online_game(OnlineGameConfig(K=3, T=1, s=s, gain_generator="spiky"))
+        assert np.isfinite(report["avg_gain_policy_expected"])
 
     def test_variant_game_peaks_under_30mb(self):
         # the gains alone take 7.6 MB here; the game used to hold six such arrays

@@ -1,8 +1,9 @@
 """``predict`` must return exactly ``np.argmax(features @ weights, axis=1)``,
 whichever of its paths (plain float64, the float32 screen with or without
-float64 rechecks, or the full-product fallback) decides a call."""
+float64 rechecks, the margins carried from the dataset's last call, or the
+full-product fallback) decides a call."""
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -90,6 +91,104 @@ def test_screened_predict_equals_float64_argmax(case):
             assert_exact(model, ds)
     else:
         assert_exact(model, ds)
+
+
+@st.composite
+def screen_chains(draw):
+    """A ``screen_cases`` dataset and a chain of 2-5 models on it: each a
+    step of 0, 1e-9, 1e-3 or 10 times the weight scale from the last chained
+    model, or an unrelated model interleaved, which the chain does not
+    continue from."""
+    ds, model, forced = draw(screen_cases())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    base = model.weights
+    scale = np.abs(base).max()
+    models = [model]
+    for step in draw(st.lists(st.sampled_from([0.0, 1e-9, 1e-3, 10.0, None]),
+                              min_size=1, max_size=4)):
+        if step is None:
+            models.append(LinearModel(scale * rng.normal(size=base.shape)))
+        else:
+            base = base + step * scale * rng.normal(size=base.shape)
+            models.append(LinearModel(base))
+    return ds, models, forced
+
+
+@settings(max_examples=100, deadline=None)
+@given(chain=screen_chains())
+def test_chained_predicts_equal_float64_argmax(chain):
+    ds, models, forced = chain
+    with screen_every_shape() if forced else nullcontext():
+        for model in models:
+            assert_exact(model, ds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 40), k=st.integers(2, 12),
+       scale=st.sampled_from([1.0, 1e-160, 1e-310, 1e30]),
+       step=st.sampled_from([0.0, 1e-17, 1e-9, 1.0]),
+       ties=st.booleans())
+def test_drift_bounds_cover_every_column_distance(seed, d, k, scale, step, ties):
+    rng = np.random.default_rng(seed)
+    w0 = scale * rng.normal(size=(d, k))
+    w = w0 + step * scale * rng.normal(size=(d, k))
+    if ties:      # equal drift in columns 0 and 1: their distance cancels
+        w[:, 1] = w0[:, 1] + (w[:, 0] - w0[:, 0])
+    delta = w.astype(np.longdouble) - w0.astype(np.longdouble)
+    gaps = np.sqrt(((delta[:, :, None] - delta[:, None, :]) ** 2).sum(axis=0)).max(axis=1)
+    assert (classifier._drift_bounds(w - w0) >= gaps).all()
+
+
+class TestCarriedMargins:
+    @staticmethod
+    def count_products(monkeypatch) -> list:
+        """The shapes of the logit blocks each later product hands to _top2."""
+        shapes, top2 = [], classifier._top2
+        monkeypatch.setattr(classifier, "_top2", lambda l: shapes.append(l.shape) or top2(l))
+        return shapes
+
+    def test_identical_weights_run_no_product_on_the_second_call(self, monkeypatch):
+        ds, model = clusters(np.random.default_rng(11), 3000, 64, 100)
+        first = predict(model, ds)
+        assert "carry" in ds._screen
+        shapes = self.count_products(monkeypatch)
+        again = predict(LinearModel(model.weights.copy()), ds)
+        assert shapes == [] and again.tobytes() == first.tobytes()
+
+    def test_a_small_step_screens_only_the_rows_it_could_flip(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        ds, model = clusters(rng, 3000, 64, 100)
+        predict(model, ds)
+        shapes = self.count_products(monkeypatch)
+        moved = LinearModel(model.weights + 0.1 * rng.normal(size=model.weights.shape))
+        assert_exact(moved, ds)
+        assert len(shapes) == 1 and 0 < shapes[0][0] < ds.n * classifier._SCREEN_MAX_GATHER_SHARE
+
+    def test_relabeled_copies_share_the_carried_state(self, monkeypatch):
+        ds, model = clusters(np.random.default_rng(13), 3000, 64, 100)
+        copy = ds.with_labels(predict(model, ds))
+        assert copy._screen is ds._screen
+        shapes = self.count_products(monkeypatch)
+        assert predict(model, copy).tobytes() == copy.labels.tobytes()
+        assert shapes == []
+
+    def test_writing_to_a_returned_array_leaves_the_next_answer(self):
+        ds, model = clusters(np.random.default_rng(14), 3000, 64, 100)
+        got = predict(model, ds)
+        want = got.copy()
+        got[:] = 0
+        again = predict(model, ds)
+        assert again.tobytes() == want.tobytes()
+        again += 1
+        assert predict(model, ds).tobytes() == want.tobytes()
+
+    def test_a_full_product_fallback_drops_the_carried_state(self):
+        ds, model = clusters(np.random.default_rng(15), 3000, 64, 100)
+        predict(model, ds)
+        assert_exact(LinearModel(np.zeros_like(model.weights)), ds)
+        assert "carry" not in ds._screen
+        assert_exact(model, ds)
+        assert "carry" in ds._screen
 
 
 class TestScreenPaths:
@@ -212,10 +311,14 @@ def benchmark_models(request):
 
 @pytest.mark.parametrize("which", [0, 1], ids=["warm_start", "two_cycles"])
 def test_benchmark_validation_sets_pin_the_argmax(benchmark_models, which):
+    # each model is also predicted right after the other, so the second call
+    # starts from margins carried across the fine-tuning's drift
     k, validation, models = benchmark_models
-    model = models[which]
+    model, other = models[which], models[1 - which]
     if k == 100:      # these shapes are past the cutover: the screen decides them
         assert classifier._screened_argmax(model, validation) is not None
-    assert_exact(model, validation)
+    for m in (model, other, model):
+        assert_exact(m, validation)
     with screen_every_shape():
-        assert_exact(model, validation)
+        for m in (other, model, other):
+            assert_exact(m, validation)
