@@ -39,7 +39,7 @@ print(f"{'objective':34s} value   (multipliers refreshed from C)")
 for kind in METRIC_KINDS:
     spec = MetricSpec(kind)
     lam = update_lagrange(spec, c)
-    if lam.lambdas.size == 0:
+    if lam.size == 0:
         lam = neutral_lagrange(spec, c.k)
     print(f"{kind:34s} {evaluate_metric(spec, c, lam):+.4f}")
 print()

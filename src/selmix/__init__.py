@@ -17,7 +17,6 @@ from .errors import ConfigError, DataError, SelMixError
 from .gain import GainMatrix, gain_fd_oracle, gain_matrix
 from .metrics import (
     ConfusionMatrix,
-    LagrangeState,
     MetricSpec,
     confusion_from_predictions,
     evaluate_metric,
@@ -56,7 +55,6 @@ __all__ = [
     "FeatureDataset",
     "GainMatrix",
     "LTSpec",
-    "LagrangeState",
     "LinearModel",
     "MetricSpec",
     "MixPolicy",

@@ -15,16 +15,16 @@ from .data import FeatureDataset, norm_bounds
 from .errors import DataError, SelMixError
 
 
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    e = logits - logits.max(axis=axis, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=axis, keepdims=True)
-    return e
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, on a float64 copy of ``logits``."""
+    p = np.array(logits, dtype=np.float64)
+    softmax_rows_inplace(p, np.empty(p.shape[:-1] + (1,)))
+    return p
 
 
-def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 @dataclass(frozen=True)
@@ -278,21 +278,25 @@ def label_cells(labels: np.ndarray, k: int) -> np.ndarray:
 
 
 def softmax_rows_inplace(p: np.ndarray, col: np.ndarray) -> None:
-    """Row softmax of the (n, K) logits ``p`` in place, in :func:`softmax`'s
-    op order; ``col`` is an (n, 1) scratch buffer."""
-    np.maximum.reduce(p, axis=1, keepdims=True, out=col)
+    """Softmax of the logits ``p`` over their last axis, in place; ``col`` is
+    a scratch buffer of ``p``'s shape with a last axis of 1."""
+    np.maximum.reduce(p, axis=-1, keepdims=True, out=col)
     p -= col
     np.exp(p, out=p)
-    np.add.reduce(p, axis=1, keepdims=True, out=col)
+    np.add.reduce(p, axis=-1, keepdims=True, out=col)
     p /= col
 
 
-def sgd_mixup_block(weights: np.ndarray, mixed: np.ndarray, labels: np.ndarray, lrs) -> None:
+def sgd_mixup_block(weights: np.ndarray, mixed: np.ndarray, labels: np.ndarray, lrs,
+                    shift: np.ndarray | None = None) -> None:
     """SGD steps in place on the float64 (d, K) ``weights``: step s descends
     the batch-mean cross-entropy of the (n, d) mixed rows ``mixed[s]`` against
     ``labels[s]`` (each in [0, K)) at rate ``lrs[s]``.  Gradients are averaged
-    so lr does not scale with batch size.  A step that leaves a weight
-    non-finite raises :class:`SelMixError`, leaving ``weights`` as it made them.
+    so lr does not scale with batch size.  ``shift``, a per-class vector, is
+    added to every row's logits inside the loss (the warm start's logit
+    adjustment; -inf leaves a class without probability).  A step that
+    leaves a weight non-finite raises :class:`SelMixError`, leaving
+    ``weights`` as it made them.
     """
     n = mixed.shape[1]
     if n == 0:
@@ -303,6 +307,8 @@ def sgd_mixup_block(weights: np.ndarray, mixed: np.ndarray, labels: np.ndarray, 
     p, col, grad = np.empty((n, weights.shape[1])), np.empty((n, 1)), np.empty_like(weights)
     for x, c, lr in zip(mixed, cells, lrs):
         np.matmul(x, weights, out=p)
+        if shift is not None:
+            p += shift
         softmax_rows_inplace(p, col)
         p.reshape(-1)[c] -= 1.0
         np.matmul(x.T, p, out=grad)

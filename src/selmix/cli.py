@@ -41,6 +41,21 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _strict_json(value) -> str:
+    """json.dumps with non-finite floats mapped to null (strict JSON); every
+    JSON line a command prints goes through it."""
+    def scrub(obj):
+        if isinstance(obj, dict):
+            return {k: scrub(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [scrub(v) for v in obj]
+        if isinstance(obj, float) and not np.isfinite(obj):
+            return None
+        return obj
+
+    return json.dumps(scrub(value))
+
+
 def save_model_csv(model: LinearModel, path) -> None:
     lines = [",".join(repr(float(v)) for v in row) for row in model.weights]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -101,11 +116,9 @@ def cmd_train(args) -> int:
         )
     if args.init is not None:
         init = load_model_csv(args.init)
-    elif args.pretrain_steps > 0:
+    else:  # zero steps give zero weights
         init = pretrain_erm(train, train.dim, k, steps=args.pretrain_steps,
                             seed=cfg["seed"], logit_adjust=args.pretrain_la)
-    else:
-        init = LinearModel(np.zeros((train.dim, k)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -148,7 +161,7 @@ def cmd_simulate_policy(args) -> int:
             fixed_pair=tuple(args.fixed_pair),
         )
         report = run_online_game(cfg)
-        print(json.dumps(report))
+        print(_strict_json(report))
         regrets.append(report["regret"])
         bounds.append(report["bound"])
     mc_se = float(np.std(regrets, ddof=1) / np.sqrt(len(regrets))) if len(regrets) > 1 else 0.0
@@ -166,7 +179,7 @@ def cmd_simulate_policy(args) -> int:
             np.isnan(bounds[0]) or np.mean(regrets) <= bounds[0] + 3.0 * mc_se
         ),
     }
-    print(json.dumps(aggregate))
+    print(_strict_json(aggregate))
     return 0
 
 
@@ -175,7 +188,7 @@ def cmd_check_gain(args) -> int:
     for std in args.within_std:
         median = gain_oracle_median_error(args.K, args.d, std, args.seeds)
         rows.append({"within_std": std, "median_rel_error": median})
-        print(json.dumps(rows[-1]))
+        print(_strict_json(rows[-1]))
     tightest = min(rows, key=lambda r: r["within_std"])
     if tightest["median_rel_error"] > 0.15:
         _log(f"tightest-cluster run exceeds rtol 0.15: {tightest}")
@@ -198,20 +211,8 @@ def cmd_eval(args) -> int:
         "recalls": [float(r) for r in conf.recalls()],
         "coverages": [float(c) for c in conf.coverages()],
     }
-    print(json.dumps(values))
+    print(_strict_json(values))
     return 0
-
-
-def _strict_json(value):
-    """json.dumps with non-finite floats mapped to null (strict JSON)."""
-    def scrub(obj):
-        if isinstance(obj, dict):
-            return {k: scrub(v) for k, v in obj.items()}
-        if isinstance(obj, float) and not np.isfinite(obj):
-            return None
-        return obj
-
-    return json.dumps(scrub(value))
 
 
 def cmd_check_theory(args) -> int:

@@ -43,13 +43,6 @@ DEFAULTS: dict[str, object] = {
     "cluster_separation": 1.0,
 }
 
-_INT_KEYS = {"head_tail_split", "cycles", "sgd_steps", "batch_size", "seed", "K", "d", "n1"}
-_FLOAT_KEYS = {
-    "omega", "alpha", "lambda_max", "tau", "s", "beta_min", "lr",
-    "rho", "within_std", "cluster_separation",
-}
-_BOOL_KEYS = {"mask_negative"}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -95,17 +88,11 @@ class RunConfig:
 
 
 def _parse_value(key: str, raw: str):
+    """``raw`` parsed as the type of the key's default value."""
+    kind = type(DEFAULTS[key])
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _BOOL_KEYS:
-            if raw.lower() not in _BOOL:
-                raise ValueError(raw)
-            return _BOOL[raw.lower()]
-        return raw
-    except ValueError:
+        return _BOOL[raw.lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
         raise ConfigError(f"invalid value {raw!r} for key {key!r}") from None
 
 

@@ -27,7 +27,6 @@ from .errors import SelMixError
 from .metrics import (
     MEAN_RECALL,
     ConfusionMatrix,
-    LagrangeState,
     MetricSpec,
     evaluate_metric,
     metric_grad_unconstrained,
@@ -126,7 +125,7 @@ def gain_matrix(
     centroids: CentroidSet,
     c: ConfusionMatrix,
     spec: MetricSpec,
-    lam: LagrangeState,
+    lam: np.ndarray,
     beta_bar: float,
 ) -> GainMatrix:
     """Evaluate the gain of every (i, j) mixup at the current model.
@@ -141,7 +140,7 @@ def gain_fd_oracle(
     model: LinearModel,
     features: FeatureDataset,
     spec: MetricSpec,
-    lam: LagrangeState,
+    lam: np.ndarray,
     centroids: CentroidSet,
     i: int,
     j: int,

@@ -166,44 +166,37 @@ class MetricSpec:
         return head, tail
 
 
-@dataclass(frozen=True)
-class LagrangeState:
-    """Multiplier vector: simplex weights for min-recall kinds, clamped
-    nonnegative penalties for coverage kinds, empty otherwise."""
-
-    lambdas: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    def __post_init__(self):
-        object.__setattr__(self, "lambdas", np.asarray(self.lambdas, dtype=np.float64))
-
-
 def _multiplier_count(rule: _KindRule, k: int) -> int:
     """One multiplier per head/tail group or per class; none without a family."""
     return 0 if rule.family is None else 2 if rule.grouped else k
 
 
-def neutral_lagrange(spec: MetricSpec, k: int) -> LagrangeState:
-    """State usable before the first update: uniform simplex for min-recall
-    kinds, zeros for coverage kinds, empty for unconstrained kinds."""
+def neutral_lagrange(spec: MetricSpec, k: int) -> np.ndarray:
+    """Multipliers usable before the first update: uniform simplex for
+    min-recall kinds, zeros for coverage kinds, empty for unconstrained
+    kinds."""
     rule = _KINDS[spec.kind]
     n = _multiplier_count(rule, k)
-    return LagrangeState(np.full(n, 1.0 / n) if rule.family == _SIMPLEX else np.zeros(n))
+    return np.full(n, 1.0 / n) if rule.family == _SIMPLEX else np.zeros(n)
 
 
-def validate_lagrange(spec: MetricSpec, lam: LagrangeState, k: int) -> None:
-    """Reject multipliers of the wrong length or outside their family's set;
+def validate_lagrange(spec: MetricSpec, lam: np.ndarray, k: int) -> np.ndarray:
+    """The multiplier vector ``lam`` as float64: simplex weights for
+    min-recall kinds, penalties in [0, lambda_max] for coverage kinds.
+    Rejects multipliers of the wrong length or outside their family's set;
     unconstrained kinds ignore them.  The comparisons are positive, so a NaN
     or infinite multiplier fails them."""
     rule = _KINDS[spec.kind]
-    lams = lam.lambdas
+    lams = np.asarray(lam, dtype=np.float64)
     if rule.family is None:
-        return
+        return lams
     ok = lams.shape == (_multiplier_count(rule, k),) and np.all(lams >= -1e-12)
     if rule.family == _SIMPLEX:
         if not (ok and abs(lams.sum() - 1.0) <= 1e-9):
             raise SelMixError("min-recall multipliers must lie on the simplex")
     elif not (ok and np.all(lams <= spec.lambda_max + 1e-9)):
         raise SelMixError("coverage multipliers must lie in [0, lambda_max]")
+    return lams
 
 
 def confusion_from_predictions(labels, predictions, num_classes: int) -> ConfusionMatrix:
@@ -239,7 +232,7 @@ def soft_confusion(model: LinearModel, features: FeatureDataset) -> ConfusionMat
     indicator; smooth in W, used by the finite-difference gain oracle."""
     if features.n == 0:
         raise DataError("empty evaluation set")
-    probs = softmax(batch_logits(model, features.features), axis=1)
+    probs = softmax(batch_logits(model, features.features))
     k = features.num_classes
     entries = np.zeros((k, k))
     for i, idx in enumerate(features.class_indices()):
@@ -258,7 +251,7 @@ def unconstrained_to_confusion(c_tilde: np.ndarray, priors: np.ndarray) -> Confu
         raise SelMixError("unconstrained matrix must be finite")
     if np.any(priors <= 0) or abs(priors.sum() - 1.0) > 1e-9:
         raise SelMixError("priors must be positive and sum to 1")
-    entries = priors[:, None] * softmax(c_tilde, axis=1)
+    entries = priors[:, None] * softmax(c_tilde)
     return ConfusionMatrix(entries, priors)
 
 
@@ -298,25 +291,25 @@ def _base_mean_grad(base: str, c: ConfusionMatrix) -> np.ndarray:
     return psi**2 * c.priors / (k * diag**2)
 
 
-def evaluate_metric(spec: MetricSpec, c: ConfusionMatrix, lam: LagrangeState) -> float:
+def evaluate_metric(spec: MetricSpec, c: ConfusionMatrix, lam: np.ndarray) -> float:
     """psi(C) with the current multipliers plugged in: lambda . recall for
     min-recall kinds, the base mean plus lambda . (coverage - alpha/K) for
     coverage kinds, with head and tail means in place of per-class values
     for grouped kinds.  G-mean and H-mean give their limit 0 at a zero
     recall instead of dividing by zero."""
-    validate_lagrange(spec, lam, c.k)
+    lam = validate_lagrange(spec, lam, c.k)
     rule = _KINDS[spec.kind]
     rec = c.recalls()
     if rule.family is None:
         return _base_mean(rule.base, rec)
     groups = _groups(spec, c.k)
     if rule.family == _SIMPLEX:
-        return float(lam.lambdas @ _per_group(rec, groups))
+        return float(lam @ _per_group(rec, groups))
     slack = _per_group(c.coverages(), groups) - spec.alpha / c.k
-    return _base_mean(rule.base, rec) + float(lam.lambdas @ slack)
+    return _base_mean(rule.base, rec) + float(lam @ slack)
 
 
-def _dpsi_dc(spec: MetricSpec, c: ConfusionMatrix, lam: LagrangeState) -> np.ndarray:
+def _dpsi_dc(spec: MetricSpec, c: ConfusionMatrix, lam: np.ndarray) -> np.ndarray:
     """Partial derivatives of psi w.r.t. the confusion entries themselves
     (multipliers held constant)."""
     rule = _KINDS[spec.kind]
@@ -328,11 +321,11 @@ def _dpsi_dc(spec: MetricSpec, c: ConfusionMatrix, lam: LagrangeState) -> np.nda
     if rule.family is None:
         return out
     # each class's multiplier, and the size of the group whose mean it weights
-    weight, size = lam.lambdas, 1
+    weight, size = lam, 1
     groups = _groups(spec, k)
     if groups is not None:
         weight, size = np.empty(k), np.empty(k)
-        for lam_g, g in zip(lam.lambdas, groups):
+        for lam_g, g in zip(lam, groups):
             weight[g], size[g] = lam_g, g.size
     if rule.family == _SIMPLEX:
         out[idx, idx] += weight / (size * c.priors)
@@ -342,21 +335,20 @@ def _dpsi_dc(spec: MetricSpec, c: ConfusionMatrix, lam: LagrangeState) -> np.nda
 
 
 def metric_grad_unconstrained(
-    spec: MetricSpec, c: ConfusionMatrix, lam: LagrangeState
+    spec: MetricSpec, c: ConfusionMatrix, lam: np.ndarray
 ) -> np.ndarray:
     """d psi / d Ct through the row-softmax reparameterization.
 
     Every row of the result sums to 0 (psi is invariant to constant shifts
     of a Ct row).
     """
-    validate_lagrange(spec, lam, c.k)
-    p = _dpsi_dc(spec, c, lam)
+    p = _dpsi_dc(spec, c, validate_lagrange(spec, lam, c.k))
     # row-wise: Ct_ij gradient = C_ij * (P_ij - sum_l P_il C_il / pi_i)
     weighted = (p * c.entries).sum(axis=1) / c.priors
     return c.entries * (p - weighted[:, None])
 
 
-def update_lagrange(spec: MetricSpec, c: ConfusionMatrix) -> LagrangeState:
+def update_lagrange(spec: MetricSpec, c: ConfusionMatrix) -> np.ndarray:
     """Momentum-free multiplier refresh, on per-class or group-mean values.
 
     Min-recall kinds: softmax(-omega * recall), concentrating on the worst
@@ -366,10 +358,10 @@ def update_lagrange(spec: MetricSpec, c: ConfusionMatrix) -> LagrangeState:
     """
     family = _KINDS[spec.kind].family
     if family is None:
-        return LagrangeState()
+        return np.zeros(0)
     groups = _groups(spec, c.k)
     if family == _SIMPLEX:
-        return LagrangeState(softmax(-spec.omega * _per_group(c.recalls(), groups)))
+        return softmax(-spec.omega * _per_group(c.recalls(), groups))
     slack = (_per_group(c.coverages(), groups) - spec.alpha / c.k) / spec.tau
     lam = spec.lambda_max * (1.0 - np.exp(np.minimum(slack, 0.0)))
-    return LagrangeState(np.where(slack >= 0.0, 0.0, lam))
+    return np.where(slack >= 0.0, 0.0, lam)

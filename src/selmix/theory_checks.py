@@ -120,7 +120,7 @@ def convergence_check(
 
 def _weighted_ce(logits: np.ndarray, labels: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Per-sample loss -sum_i w[y, i] log softmax_i(logits)."""
-    return -(w[labels] * log_softmax(logits, axis=1)).sum(axis=1)
+    return -(w[labels] * log_softmax(logits)).sum(axis=1)
 
 
 def _lse_hessians(xi: np.ndarray) -> np.ndarray:
@@ -128,7 +128,7 @@ def _lse_hessians(xi: np.ndarray) -> np.ndarray:
     shape (N, K-1, K-1)."""
     n, km1 = xi.shape
     full = np.concatenate([xi, np.zeros((n, 1))], axis=1)
-    sigma = softmax(full, axis=1)[:, :km1]
+    sigma = softmax(full)[:, :km1]
     h = -sigma[:, :, None] * sigma[:, None, :]
     idx = np.arange(km1)
     h[:, idx, idx] += sigma

@@ -38,13 +38,10 @@ from .classifier import (
     CentroidSet,
     LinearModel,
     class_centroids,
-    label_cells,
     mix_features,
     predict,
     sgd_mixup_block,
     sgd_mixup_step,  # noqa: F401  (the benchmark's tracer wraps it here)
-    softmax,  # noqa: F401  (tests reach it here)
-    softmax_rows_inplace,
 )
 from .data import FeatureDataset
 from .errors import SelMixError
@@ -181,28 +178,27 @@ def pretrain_erm(
     (logit-adjusted training), giving the debiased starting point the
     fine-tuning recipe assumes.  Deterministic given seed.  Batch indices
     are drawn, and rows gathered, a block of steps at a time, as in the SGD
-    block; each step then works in place.
+    block, and :func:`sgd_mixup_block` takes the steps.
     """
+    if steps < 0 or batch_size < 1:
+        raise SelMixError("pretrain needs steps >= 0 and batch_size >= 1")
+    if not 0 <= lr < np.inf:
+        raise SelMixError("pretrain lr must be nonnegative and finite")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5E1F)))
     w = np.zeros((dim, num_classes))
-    shift = 0.0
+    shift = None
     if logit_adjust:  # a class without rows gets logit -inf; its column of w stays zero
         present = train.class_counts() > 0
         shift = np.full(num_classes, -np.inf)
-        shift[present] = logit_adjust * np.log(train.priors()[present])
+        with np.errstate(over="ignore", invalid="ignore"):
+            shift[present] = logit_adjust * np.log(train.priors()[present])
+        if not np.isfinite(shift[present]).all():
+            raise SelMixError(f"pretrain logit adjustment {logit_adjust!r} makes a logit "
+                              "shift non-finite")
     block = max(1, _BLOCK_ELEMENTS // (batch_size * dim))
-    p, col, grad = np.empty((batch_size, num_classes)), np.empty((batch_size, 1)), np.empty_like(w)
     for done in range(0, steps, block):
         idx = rng.integers(0, train.n, size=(min(block, steps - done), batch_size))
-        for x, c in zip(train.features[idx], label_cells(train.labels[idx], num_classes)):
-            np.matmul(x, w, out=p)
-            p += shift
-            softmax_rows_inplace(p, col)
-            p.reshape(-1)[c] -= 1.0
-            np.matmul(x.T, p, out=grad)       # w -= lr * (x.T @ p) / batch_size
-            grad *= lr
-            grad /= batch_size
-            w -= grad
+        sgd_mixup_block(w, train.features[idx], train.labels[idx], [lr] * len(idx), shift)
     return LinearModel(w)
 
 
@@ -295,7 +291,7 @@ def run_selmix(
                 psi=float(psi),
                 recalls=[float(r) for r in confusion.recalls()],
                 coverages=[float(c) for c in confusion.coverages()],
-                lambdas=[float(v) for v in lam.lambdas],
+                lambdas=[float(v) for v in lam],
                 gain_max=float(gains.values.max()),
                 gain_min=float(gains.values.min()),
                 policy_entropy=policy.entropy(),

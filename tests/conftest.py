@@ -6,7 +6,6 @@ import numpy as np
 
 from selmix.metrics import (
     ConfusionMatrix,
-    LagrangeState,
     MetricSpec,
     evaluate_metric,
     neutral_lagrange,
@@ -24,21 +23,21 @@ def random_confusion(rng: np.random.Generator, k: int, floor: float = 0.02) -> C
     return ConfusionMatrix(rows * priors[:, None], priors)
 
 
-def random_lagrange(rng: np.random.Generator, spec: MetricSpec, k: int) -> LagrangeState:
+def random_lagrange(rng: np.random.Generator, spec: MetricSpec, k: int) -> np.ndarray:
     """Random multipliers shaped like ``neutral_lagrange``: a Dirichlet draw
     where the neutral state is a uniform simplex, uniform in [0, lambda_max]
     where it is zeros, and the empty state for unconstrained kinds."""
     neutral = neutral_lagrange(spec, k)
-    size = neutral.lambdas.size
-    if neutral.lambdas.any():
-        return LagrangeState(rng.dirichlet(np.ones(size)))
+    size = neutral.size
+    if neutral.any():
+        return rng.dirichlet(np.ones(size))
     if size:
-        return LagrangeState(rng.uniform(0.0, spec.lambda_max, size=size))
+        return rng.uniform(0.0, spec.lambda_max, size=size)
     return neutral
 
 
 def fd_metric_grad(
-    spec: MetricSpec, c: ConfusionMatrix, lam: LagrangeState, step: float = 1e-5
+    spec: MetricSpec, c: ConfusionMatrix, lam: np.ndarray, step: float = 1e-5
 ) -> np.ndarray:
     """Central differences of psi(unconstrained_to_confusion(Ct)) at
     Ct = log C, entry by entry."""

@@ -20,7 +20,7 @@ def mixup_loss(model, feat_a, feat_b, labels, betas):
     """Per-row softmax cross-entropy of the mixed features against labels
     (each mixup is labeled with its first sample's class): the loss whose
     gradient the SGD step and the update directions follow."""
-    log_p = log_softmax(batch_logits(model, mix_features(feat_a, feat_b, betas)), axis=1)
+    log_p = log_softmax(batch_logits(model, mix_features(feat_a, feat_b, betas)))
     return -log_p[np.arange(log_p.shape[0]), labels]
 
 
@@ -201,7 +201,7 @@ class TestSgdMixupStep:
         rng = np.random.default_rng(9)
         w, mixed = rng.normal(size=(6, 5)), rng.normal(size=(40, 6))
         labels, lr = rng.integers(5, size=40), 0.2
-        p = softmax(mixed @ w, axis=1)
+        p = softmax(mixed @ w)
         p[np.arange(40), labels] -= 1.0
         step = mixed.T @ p
         step /= 40

@@ -27,6 +27,14 @@ def run_cli_raising_warnings(*argv):
         return run_cli(*argv)
 
 
+def strict_loads(line):
+    """json.loads that rejects NaN and the infinities, which are not JSON."""
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    return json.loads(line, parse_constant=reject)
+
+
 def _value_strategy(key):
     """Raw text for one config key: mostly well-typed, sometimes out of
     range or non-finite, occasionally junk."""
@@ -290,6 +298,14 @@ class TestSimulatePolicy:
         assert aggregate["within_bound"]
 
 
+    @pytest.mark.parametrize("policy", ["uniform", "fixed", "greedy"])
+    def test_policies_without_a_bound_print_strict_json_with_null(self, capsys, policy):
+        assert run_cli("simulate-policy", "--K", "3", "--T", "10", "--policy", policy,
+                       "--seeds", "0", "1") == 0
+        reports = [strict_loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+        assert len(reports) == 3 and reports[-1]["aggregate"]
+        assert all(r["bound"] is None for r in reports)
+
     @pytest.mark.parametrize("s", ["nan", "inf"])
     def test_non_finite_s_exits_1(self, capsys, s):
         assert run_cli("simulate-policy", "--s", s, "--T", "10", "--seeds", "0") == 1
@@ -324,7 +340,7 @@ class TestCheckTheory:
                        "--seeds", "0", "1") == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 4
-        reports = [json.loads(line) for line in lines]   # nulls, never Infinity
+        reports = [strict_loads(line) for line in lines]   # nulls, never Infinity
         assert all(r["bound_satisfied"] for r in reports[:2])
         assert all(np.isfinite(r["rel_error"]) for r in reports[2:])
 
@@ -464,6 +480,9 @@ def _out_of_memory(cfg):
     raise MemoryError(_NO_MEMORY)
 
 
+_TRAIN = ("train", "--config", "{tmp}/gen.cfg", "--data", "{tmp}/data", "--out", "{tmp}/out")
+
+
 @pytest.mark.parametrize("argv, message", [
     (("simulate-policy", "--seeds", "-1"), "seed must be >= 0"),
     (("check-theory", "--seeds", "-1"), "seed must be >= 0"),
@@ -477,13 +496,23 @@ def _out_of_memory(cfg):
     (("simulate-policy", "--K", "100000", "--T", "1", "--seeds", "0"), _NO_MEMORY),
     (("simulate-policy", "--s", "1e308", "--K", "3", "--T", "5", "--seeds", "0"),
      "2 * s * T must be finite"),
+    ((*_TRAIN, "--pretrain-steps", "5", "--pretrain-la", "inf"), "logit shift non-finite"),
+    ((*_TRAIN, "--pretrain-steps", "5", "--pretrain-la", "1e308"), "logit shift non-finite"),
+    ((*_TRAIN, "--pretrain-steps", "5", "--pretrain-la", "nan"), "logit shift non-finite"),
+    ((*_TRAIN, "--pretrain-steps", "-3"), "steps >= 0"),
 ], ids=["sim-seed", "theory-seed", "mixup-seed", "conv-K-neg", "conv-d-neg", "conv-K-0",
-        "conv-d-0", "mixup-d-neg", "mixup-d-0", "sim-out-of-memory", "sim-s-overflow"])
-def test_bad_arguments_exit_with_one_line_and_no_traceback(monkeypatch, capsys, argv, message):
+        "conv-d-0", "mixup-d-neg", "mixup-d-0", "sim-out-of-memory", "sim-s-overflow",
+        "pretrain-la-inf", "pretrain-la-overflow", "pretrain-la-nan", "pretrain-steps-neg"])
+def test_bad_arguments_exit_with_one_line_and_no_traceback(monkeypatch, request, tmp_path, capsys,
+                                                           argv, message):
     # the out-of-memory case stands in a callee that raises instead of allocating
     monkeypatch.setattr("selmix.cli.run_online_game", _out_of_memory)
-    code = run_cli(*argv)
+    if argv[0] == "train":
+        request.getfixturevalue("small_data_dir")       # gen.cfg and data/ in tmp_path
+        capsys.readouterr()
+    code = run_cli_raising_warnings(*(arg.format(tmp=tmp_path) for arg in argv))
     out = capsys.readouterr()
-    assert code in (1, 2)
+    assert code == 1
     assert out.err.count("\n") == 1 and message in out.err
     assert "Traceback" not in out.err + out.out
+    assert not (tmp_path / "out").exists()

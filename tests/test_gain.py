@@ -48,7 +48,7 @@ def dense_gains(model, centroids, dgrad, beta_bar):
     a[i, j, k] = zeta_ij . z_k and p_ij, and a K^4 contraction."""
     z = centroids.centroids
     zeta = beta_bar * z[:, None, :] + (1.0 - beta_bar) * z[None, :, :]
-    p = softmax(zeta @ model.weights, axis=-1)
+    p = softmax(zeta @ model.weights)
     a = zeta @ z.T
     term1 = np.einsum("ijk,ki->ij", a, dgrad)
     term2 = np.einsum("ijk,kl,ijl->ij", a, dgrad, p, optimize=True)

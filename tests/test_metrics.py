@@ -19,7 +19,6 @@ from selmix.metrics import (
     MIN_RECALL,
     MIN_RECALL_HEAD_TAIL,
     ConfusionMatrix,
-    LagrangeState,
     MetricSpec,
     confusion_from_predictions,
     evaluate_metric,
@@ -136,7 +135,7 @@ class TestEvaluateMetric:
         lam = np.zeros(5)
         lam[np.argmin(c.recalls())] = 1.0
         spec = MetricSpec(MIN_RECALL)
-        value = evaluate_metric(spec, c, LagrangeState(lam))
+        value = evaluate_metric(spec, c, lam)
         assert value == pytest.approx(c.recalls().min())
 
     def test_zero_diagonal_gives_limit_zero_not_a_fault(self):
@@ -150,16 +149,16 @@ class TestEvaluateMetric:
         rng = np.random.default_rng(23)
         for _ in range(50):
             c = random_confusion(rng, int(rng.integers(2, 7)))
-            am = evaluate_metric(MetricSpec(MEAN_RECALL), c, LagrangeState())
-            gm = evaluate_metric(MetricSpec(G_MEAN), c, LagrangeState())
-            hm = evaluate_metric(MetricSpec(H_MEAN), c, LagrangeState())
+            am = evaluate_metric(MetricSpec(MEAN_RECALL), c, np.zeros(0))
+            gm = evaluate_metric(MetricSpec(G_MEAN), c, np.zeros(0))
+            hm = evaluate_metric(MetricSpec(H_MEAN), c, np.zeros(0))
             assert hm <= gm + 1e-12 <= am + 2e-12
 
 
 class TestMetricGradient:
     def test_mean_recall_hand_case(self):
         c = ConfusionMatrix(np.array([[0.4, 0.1], [0.2, 0.3]]), np.array([0.5, 0.5]))
-        g = metric_grad_unconstrained(MetricSpec(MEAN_RECALL), c, LagrangeState())
+        g = metric_grad_unconstrained(MetricSpec(MEAN_RECALL), c, np.zeros(0))
         np.testing.assert_allclose(g, [[0.08, -0.08], [-0.12, 0.12]], atol=1e-12)
 
     def test_matches_finite_differences_for_every_kind(self):
@@ -187,13 +186,13 @@ class TestMetricGradient:
         entries = np.array([[0.0, 0.5], [0.0, 0.5]])
         c = ConfusionMatrix(entries, np.array([0.5, 0.5]))
         with pytest.raises(SelMixError, match="zero recall"):
-            metric_grad_unconstrained(MetricSpec(G_MEAN), c, LagrangeState())
+            metric_grad_unconstrained(MetricSpec(G_MEAN), c, np.zeros(0))
 
 
 class TestUpdateLagrange:
     def test_min_recall_softmax_concentrates_on_worst_class(self):
         c = ConfusionMatrix(np.array([[0.45, 0.05], [0.25, 0.25]]), np.array([0.5, 0.5]))
-        lam = update_lagrange(MetricSpec(MIN_RECALL, omega=40.0), c).lambdas
+        lam = update_lagrange(MetricSpec(MIN_RECALL, omega=40.0), c)
         # recalls (0.9, 0.5): second weight is 1 / (1 + e^{-16})
         assert lam[1] >= 1.0 - 1e-6
         assert lam.sum() == pytest.approx(1.0)
@@ -202,7 +201,7 @@ class TestUpdateLagrange:
         spec = MetricSpec(MEAN_RECALL_COVERAGE, alpha=0.95)
         rng = np.random.default_rng(5)
         c = random_confusion(rng, 10)
-        lam = update_lagrange(spec, c).lambdas
+        lam = update_lagrange(spec, c)
         satisfied = c.coverages() >= 0.095
         assert np.all(lam[satisfied] == 0.0)
         assert np.all(lam[~satisfied] > 0.0)
@@ -216,7 +215,7 @@ class TestUpdateLagrange:
         entries[:, 1] = 0.097 / k
         priors = entries.sum(axis=1)
         c = ConfusionMatrix(entries / entries.sum(), priors / priors.sum())
-        lam = update_lagrange(spec, c).lambdas
+        lam = update_lagrange(spec, c)
         cov0 = c.coverages()[0]
         expected = 100.0 * (1.0 - np.exp((cov0 - 0.095) / 0.01))
         assert lam[0] == pytest.approx(expected)
@@ -290,8 +289,8 @@ class TestHeadTailKinds:
         spec = MetricSpec(MIN_RECALL_HEAD_TAIL, omega=5.0, head_set=head_set)
         lam = update_lagrange(spec, HAND_C)
         weights = np.exp(-5.0 * np.array(means))
-        np.testing.assert_allclose(lam.lambdas, weights / weights.sum(), rtol=1e-12)
-        assert evaluate_metric(spec, HAND_C, lam) == pytest.approx(lam.lambdas @ means, rel=1e-12)
+        np.testing.assert_allclose(lam, weights / weights.sum(), rtol=1e-12)
+        assert evaluate_metric(spec, HAND_C, lam) == pytest.approx(lam @ means, rel=1e-12)
 
     @pytest.mark.parametrize("kind", [MEAN_RECALL_COVERAGE_HEAD_TAIL, H_MEAN_COVERAGE_HEAD_TAIL])
     @pytest.mark.parametrize("head_set, covs", [(None, (0.3, 0.1)), ((2, 3), (0.15, 0.35))])
@@ -301,10 +300,10 @@ class TestHeadTailKinds:
         lam = update_lagrange(spec, HAND_C)
         expected = [0.0 if cov >= target else 100.0 * (1.0 - np.exp((cov - target) / 0.01))
                     for cov in covs]
-        np.testing.assert_allclose(lam.lambdas, expected, rtol=1e-12)
-        assert np.count_nonzero(lam.lambdas) == 1
+        np.testing.assert_allclose(lam, expected, rtol=1e-12)
+        assert np.count_nonzero(lam) == 1
         base = 0.6 if kind == MEAN_RECALL_COVERAGE_HEAD_TAIL else 4.0 / (1 / 0.8 + 2 / 0.6 + 1 / 0.4)
-        psi = base + lam.lambdas @ (np.array(covs) - target)
+        psi = base + lam @ (np.array(covs) - target)
         assert evaluate_metric(spec, HAND_C, lam) == pytest.approx(psi, rel=1e-12)
 
     @pytest.mark.parametrize("head_set", [None, (1, 4)])
@@ -318,7 +317,7 @@ class TestHeadTailKinds:
         }
         assert set(expected) == set(METRIC_KINDS)
         for kind, lams in expected.items():
-            got = neutral_lagrange(MetricSpec(kind, head_set=head_set), k).lambdas
+            got = neutral_lagrange(MetricSpec(kind, head_set=head_set), k)
             assert got.shape == (len(lams),), kind
             np.testing.assert_array_equal(got, lams, err_msg=kind)
 
@@ -334,11 +333,11 @@ class TestNonFiniteMultipliers:
     def test_rejected_by_value_and_gradient(self, kind, message, value, entries):
         spec = MetricSpec(kind)
         c = random_confusion(np.random.default_rng(3), 5)
-        lams = neutral_lagrange(spec, 5).lambdas.copy()
+        lams = neutral_lagrange(spec, 5).copy()
         lams[:entries] = value
         for fn in (evaluate_metric, metric_grad_unconstrained):
             with pytest.raises(SelMixError, match=message):
-                fn(spec, c, LagrangeState(lams))
+                fn(spec, c, lams)
 
 
 @st.composite

@@ -356,7 +356,7 @@ def reference_online_game(cfg: OnlineGameConfig) -> dict:
             scores[0] = 0.0
             np.cumsum(flat[:-1], axis=0, out=scores[1:])
             scores *= s_var
-        probs = softmax(scores, axis=1)
+        probs = softmax(scores)
 
     avg_expected = float((probs * flat).sum(axis=1).mean())
     cdf = np.cumsum(probs, axis=1, out=probs)

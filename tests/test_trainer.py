@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selmix import trainer
-from selmix.classifier import LinearModel, class_centroids, sgd_mixup_block, sgd_mixup_step
+from selmix.classifier import (LinearModel, class_centroids, sgd_mixup_block, sgd_mixup_step,
+                               softmax)
 from selmix.data import FeatureDataset, LTSpec, generate_longtail, split
 from selmix.errors import SelMixError
 from selmix.gain import gain_matrix
@@ -254,7 +255,7 @@ def per_step_run(config, train, unlabeled, validation, init):
         history.records.append(CycleRecord(
             t=t, psi=float(psi), recalls=[float(r) for r in confusion.recalls()],
             coverages=[float(c) for c in confusion.coverages()],
-            lambdas=[float(v) for v in lam.lambdas], gain_max=float(gains.values.max()),
+            lambdas=[float(v) for v in lam], gain_max=float(gains.values.max()),
             gain_min=float(gains.values.min()), policy_entropy=policy.entropy(), wall_ms=0.0,
         ))
         for _ in range(config.sgd_steps_per_cycle):
@@ -427,7 +428,7 @@ def per_step_pretrain(train, steps, batch_size, logit_adjust, lr=0.5, seed=0):
     for _ in range(steps):
         idx = rng.integers(0, train.n, size=batch_size)
         x = train.features[idx]
-        p = trainer.softmax(x @ w + shift, axis=1)
+        p = softmax(x @ w + shift)
         p[np.arange(batch_size), train.labels[idx]] -= 1.0
         w -= lr * (x.T @ p) / batch_size
     return w
@@ -450,13 +451,23 @@ class TestBlockDrawnPretrain:
         assert got.weights.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("lr", [0.3, 0.7])
-    def test_keeps_the_scale_then_average_order(self, lr):
-        # lr 0.5 scales exactly, so only an lr that rounds tells lr * M / B from M / B * lr
+    def test_keeps_the_average_then_scale_order(self, lr):
+        # lr 0.5 scales exactly, so only an lr that rounds tells M / B * lr from lr * M / B:
+        # the warm start steps through sgd_mixup_block, which averages first
         train, _, _ = small_benchmark()
         got = pretrain_erm(train, train.dim, train.num_classes, steps=23, batch_size=7,
                            lr=lr, logit_adjust=1.0)
-        want = per_step_pretrain(train, 23, 7, 1.0, lr=lr)
-        assert got.weights.tobytes() == want.tobytes()
+        rng = np.random.default_rng(np.random.SeedSequence((0, 0x5E1F)))
+        shift = np.log(train.priors())
+        w = np.zeros((train.dim, train.num_classes))
+        for _ in range(23):
+            idx = rng.integers(0, train.n, size=7)
+            x = train.features[idx]
+            p = softmax(x @ w + shift)
+            p[np.arange(7), train.labels[idx]] -= 1.0
+            w -= (x.T @ p) / 7 * lr
+        assert got.weights.tobytes() == w.tobytes()
+        assert got.weights.tobytes() != per_step_pretrain(train, 23, 7, 1.0, lr=lr).tobytes()
 
 
 class TestPretrainAbsentClass:
@@ -472,6 +483,36 @@ class TestPretrainAbsentClass:
         assert np.all(model.weights[:, 4] == 0.0)
         assert np.all(np.isfinite(model.weights))
         assert np.any(model.weights[:, :4] != 0.0)
+
+
+class TestPretrainRejectsBadInputs:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"steps": -3}, "steps >= 0"),
+        ({"batch_size": 0}, "batch_size >= 1"),
+        ({"lr": -0.1}, "lr must be nonnegative and finite"),
+        ({"lr": np.inf}, "lr must be nonnegative and finite"),
+        ({"lr": np.nan}, "lr must be nonnegative and finite"),
+        ({"logit_adjust": np.inf}, "logit shift non-finite"),
+        ({"logit_adjust": 1e308}, "logit shift non-finite"),
+        ({"logit_adjust": np.nan}, "logit shift non-finite"),
+    ])
+    def test_one_error_and_no_warning(self, kwargs, message):
+        train, _, _ = small_benchmark()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SelMixError, match=message):
+                pretrain_erm(train, train.dim, train.num_classes, **{"steps": 5, **kwargs})
+
+    def test_only_present_classes_need_a_finite_shift(self):
+        train, _, _ = small_benchmark()
+        keep = train.labels == 0                        # one class: log prior 0, inf * 0 is nan
+        alone = FeatureDataset(train.features[keep], train.labels[keep], train.num_classes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SelMixError, match="logit shift non-finite"):
+                pretrain_erm(alone, alone.dim, alone.num_classes, steps=5, logit_adjust=np.inf)
+            model = pretrain_erm(alone, alone.dim, alone.num_classes, steps=5, logit_adjust=1e308)
+        assert np.all(model.weights == 0.0)             # one present class: no gradient
 
 
 class TestTargetedMetricImproves:
