@@ -5,6 +5,7 @@ __version__ = "0.1.0"
 
 from .benchmark import BenchmarkSetting, benchmark_config, make_benchmark
 from .classifier import (
+    ArgmaxCarry,
     CentroidSet,
     LinearModel,
     class_centroids,
@@ -47,6 +48,7 @@ from .trainer import (
 )
 
 __all__ = [
+    "ArgmaxCarry",
     "BenchmarkSetting",
     "CentroidSet",
     "ConfigError",

@@ -52,8 +52,6 @@ def make_benchmark(
     validation = balanced_validation(pool_spec, setting.val_per_class)
     init = pretrain_erm(
         train,
-        setting.d,
-        setting.K,
         steps=setting.pretrain_steps,
         lr=setting.pretrain_lr,
         seed=seed,

@@ -67,11 +67,25 @@ def batch_logits(model: LinearModel, features: np.ndarray) -> np.ndarray:
     return features @ model.weights
 
 
-def predict(model: LinearModel, data: FeatureDataset) -> np.ndarray:
+@dataclass(eq=False)
+class ArgmaxCarry:
+    """What one caller's :func:`predict` calls on one dataset carry over to
+    the next: the last decided call's weights W₀, its labels and per-row
+    margin bounds (:func:`_screened_argmax`), and the dataset's
+    :attr:`~FeatureDataset.screen_arrays` they were computed against.
+    Empty until the first decided call; a call on any other dataset
+    screens from scratch and refills it."""
+
+    state: tuple | None = None      # (x32, W₀, labels, bounds)
+
+
+def predict(model: LinearModel, data: FeatureDataset,
+            carry: ArgmaxCarry | None = None) -> np.ndarray:
     """Argmax class per row of ``data``'s features; ties go to the smallest
     class index.  Exactly ``np.argmax(features @ weights, axis=1)``, which
-    it computes outright when :func:`_screened_argmax` cannot decide."""
-    labels = _screened_argmax(model, data)
+    it computes outright when :func:`_screened_argmax` cannot decide.
+    ``carry`` only saves work: the answer is the same without it."""
+    labels = _screened_argmax(model, data, carry)
     if labels is None:
         labels = np.argmax(batch_logits(model, data.features), axis=1)
     return labels
@@ -144,7 +158,8 @@ def _top2(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return labels, top - logits.max(axis=1)
 
 
-def _screened_argmax(model: LinearModel, data: FeatureDataset) -> np.ndarray | None:
+def _screened_argmax(model: LinearModel, data: FeatureDataset,
+                     carry: ArgmaxCarry | None = None) -> np.ndarray | None:
     """The exact float64 argmax through a float32 screen, or None where the
     screen cannot decide it.
 
@@ -160,32 +175,34 @@ def _screened_argmax(model: LinearModel, data: FeatureDataset) -> np.ndarray | N
     shapes where it does not pay (``_SCREEN_MIN_ROW_WORK``,
     ``_SCREEN_MIN_WORK``) and where float32 could overflow.
 
-    Each decided call leaves in ``data._screen["carry"]`` its weights W₀,
-    the labels and, per row, a lower bound m on the exact margin of its
-    label at W₀: m32 − 2·e32 or m64 − 2·e64 (the spare half of e covers the
-    rounding of m).  The next call at W carries it over: with δ = W − W₀,
-    the exact margin at W is at least m − ‖x‖·maxₗ‖δ_c − δ_l‖
-    (:func:`_drift_bounds`), so a row whose carried bound exceeds 2·e64
-    has the same unique maximum in any float64 product and keeps its label
-    without a product.  Only the other rows take the screen above, over a
-    gathered copy of them while they are at most
+    Each decided call leaves in ``carry``, if given, its weights W₀, the
+    labels and, per row, a lower bound m on the exact margin of its label
+    at W₀: m32 − 2·e32 or m64 − 2·e64 (the spare half of e covers the
+    rounding of m).  The next call at W on the same dataset carries it
+    over: with δ = W − W₀, the exact margin at W is at least m −
+    ‖x‖·maxₗ‖δ_c − δ_l‖ (:func:`_drift_bounds`), so a row whose carried
+    bound exceeds 2·e64 has the same unique maximum in any float64 product
+    and keeps its label without a product.  Only the other rows take the
+    screen above, over a gathered copy of them while they are at most
     ``_SCREEN_MAX_GATHER_SHARE`` of the rows.  Every kept label is the
     float64 argmax at W, so the answer never depends on the call history.
-    A call that is not decided here drops the carried state.
+    A call that is not decided here empties ``carry``.
     """
-    carry = data._screen.pop("carry", None)
+    state = None
+    if carry is not None:
+        state, carry.state = carry.state, None
     x, w = data.features, model.weights
     n, d = x.shape
     row_work = d * model.classes
     if d != model.dim or row_work < _SCREEN_MIN_ROW_WORK or n * row_work < _SCREEN_MIN_WORK:
         return None
-    x32, norms = data.screen_arrays()
+    x32, norms = data.screen_arrays
     wnorm = norm_bounds(w, axis=0).max()
     if not (norms.max() + 1) * (wnorm + 1) <= np.finfo(np.float32).max / 4:
         return None
     e64 = _rounding_error(norms, wnorm, d, np.float64)
-    if carry is not None and carry[0].shape == w.shape:
-        w0, labels, bound = carry
+    if state is not None and state[0] is x32 and state[1].shape == w.shape:
+        _, w0, labels, bound = state
         bound -= norms * _drift_bounds(w - w0)[labels]
         rows = np.flatnonzero(~(bound > 2 * e64))
         bound *= 1 - np.finfo(np.float64).eps      # its own rounding, for the next carry
@@ -210,7 +227,9 @@ def _screened_argmax(model: LinearModel, data: FeatureDataset) -> np.ndarray | N
                 return None
             labels[rows] = sub_labels
             bound[rows] = margin - 2 * e64[rows]
-    data._screen["carry"] = (w.copy(), labels, bound)
+    if carry is None:
+        return labels
+    carry.state = (x32, w.copy(), labels, bound)
     return labels.copy()
 
 

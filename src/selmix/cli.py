@@ -17,8 +17,8 @@ import numpy as np
 from . import __version__
 from .classifier import LinearModel
 from .config import load_config
-from .data import (POOL_FRACTIONS, FeatureDataset, balanced_validation, generate_longtail,
-                   load_dataset, load_weights, save_dataset, split)
+from .data import (POOL_FRACTIONS, balanced_validation, generate_longtail, load_dataset,
+                   load_weights, save_dataset, split)
 from .errors import ConfigError, SelMixError
 from .gain import gain_oracle_median_error
 from .metrics import (
@@ -106,21 +106,12 @@ def cmd_train(args) -> int:
     val = load_dataset(data_dir / "val.csv", expected_classes=k)
     unlabeled = None
     if cfg["mode"] == "ssl":
-        raw = load_dataset(data_dir / "unlabeled.csv", expected_classes=k)
-        unlabeled = FeatureDataset(
-            features=raw.features,
-            labels=np.full(raw.n, -1, dtype=np.int64),
-            num_classes=k,
-            pseudo=True,
-            true_labels=raw.labels,
-        )
+        unlabeled = load_dataset(data_dir / "unlabeled.csv", expected_classes=k).as_unlabeled()
     if args.init is not None:
         init = load_model_csv(args.init)
     else:  # zero steps give zero weights
-        init = pretrain_erm(train, train.dim, k, steps=args.pretrain_steps,
-                            seed=cfg["seed"], logit_adjust=args.pretrain_la)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+        init = pretrain_erm(train, steps=args.pretrain_steps, seed=cfg["seed"],
+                            logit_adjust=args.pretrain_la)
 
     trainer_cfg = cfg.trainer_config()
     if args.policy != "selmix":
@@ -128,7 +119,8 @@ def cmd_train(args) -> int:
 
         trainer_cfg = replace(trainer_cfg, policy=args.policy)
     model, history = run_selmix(trainer_cfg, train, unlabeled, val, init)
-
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "history.jsonl").write_text(history.to_jsonl(), encoding="utf-8")
     save_model_csv(model, out / "final_model.csv")
     summary = {

@@ -9,7 +9,8 @@ the current model assigned.  A pseudo label of -1 means "not assigned yet".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +40,7 @@ class FeatureDataset:
 
     ``features`` is stored as a read-only view (of the caller's array when
     no copy is needed), so nothing writes through the dataset;
-    :meth:`screen_arrays` assumes the features never change.
+    :attr:`screen_arrays` assumes the features never change.
     """
 
     features: np.ndarray          # (N, d) float64
@@ -47,9 +48,6 @@ class FeatureDataset:
     num_classes: int
     pseudo: bool = False
     true_labels: np.ndarray | None = None
-    # shared with every with_labels copy: what screen_arrays built, and the
-    # last screened predict's weights, labels and margin bounds ("carry")
-    _screen: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         feats = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64)).view()
@@ -93,25 +91,20 @@ class FeatureDataset:
         return counts / counts.sum()
 
     def with_labels(self, labels: np.ndarray) -> "FeatureDataset":
-        """New dataset value with replaced (pseudo) labels; features and
-        :meth:`screen_arrays` shared."""
-        return FeatureDataset(
-            features=self.features,
-            labels=labels,
-            num_classes=self.num_classes,
-            pseudo=self.pseudo,
-            true_labels=self.true_labels,
-            _screen=self._screen,
-        )
+        """New dataset value with replaced (pseudo) labels; features shared."""
+        return replace(self, labels=labels)
 
+    def as_unlabeled(self) -> "FeatureDataset":
+        """This dataset as an unlabeled pool: every pseudo label unassigned
+        (-1), the labels kept aside as ``true_labels``."""
+        return replace(self, labels=np.full(self.n, -1), pseudo=True, true_labels=self.labels)
+
+    @cached_property
     def screen_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(float32 copy of the features, :func:`norm_bounds` of its rows),
         built on first use and kept: the features never change, so one
-        build serves every later call."""
-        if "x32" not in self._screen:
-            self._screen["x32"] = self.features.astype(np.float32)
-            self._screen["norms"] = norm_bounds(self.features, axis=1)
-        return self._screen["x32"], self._screen["norms"]
+        build serves every later call on this dataset."""
+        return self.features.astype(np.float32), norm_bounds(self.features, axis=1)
 
 
 @dataclass(frozen=True)
@@ -389,17 +382,9 @@ def split(
             buckets[s].append(perm[start : start + counts[s]])
             start += counts[s]
 
-    def take(parts: list[np.ndarray], pseudo: bool) -> FeatureDataset:
+    def take(parts: list[np.ndarray]) -> FeatureDataset:
         rows = np.sort(np.concatenate(parts)) if parts else np.array([], dtype=np.int64)
-        truth = ds.labels[rows]
-        if pseudo:
-            return FeatureDataset(
-                features=ds.features[rows],
-                labels=np.full(rows.size, -1, dtype=np.int64),
-                num_classes=ds.num_classes,
-                pseudo=True,
-                true_labels=truth,
-            )
-        return FeatureDataset(features=ds.features[rows], labels=truth, num_classes=ds.num_classes)
+        return FeatureDataset(features=ds.features[rows], labels=ds.labels[rows],
+                              num_classes=ds.num_classes)
 
-    return take(buckets[0], False), take(buckets[1], False), take(buckets[2], True)
+    return take(buckets[0]), take(buckets[1]), take(buckets[2]).as_unlabeled()

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classifier import LinearModel, batch_logits, predict, softmax
+from .classifier import ArgmaxCarry, LinearModel, batch_logits, predict, softmax
 from .data import FeatureDataset
 from .errors import DataError, SelMixError
 
@@ -220,10 +220,12 @@ def confusion_from_predictions(labels, predictions, num_classes: int) -> Confusi
     return ConfusionMatrix(entries, priors)
 
 
-def model_confusion(model: LinearModel, features: FeatureDataset) -> ConfusionMatrix:
-    """Hard confusion of the model's argmax predictions on a labeled set."""
+def model_confusion(model: LinearModel, features: FeatureDataset,
+                    carry: ArgmaxCarry | None = None) -> ConfusionMatrix:
+    """Hard confusion of the model's argmax predictions on a labeled set
+    (``carry`` as in :func:`predict`)."""
     return confusion_from_predictions(
-        features.labels, predict(model, features), features.num_classes
+        features.labels, predict(model, features, carry), features.num_classes
     )
 
 

@@ -35,6 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .classifier import (
+    ArgmaxCarry,
     CentroidSet,
     LinearModel,
     class_centroids,
@@ -154,16 +155,16 @@ def cosine_lr(base: float, step: int, total: int) -> float:
     return base * 0.5 * (1.0 + np.cos(np.pi * step / total))
 
 
-def refresh_pseudo_labels(model: LinearModel, unlabeled: FeatureDataset) -> FeatureDataset:
+def refresh_pseudo_labels(model: LinearModel, unlabeled: FeatureDataset,
+                          carry: ArgmaxCarry | None = None) -> FeatureDataset:
     """Assign every sample the argmax class of its logits (ties to the
-    smallest index) and rebuild the per-class index sets."""
-    return unlabeled.with_labels(predict(model, unlabeled))
+    smallest index; ``carry`` as in :func:`predict`) and rebuild the
+    per-class index sets."""
+    return unlabeled.with_labels(predict(model, unlabeled, carry))
 
 
 def pretrain_erm(
     train: FeatureDataset,
-    dim: int,
-    num_classes: int,
     steps: int = 300,
     lr: float = 0.5,
     batch_size: int = 64,
@@ -185,17 +186,17 @@ def pretrain_erm(
     if not 0 <= lr < np.inf:
         raise SelMixError("pretrain lr must be nonnegative and finite")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5E1F)))
-    w = np.zeros((dim, num_classes))
+    w = np.zeros((train.dim, train.num_classes))
     shift = None
     if logit_adjust:  # a class without rows gets logit -inf; its column of w stays zero
         present = train.class_counts() > 0
-        shift = np.full(num_classes, -np.inf)
+        shift = np.full(train.num_classes, -np.inf)
         with np.errstate(over="ignore", invalid="ignore"):
             shift[present] = logit_adjust * np.log(train.priors()[present])
         if not np.isfinite(shift[present]).all():
             raise SelMixError(f"pretrain logit adjustment {logit_adjust!r} makes a logit "
                               "shift non-finite")
-    block = max(1, _BLOCK_ELEMENTS // (batch_size * dim))
+    block = max(1, _BLOCK_ELEMENTS // (batch_size * train.dim))
     for done in range(0, steps, block):
         idx = rng.integers(0, train.n, size=(min(block, steps - done), batch_size))
         sgd_mixup_block(w, train.features[idx], train.labels[idx], [lr] * len(idx), shift)
@@ -263,6 +264,7 @@ def run_selmix(
     model = init
     # frozen features: validation centroids never move, compute them once
     centroids: CentroidSet = class_centroids(validation)
+    val_carry, pool_carry = ArgmaxCarry(), ArgmaxCarry()
     history = RunHistory()
     first = _class_layout(train)
     second_pool, second = train, first
@@ -277,9 +279,9 @@ def run_selmix(
 
     for t in range(1, config.cycles + 1):
         if config.mode == "ssl":
-            second_pool = refresh_pseudo_labels(model, unlabeled)
+            second_pool = refresh_pseudo_labels(model, unlabeled, pool_carry)
             second = _class_layout(second_pool)
-        confusion = model_confusion(model, validation)
+        confusion = model_confusion(model, validation, val_carry)
         lam = update_lagrange(spec, confusion)
         psi = evaluate_metric(spec, confusion, lam)
         grad_input = confusion.with_floor(grad_floor)
@@ -319,7 +321,7 @@ def run_selmix(
             history.sgd_steps += steps
         model = LinearModel(weights)
 
-    final_conf = model_confusion(model, validation)
+    final_conf = model_confusion(model, validation, val_carry)
     history.final_psi = float(
         evaluate_metric(spec, final_conf, update_lagrange(spec, final_conf))
     )

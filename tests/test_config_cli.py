@@ -500,15 +500,18 @@ _TRAIN = ("train", "--config", "{tmp}/gen.cfg", "--data", "{tmp}/data", "--out",
     ((*_TRAIN, "--pretrain-steps", "5", "--pretrain-la", "1e308"), "logit shift non-finite"),
     ((*_TRAIN, "--pretrain-steps", "5", "--pretrain-la", "nan"), "logit shift non-finite"),
     ((*_TRAIN, "--pretrain-steps", "-3"), "steps >= 0"),
+    ((*_TRAIN, "--init", "{tmp}/m.csv"), "init model shape does not match the data"),
 ], ids=["sim-seed", "theory-seed", "mixup-seed", "conv-K-neg", "conv-d-neg", "conv-K-0",
         "conv-d-0", "mixup-d-neg", "mixup-d-0", "sim-out-of-memory", "sim-s-overflow",
-        "pretrain-la-inf", "pretrain-la-overflow", "pretrain-la-nan", "pretrain-steps-neg"])
+        "pretrain-la-inf", "pretrain-la-overflow", "pretrain-la-nan", "pretrain-steps-neg",
+        "init-shape-mismatch"])
 def test_bad_arguments_exit_with_one_line_and_no_traceback(monkeypatch, request, tmp_path, capsys,
                                                            argv, message):
     # the out-of-memory case stands in a callee that raises instead of allocating
     monkeypatch.setattr("selmix.cli.run_online_game", _out_of_memory)
     if argv[0] == "train":
         request.getfixturevalue("small_data_dir")       # gen.cfg and data/ in tmp_path
+        save_model_csv(LinearModel(np.zeros((3, 5))), tmp_path / "m.csv")     # data is 6 x 4
         capsys.readouterr()
     code = run_cli_raising_warnings(*(arg.format(tmp=tmp_path) for arg in argv))
     out = capsys.readouterr()

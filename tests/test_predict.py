@@ -1,7 +1,7 @@
 """``predict`` must return exactly ``np.argmax(features @ weights, axis=1)``,
 whichever of its paths (plain float64, the float32 screen with or without
-float64 rechecks, the margins carried from the dataset's last call, or the
-full-product fallback) decides a call."""
+float64 rechecks, the margins an ``ArgmaxCarry`` holds from the last call on
+the same dataset, or the full-product fallback) decides a call."""
 
 from contextlib import contextmanager, nullcontext
 
@@ -12,19 +12,19 @@ from hypothesis import strategies as st
 
 from selmix import classifier
 from selmix.benchmark import BenchmarkSetting, benchmark_config, make_benchmark
-from selmix.classifier import LinearModel, predict
+from selmix.classifier import ArgmaxCarry, LinearModel, predict
 from selmix.data import FeatureDataset, norm_bounds
 from selmix.errors import SelMixError
 from selmix.metrics import MEAN_RECALL, MetricSpec
-from selmix.trainer import run_selmix
+from selmix.trainer import refresh_pseudo_labels, run_selmix
 
 
 def oracle(model: LinearModel, ds: FeatureDataset) -> np.ndarray:
     return np.argmax(ds.features @ model.weights, axis=1)
 
 
-def assert_exact(model: LinearModel, ds: FeatureDataset) -> None:
-    got, want = predict(model, ds), oracle(model, ds)
+def assert_exact(model: LinearModel, ds: FeatureDataset, carry: ArgmaxCarry | None = None) -> None:
+    got, want = predict(model, ds, carry), oracle(model, ds)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -39,7 +39,7 @@ def screen_every_shape():
 
 def rechecked_rows(model: LinearModel, ds: FeatureDataset) -> int:
     """How many rows the screen sends to the float64 recheck."""
-    x32, norms = ds.screen_arrays()
+    x32, norms = ds.screen_arrays
     w, d = model.weights, ds.dim
     wnorm = norm_bounds(w, axis=0).max()
     _, margin = classifier._top2(x32 @ w.astype(np.float32))
@@ -118,9 +118,10 @@ def screen_chains(draw):
 @given(chain=screen_chains())
 def test_chained_predicts_equal_float64_argmax(chain):
     ds, models, forced = chain
+    carry = ArgmaxCarry()
     with screen_every_shape() if forced else nullcontext():
         for model in models:
-            assert_exact(model, ds)
+            assert_exact(model, ds, carry)
 
 
 @settings(max_examples=200, deadline=None)
@@ -149,46 +150,97 @@ class TestCarriedMargins:
 
     def test_identical_weights_run_no_product_on_the_second_call(self, monkeypatch):
         ds, model = clusters(np.random.default_rng(11), 3000, 64, 100)
-        first = predict(model, ds)
-        assert "carry" in ds._screen
+        carry = ArgmaxCarry()
+        first = predict(model, ds, carry)
+        assert carry.state is not None
         shapes = self.count_products(monkeypatch)
-        again = predict(LinearModel(model.weights.copy()), ds)
+        again = predict(LinearModel(model.weights.copy()), ds, carry)
         assert shapes == [] and again.tobytes() == first.tobytes()
 
     def test_a_small_step_screens_only_the_rows_it_could_flip(self, monkeypatch):
         rng = np.random.default_rng(12)
         ds, model = clusters(rng, 3000, 64, 100)
-        predict(model, ds)
+        carry = ArgmaxCarry()
+        predict(model, ds, carry)
         shapes = self.count_products(monkeypatch)
         moved = LinearModel(model.weights + 0.1 * rng.normal(size=model.weights.shape))
-        assert_exact(moved, ds)
+        assert_exact(moved, ds, carry)
         assert len(shapes) == 1 and 0 < shapes[0][0] < ds.n * classifier._SCREEN_MAX_GATHER_SHARE
 
-    def test_relabeled_copies_share_the_carried_state(self, monkeypatch):
+    def test_a_second_refresh_at_the_same_weights_runs_no_product(self, monkeypatch):
         ds, model = clusters(np.random.default_rng(13), 3000, 64, 100)
-        copy = ds.with_labels(predict(model, ds))
-        assert copy._screen is ds._screen
+        pool, carry = ds.as_unlabeled(), ArgmaxCarry()
+        first = refresh_pseudo_labels(model, pool, carry)
         shapes = self.count_products(monkeypatch)
-        assert predict(model, copy).tobytes() == copy.labels.tobytes()
+        again = refresh_pseudo_labels(model, pool, carry)
         assert shapes == []
+        assert again.labels.tobytes() == first.labels.tobytes() == oracle(model, ds).tobytes()
 
     def test_writing_to_a_returned_array_leaves_the_next_answer(self):
         ds, model = clusters(np.random.default_rng(14), 3000, 64, 100)
-        got = predict(model, ds)
+        carry = ArgmaxCarry()
+        got = predict(model, ds, carry)
         want = got.copy()
         got[:] = 0
-        again = predict(model, ds)
+        again = predict(model, ds, carry)
         assert again.tobytes() == want.tobytes()
         again += 1
-        assert predict(model, ds).tobytes() == want.tobytes()
+        assert predict(model, ds, carry).tobytes() == want.tobytes()
 
     def test_a_full_product_fallback_drops_the_carried_state(self):
         ds, model = clusters(np.random.default_rng(15), 3000, 64, 100)
-        predict(model, ds)
-        assert_exact(LinearModel(np.zeros_like(model.weights)), ds)
-        assert "carry" not in ds._screen
+        carry = ArgmaxCarry()
+        predict(model, ds, carry)
+        assert_exact(LinearModel(np.zeros_like(model.weights)), ds, carry)
+        assert carry.state is None
+        assert_exact(model, ds, carry)
+        assert carry.state is not None
+
+    def test_interleaved_runs_screen_the_rows_of_runs_one_after_the_other(self, monkeypatch):
+        # two random walks of weights, each with its own carry on one dataset
+        rng = np.random.default_rng(16)
+        ds, model = clusters(rng, 3000, 64, 100)
+        runs = []
+        for start in (0.0, 1.0):
+            w = model.weights + start * rng.normal(size=model.weights.shape)
+            runs.append([LinearModel(w := w + 0.05 * rng.normal(size=w.shape)) for _ in range(5)])
+        shapes = self.count_products(monkeypatch)
+
+        def screened(order):
+            carries, calls = [ArgmaxCarry(), ArgmaxCarry()], ([], [])
+            for r, m in order:
+                shapes.clear()
+                assert_exact(m, ds, carries[r])
+                calls[r].append(list(shapes))
+            return calls
+
+        alone = screened([(r, m) for r in (0, 1) for m in runs[r]])
+        interleaved = screened([(r, m) for pair in zip(*runs) for r, m in enumerate(pair)])
+        assert interleaved == alone
+        # every later call of a run screened fewer rows than a fresh one
+        assert all(not call or call[0][0] < ds.n for run in alone for call in run[1:])
+
+    def test_a_carry_filled_on_another_dataset_is_not_carried_over(self, monkeypatch):
+        # same shape, rows reversed: the first dataset's carried labels would
+        # be wrong for almost every row of the second
+        a, model = clusters(np.random.default_rng(17), 3000, 64, 100)
+        b = FeatureDataset(a.features[::-1], a.labels[::-1], 100)
+        carry = ArgmaxCarry()
+        predict(model, a, carry)
+        shapes = self.count_products(monkeypatch)
+        assert_exact(model, b, carry)
+        assert shapes[0] == (b.n, 100)
+        assert carry.state[0] is b.screen_arrays[0]
+
+    def test_predict_without_a_carry_adds_only_the_screen_arrays(self):
+        ds, model = clusters(np.random.default_rng(18), 3000, 64, 100)
+        before, labels, weights = dict(vars(ds)), ds.labels.copy(), model.weights.copy()
         assert_exact(model, ds)
-        assert "carry" in ds._screen
+        after = vars(ds)
+        assert set(after) - set(before) == {"screen_arrays"}
+        assert all(after[name] is value for name, value in before.items())
+        assert ds.labels.tobytes() == labels.tobytes()
+        assert model.weights.tobytes() == weights.tobytes()
 
 
 class TestScreenPaths:
@@ -278,13 +330,15 @@ class TestScreenPaths:
 
 
 class TestScreenArrays:
-    def test_built_once_and_shared_with_relabeled_copies(self):
+    def test_built_once_per_dataset(self):
         ds, model = clusters(np.random.default_rng(7), 50, 8, 4)
-        x32, norms = ds.screen_arrays()
+        x32, norms = ds.screen_arrays
         assert x32.dtype == np.float32 and x32.tobytes() == ds.features.astype(np.float32).tobytes()
         np.testing.assert_allclose(norms, np.linalg.norm(ds.features, axis=1), rtol=1e-15)
-        again = ds.with_labels(predict(model, ds)).screen_arrays()
+        again = ds.screen_arrays
         assert again[0] is x32 and again[1] is norms
+        copy = ds.with_labels(predict(model, ds))
+        assert copy.screen_arrays[0] is not x32 and copy.screen_arrays is copy.screen_arrays
 
     def test_features_are_read_only(self):
         ds, _ = clusters(np.random.default_rng(8), 5, 3, 2)
@@ -311,14 +365,15 @@ def benchmark_models(request):
 
 @pytest.mark.parametrize("which", [0, 1], ids=["warm_start", "two_cycles"])
 def test_benchmark_validation_sets_pin_the_argmax(benchmark_models, which):
-    # each model is also predicted right after the other, so the second call
-    # starts from margins carried across the fine-tuning's drift
+    # each model is also predicted right after the other through one carry,
+    # so the second call starts from margins carried across the drift
     k, validation, models = benchmark_models
     model, other = models[which], models[1 - which]
     if k == 100:      # these shapes are past the cutover: the screen decides them
         assert classifier._screened_argmax(model, validation) is not None
+    carry = ArgmaxCarry()
     for m in (model, other, model):
-        assert_exact(m, validation)
+        assert_exact(m, validation, carry)
     with screen_every_shape():
         for m in (other, model, other):
-            assert_exact(m, validation)
+            assert_exact(m, validation, carry)

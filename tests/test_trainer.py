@@ -41,7 +41,7 @@ def small_benchmark(seed=0, within_std=0.45):
 
 def biased_init(train, seed=0):
     # short warm start: head-biased but with room for every metric to improve
-    return pretrain_erm(train, train.dim, train.num_classes, steps=60, seed=seed)
+    return pretrain_erm(train, steps=60, seed=seed)
 
 
 class TestCosineLr:
@@ -171,7 +171,7 @@ class TestGreedyFormablePairs:
         # used to put all its mass there and abort after 1000 redraws
         ds = generate_longtail(LTSpec(K=6, d=8, N1=100, rho=20.0, seed=0))
         train, val, unlabeled = split(ds, (0.5, 0.3, 0.2), seed=0)
-        init = pretrain_erm(train, train.dim, train.num_classes, steps=60, seed=0)
+        init = pretrain_erm(train, steps=60, seed=0)
         cfg = TrainerConfig(metric=MetricSpec(MEAN_RECALL), cycles=3, sgd_steps_per_cycle=7,
                             batch_size=16, lr=0.1, seed=0, mode="ssl", policy="greedy")
         _, history = run_selmix(cfg, train, unlabeled, val, init)
@@ -189,7 +189,7 @@ class TestMissingLabeledClasses:
             train, val, unlabeled = split(ds, (0.5, 0.3, 0.2), seed=seed)
             keep = train.labels <= 3
             train = FeatureDataset(train.features[keep], train.labels[keep], train.num_classes)
-            init = pretrain_erm(train, train.dim, train.num_classes, steps=60, seed=seed)
+            init = pretrain_erm(train, steps=60, seed=seed)
             cfg = TrainerConfig(metric=MetricSpec(MIN_RECALL), cycles=5, sgd_steps_per_cycle=20,
                                 batch_size=32, lr=0.1, seed=seed, mode=mode)
             _, history = run_selmix(cfg, train, unlabeled if mode == "ssl" else None, val, init)
@@ -316,7 +316,7 @@ class TestBlockDrawnSgd:
             (train, val), unlabeled = _first_pool_gaps(), None
         else:
             (train, val, _), unlabeled = small_benchmark(), None
-        init = pretrain_erm(train, train.dim, train.num_classes, steps=60, seed=0)
+        init = pretrain_erm(train, steps=60, seed=0)
         config = TrainerConfig(metric=MetricSpec(MIN_RECALL), lr=0.1, seed=0, **case)
         if steps_per_block is not None:
             monkeypatch.setattr(trainer, "_BLOCK_ELEMENTS",
@@ -445,8 +445,7 @@ class TestBlockDrawnPretrain:
         if steps_per_block is not None:
             monkeypatch.setattr(trainer, "_BLOCK_ELEMENTS",
                                 steps_per_block * batch_size * train.dim)
-        got = pretrain_erm(train, train.dim, train.num_classes, steps=steps,
-                           batch_size=batch_size, logit_adjust=logit_adjust)
+        got = pretrain_erm(train, steps=steps, batch_size=batch_size, logit_adjust=logit_adjust)
         want = per_step_pretrain(train, steps, batch_size, logit_adjust)
         assert got.weights.tobytes() == want.tobytes()
 
@@ -455,8 +454,7 @@ class TestBlockDrawnPretrain:
         # lr 0.5 scales exactly, so only an lr that rounds tells M / B * lr from lr * M / B:
         # the warm start steps through sgd_mixup_block, which averages first
         train, _, _ = small_benchmark()
-        got = pretrain_erm(train, train.dim, train.num_classes, steps=23, batch_size=7,
-                           lr=lr, logit_adjust=1.0)
+        got = pretrain_erm(train, steps=23, batch_size=7, lr=lr, logit_adjust=1.0)
         rng = np.random.default_rng(np.random.SeedSequence((0, 0x5E1F)))
         shift = np.log(train.priors())
         w = np.zeros((train.dim, train.num_classes))
@@ -478,8 +476,7 @@ class TestPretrainAbsentClass:
         gap = FeatureDataset(train.features[keep], train.labels[keep], train.num_classes)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            model = pretrain_erm(gap, gap.dim, gap.num_classes, steps=50,
-                                 logit_adjust=logit_adjust)
+            model = pretrain_erm(gap, steps=50, logit_adjust=logit_adjust)
         assert np.all(model.weights[:, 4] == 0.0)
         assert np.all(np.isfinite(model.weights))
         assert np.any(model.weights[:, :4] != 0.0)
@@ -501,7 +498,7 @@ class TestPretrainRejectsBadInputs:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SelMixError, match=message):
-                pretrain_erm(train, train.dim, train.num_classes, **{"steps": 5, **kwargs})
+                pretrain_erm(train, **{"steps": 5, **kwargs})
 
     def test_only_present_classes_need_a_finite_shift(self):
         train, _, _ = small_benchmark()
@@ -510,8 +507,8 @@ class TestPretrainRejectsBadInputs:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SelMixError, match="logit shift non-finite"):
-                pretrain_erm(alone, alone.dim, alone.num_classes, steps=5, logit_adjust=np.inf)
-            model = pretrain_erm(alone, alone.dim, alone.num_classes, steps=5, logit_adjust=1e308)
+                pretrain_erm(alone, steps=5, logit_adjust=np.inf)
+            model = pretrain_erm(alone, steps=5, logit_adjust=1e308)
         assert np.all(model.weights == 0.0)             # one present class: no gradient
 
 
