@@ -47,8 +47,8 @@ def make_benchmark(
         within_std=setting.within_std,
         seed=seed,
     )
-    pool = generate_longtail(pool_spec)
-    train, _, unlabeled = split(pool, POOL_FRACTIONS, seed=seed)
+    # the pool is freed once split returns, before the holdout is drawn
+    train, _, unlabeled = split(generate_longtail(pool_spec), POOL_FRACTIONS, seed=seed)
     validation = balanced_validation(pool_spec, setting.val_per_class)
     init = pretrain_erm(
         train,

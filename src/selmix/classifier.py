@@ -237,20 +237,28 @@ def mix_features(feat_a: np.ndarray, feat_b: np.ndarray, betas: np.ndarray) -> n
     """Feature-space mixup per row: beta * feat_a + (1 - beta) * feat_b.
 
     ``betas`` holds one weight per row, so a (steps, batch) array mixes a
-    (steps, batch, d) block of rows at once.
+    (steps, batch, d) block of rows at once.  The inputs are left as they
+    were; :func:`mix_rows_inplace` mixes in the caller's own arrays.
     """
+    return mix_rows_inplace(np.array(feat_a, dtype=np.float64),
+                            np.array(feat_b, dtype=np.float64), betas)
+
+
+def mix_rows_inplace(feat_a: np.ndarray, feat_b: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """:func:`mix_features` into the float64 array ``feat_a``, with
+    ``feat_b`` overwritten as scratch; returns ``feat_a``.  Each entry is
+    rounded as ``beta * a + (1 - beta) * b`` rounds it."""
     betas = np.asarray(betas, dtype=np.float64)
     if betas.size == 0:
         raise SelMixError("mixup needs a nonempty batch")
     valid = (betas >= 0.0) & (betas <= 1.0)
     if not valid.all():
         raise SelMixError(f"beta must lie in [0, 1], got {betas[~valid][0]}")
-    b = np.repeat(betas, np.shape(feat_a)[-1]).reshape(np.shape(feat_a))
-    mixed = b * feat_a
-    np.subtract(1.0, b, out=b)
-    b *= feat_b
-    mixed += b
-    return mixed
+    beta = betas[..., None]
+    feat_a *= beta
+    feat_b *= 1.0 - beta
+    feat_a += feat_b
+    return feat_a
 
 
 def class_centroids(features: FeatureDataset) -> CentroidSet:

@@ -17,8 +17,8 @@ import numpy as np
 from . import __version__
 from .classifier import LinearModel
 from .config import load_config
-from .data import (POOL_FRACTIONS, balanced_validation, generate_longtail, load_dataset,
-                   load_weights, save_dataset, split)
+from .data import (POOL_FRACTIONS, balanced_validation, check_split_sizes, generate_longtail,
+                   load_dataset, load_weights, save_dataset, split)
 from .errors import ConfigError, SelMixError
 from .gain import gain_oracle_median_error
 from .metrics import (
@@ -68,8 +68,9 @@ def load_model_csv(path) -> LinearModel:
 def cmd_gen_data(args) -> int:
     cfg = load_config(args.config)
     spec = cfg.lt_spec()
-    pool = generate_longtail(spec)
-    train, _, unlabeled = split(pool, POOL_FRACTIONS, seed=spec.seed)
+    check_split_sizes(spec.class_counts(), POOL_FRACTIONS, error=ConfigError)
+    # the pool is freed once split returns, before the holdout is drawn
+    train, _, unlabeled = split(generate_longtail(spec), POOL_FRACTIONS, seed=spec.seed)
     val = balanced_validation(spec, per_class=max(10, round(spec.N1 / 10)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -94,7 +95,7 @@ def cmd_gen_data(args) -> int:
         "files": {"train": "train.csv", "val": "val.csv", "unlabeled": "unlabeled.csv"},
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-    _log(f"wrote {pool.n} long-tailed + {val.n} balanced validation samples to {out}")
+    _log(f"wrote {train.n + unlabeled.n} long-tailed + {val.n} balanced validation samples to {out}")
     return 0
 
 

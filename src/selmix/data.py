@@ -34,6 +34,12 @@ def norm_bounds(a: np.ndarray, axis: int) -> np.ndarray:
     return np.sqrt(sq, out=sq)
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every value of ``a`` is finite, found from its min and max
+    (NaN or infinite otherwise) without a boolean copy of ``a``."""
+    return not a.size or bool(np.isfinite([a.min(), a.max()]).all())
+
+
 @dataclass(frozen=True)
 class FeatureDataset:
     """Fixed feature vectors with labels and per-class index sets.
@@ -159,19 +165,21 @@ class LTSpec:
 def _draw_clusters(spec: LTSpec, counts: np.ndarray, seed: int) -> FeatureDataset:
     """``counts[k]`` rows around each class mean of ``spec``, ordered by class.
 
-    Raises :class:`DataError` when a finite but huge ``within_std`` makes a
-    drawn feature overflow.
+    The (N, d) array is allocated once and each class's rows are drawn into
+    their own slice: standard normals, scaled by ``within_std``, then
+    shifted by the mean, so every value is rounded exactly as
+    ``mean + within_std * z`` would round it.  Raises :class:`DataError`
+    when a finite but huge ``within_std`` makes a drawn feature overflow.
     """
     means = spec.class_means()
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
+    feats = np.empty((int(counts.sum()), spec.d))
     with np.errstate(over="ignore"):
-        feats = np.concatenate(
-            [
-                means[k] + spec.within_std * rng.standard_normal((counts[k], spec.d))
-                for k in range(spec.K)
-            ]
-        )
-    if not np.isfinite(feats).all():
+        for mean, rows in zip(means, np.split(feats, np.cumsum(counts)[:-1])):
+            rng.standard_normal(out=rows)
+            rows *= spec.within_std
+            rows += mean
+    if not _all_finite(feats):
         raise DataError(f"within_std={spec.within_std!r} overflows the drawn features")
     labels = np.repeat(np.arange(spec.K), counts)
     return FeatureDataset(features=feats, labels=labels, num_classes=spec.K)
@@ -198,15 +206,22 @@ def save_dataset(ds: FeatureDataset, path) -> None:
     """Write a dataset as CSV: header ``label,f0,...,f{d-1}``, LF endings.
 
     Floats are written with ``repr`` so the round trip is exact.  Pseudo
-    datasets are saved with their ground-truth labels when available.
+    datasets are saved with their ground-truth labels when available.  Rows
+    are streamed to the file one line at a time, so no text copy of the
+    whole array is held.  A dataset :func:`load_dataset` would refuse (an
+    unassigned pseudo label, a non-finite feature) raises
+    :class:`DataError` before the file is opened.
     """
     labels = ds.true_labels if (ds.pseudo and ds.true_labels is not None) else ds.labels
+    if labels.size and labels.min() < 0:
+        raise DataError("cannot save unassigned (-1) pseudo labels without true_labels")
+    if not _all_finite(ds.features):
+        raise DataError("cannot save non-finite feature values")
     header = ",".join([CSV_HEADER_PREFIX] + [f"f{i}" for i in range(ds.dim)])
-    lines = [header]
-    for row, lab in zip(ds.features.tolist(), labels.tolist()):
-        lines.append(f"{lab}," + ",".join(map(repr, row)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n")
+        for row, lab in zip(ds.features, labels.tolist()):
+            fh.write(f"{lab}," + ",".join(map(repr, row.tolist())) + "\n")
 
 
 def _read_lines(path) -> list[str]:
@@ -340,6 +355,15 @@ def load_weights(path) -> np.ndarray:
     return weights
 
 
+def check_split_sizes(counts: np.ndarray, fractions, error: type[Exception] = DataError) -> None:
+    """Raise ``error`` naming the first class whose count in ``counts`` is
+    below the number of positive ``fractions``: :func:`split` could not
+    give that class a row in every split."""
+    small = np.flatnonzero(np.asarray(counts) < np.count_nonzero(np.asarray(fractions) > 0))
+    if small.size:
+        raise error(f"class {small[0]} too small to appear in all requested splits")
+
+
 def split(
     ds: FeatureDataset,
     fractions: tuple[float, float, float],
@@ -355,14 +379,13 @@ def split(
     fr = np.asarray(fractions, dtype=np.float64)
     if fr.shape != (3,) or np.any(fr < 0) or abs(fr.sum() - 1.0) > 1e-9:
         raise DataError("fractions must be three nonnegative values summing to 1")
+    check_split_sizes(ds.class_counts(), fr)
+    active = [s for s in range(3) if fr[s] > 0]
     rng = np.random.default_rng(seed)
     buckets: list[list[np.ndarray]] = [[], [], []]
     for k in range(ds.num_classes):
         idx = np.flatnonzero(ds.labels == k)
         n_k = idx.size
-        active = [s for s in range(3) if fr[s] > 0]
-        if n_k < len(active):
-            raise DataError(f"class {k} too small to appear in all requested splits")
         perm = idx[rng.permutation(n_k)]
         counts = np.floor(fr * n_k).astype(int)
         for s in range(3):

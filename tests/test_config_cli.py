@@ -254,6 +254,14 @@ class TestTrain:
         assert "expected 7 fields, got 2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_config_gen_data_cannot_split_still_trains(self, tmp_path, small_data_dir):
+        # n1=100 at rho=100 leaves the tail class one row; train never splits
+        conf = tmp_path / "train.cfg"
+        conf.write_text("K=4\nd=6\nn1=100\ncycles=1\nsgd_steps=1\n")
+        assert run_cli("gen-data", "--config", str(conf), "--out", str(tmp_path / "gen")) == 2
+        assert run_cli("train", "--config", str(conf), "--data", str(small_data_dir),
+                       "--out", str(tmp_path / "run")) == 0
+
     def test_missing_data_dir_exits_2(self, tmp_path):
         conf = tmp_path / "train.cfg"
         conf.write_text("K=4\nd=6\n")
@@ -480,6 +488,9 @@ def _out_of_memory(cfg):
     raise MemoryError(_NO_MEMORY)
 
 
+# rho=100 leaves the tail class one row: too few for both the labeled and
+# the unlabeled split gen-data makes
+_TAIL_OF_ONE = "K=3\nn1=60\n"
 _TRAIN = ("train", "--config", "{tmp}/gen.cfg", "--data", "{tmp}/data", "--out", "{tmp}/out")
 
 
@@ -501,21 +512,24 @@ _TRAIN = ("train", "--config", "{tmp}/gen.cfg", "--data", "{tmp}/data", "--out",
     ((*_TRAIN, "--pretrain-steps", "5", "--pretrain-la", "nan"), "logit shift non-finite"),
     ((*_TRAIN, "--pretrain-steps", "-3"), "steps >= 0"),
     ((*_TRAIN, "--init", "{tmp}/m.csv"), "init model shape does not match the data"),
+    (("gen-data", "--config", "{tmp}/tail.cfg", "--out", "{tmp}/out"),
+     "config error: class 2 too small to appear in all requested splits"),
 ], ids=["sim-seed", "theory-seed", "mixup-seed", "conv-K-neg", "conv-d-neg", "conv-K-0",
         "conv-d-0", "mixup-d-neg", "mixup-d-0", "sim-out-of-memory", "sim-s-overflow",
         "pretrain-la-inf", "pretrain-la-overflow", "pretrain-la-nan", "pretrain-steps-neg",
-        "init-shape-mismatch"])
+        "init-shape-mismatch", "gen-data-tail-too-small"])
 def test_bad_arguments_exit_with_one_line_and_no_traceback(monkeypatch, request, tmp_path, capsys,
                                                            argv, message):
     # the out-of-memory case stands in a callee that raises instead of allocating
     monkeypatch.setattr("selmix.cli.run_online_game", _out_of_memory)
+    (tmp_path / "tail.cfg").write_text(_TAIL_OF_ONE)
     if argv[0] == "train":
         request.getfixturevalue("small_data_dir")       # gen.cfg and data/ in tmp_path
         save_model_csv(LinearModel(np.zeros((3, 5))), tmp_path / "m.csv")     # data is 6 x 4
         capsys.readouterr()
     code = run_cli_raising_warnings(*(arg.format(tmp=tmp_path) for arg in argv))
     out = capsys.readouterr()
-    assert code == 1
+    assert code == (2 if message.startswith("config error:") else 1)
     assert out.err.count("\n") == 1 and message in out.err
     assert "Traceback" not in out.err + out.out
     assert not (tmp_path / "out").exists()

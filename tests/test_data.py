@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -91,6 +92,27 @@ def _outcome(read, path, *args):
     return result.tobytes(), result.shape
 
 
+def _draw_clusters_concatenated(spec, counts, seed):
+    """The features of ``data._draw_clusters`` in its earlier form, one
+    temporary per class joined by ``np.concatenate``: the reference the
+    in-place draw must equal byte for byte."""
+    means = spec.class_means()
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
+    with np.errstate(over="ignore"):
+        return np.concatenate([means[k] + spec.within_std * rng.standard_normal((counts[k], spec.d))
+                               for k in range(spec.K)])
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes tracemalloc sees while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _dataset_per_line(path, expected_classes):
     raw = _read_lines(path)
     labels, features = _parse_dataset_lines(path, raw, _header_width(path, raw), expected_classes)
@@ -138,6 +160,22 @@ class TestGenerateLongtail:
         means = spec.class_means()
         np.testing.assert_allclose(np.linalg.norm(means, axis=1), spec.cluster_separation)
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("k, d", [(10, 16), (12, 8), (100, 128)])
+    def test_in_place_draw_equals_the_concatenated_draw(self, k, d, seed):
+        spec = LTSpec(K=k, d=d, seed=seed)
+        assert (generate_longtail(spec).features.tobytes()
+                == _draw_clusters_concatenated(spec, spec.class_counts(), seed).tobytes())
+        assert (balanced_validation(spec, 150).features.tobytes()
+                == _draw_clusters_concatenated(spec, np.full(k, 150), seed + 20_000).tobytes())
+
+    def test_overflowing_within_std_raises(self):
+        spec = LTSpec(K=4, d=4, N1=50, rho=4.0, within_std=1e308, seed=0)
+        assert not np.isfinite(_draw_clusters_concatenated(spec, spec.class_counts(), 0)).all()
+        with pytest.raises(DataError) as info:
+            generate_longtail(spec)
+        assert str(info.value) == "within_std=1e+308 overflows the drawn features"
+
     def test_invalid_spec_rejected(self):
         with pytest.raises(DataError):
             LTSpec(K=1, d=4)
@@ -158,9 +196,10 @@ class TestCsvRoundTrip:
 
     @pytest.mark.parametrize("pseudo", [False, True])
     def test_bytes_match_per_value_repr(self, tmp_path, pseudo):
-        features = np.array([[-0.0, 5e-324, 1e-300],
-                             [1e16, 0.1, 3.0],
-                             [-7.0, 0.0, 2.0 ** 60]])
+        # repr switches to exponent form below 1e-4 and from 1e16 up
+        features = np.array([[-0.0, 5e-324, 1e-300, 1e-05],
+                             [1e16, 0.1, 3.0, 1.7976931348623157e+308],
+                             [-7.0, 0.0, 2.0 ** 60, 1e-4]])
         labels = np.array([2, 0, 1])
         if pseudo:
             ds = FeatureDataset(features, np.array([-1, 1, 1]), num_classes=3,
@@ -171,10 +210,33 @@ class TestCsvRoundTrip:
         save_dataset(ds, path)
         rows = [",".join([str(int(lab))] + [repr(float(v)) for v in row])
                 for row, lab in zip(features, labels)]
-        want = "\n".join(["label,f0,f1,f2"] + rows) + "\n"
+        want = "\n".join(["label,f0,f1,f2,f3"] + rows) + "\n"
+        assert ",1e-05\n" in want and ",1.7976931348623157e+308\n" in want
         assert path.read_bytes() == want.encode("utf-8")
         back = load_dataset(path, expected_classes=3)
         assert back.features.tobytes() == features.tobytes()
+
+    @pytest.mark.parametrize("ds, message", [
+        (FeatureDataset(np.ones((2, 1)), np.array([0, -1]), num_classes=2, pseudo=True),
+         "cannot save unassigned (-1) pseudo labels without true_labels"),
+        (FeatureDataset(np.array([[1.0], [np.inf]]), np.array([0, 1]), num_classes=2),
+         "cannot save non-finite feature values"),
+        (FeatureDataset(np.array([[-np.inf], [1.0]]), np.array([0, 1]), num_classes=2),
+         "cannot save non-finite feature values"),
+        (FeatureDataset(np.array([[1.0, np.nan]]), np.array([0]), num_classes=1),
+         "cannot save non-finite feature values"),
+    ], ids=["unassigned-pseudo", "inf", "minus-inf", "nan"])
+    def test_unloadable_dataset_raises_before_creating_the_file(self, tmp_path, ds, message):
+        path = tmp_path / "refused.csv"
+        with pytest.raises(DataError) as info:
+            save_dataset(ds, path)
+        assert str(info.value) == message
+        assert not path.exists()
+
+    def test_assigned_pseudo_labels_without_truth_are_saved(self, tmp_path):
+        ds = FeatureDataset(np.ones((2, 1)), np.array([1, 0]), num_classes=2, pseudo=True)
+        save_dataset(ds, tmp_path / "assigned.csv")
+        assert load_dataset(tmp_path / "assigned.csv").labels.tolist() == [1, 0]
 
     def test_hand_written_row(self, tmp_path):
         path = tmp_path / "tiny.csv"
@@ -394,3 +456,25 @@ def test_split_is_a_stratified_partition(case):
         np.testing.assert_array_equal(truth, labels[part_rows])
         if fraction > 0:
             assert np.all(np.bincount(truth, minlength=counts.size) >= 1)
+
+
+class TestMemory:
+    """The data path holds each dataset array once."""
+
+    def test_balanced_validation_peaks_near_its_feature_array(self):
+        spec = LTSpec(K=100, d=128, seed=0)
+        nbytes = 100 * 150 * 128 * 8
+        assert _traced_peak(balanced_validation, spec, 150) <= 1.15 * nbytes
+
+    def test_save_dataset_streams_its_rows(self, tmp_path):
+        rng = np.random.default_rng(4)
+        ds = FeatureDataset(rng.standard_normal((3000, 64)), rng.integers(0, 10, 3000),
+                            num_classes=10)
+        assert _traced_peak(save_dataset, ds, tmp_path / "big.csv") < 2 ** 20
+        assert load_dataset(tmp_path / "big.csv").features.tobytes() == ds.features.tobytes()
+
+    def test_make_benchmark_frees_the_pool_before_the_holdout(self):
+        # the split (pool, train and unlabeled at once) sets the peak: about
+        # 65 MiB, where a pool kept through the holdout draw reached 94 MiB
+        setting = BenchmarkSetting(K=100, d=128, pretrain_steps=0)
+        assert _traced_peak(make_benchmark, 0, setting) <= 70 * 2 ** 20
