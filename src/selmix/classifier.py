@@ -324,6 +324,16 @@ def sgd_mixup_block(weights: np.ndarray, mixed: np.ndarray, labels: np.ndarray, 
     adjustment; -inf leaves a class without probability).  A step that
     leaves a weight non-finite raises :class:`SelMixError`, leaving
     ``weights`` as it made them.
+
+    The block's weights are checked once, not after every step, where the
+    check cost 1.6 µs at d×K = 16×10 and 4.7 µs at 128×100 (timeit, 2
+    cores, numpy 2.4.6), against ~20 µs for a whole 16×10 step at batch 64.
+    The steps first run with floating-point overflow, invalid and
+    divide-by-zero events raised instead of warned.  If one is raised or a
+    weight ends non-finite, the starting weights are restored and the block
+    is replayed step by step, checked after each step, under the caller's
+    ``np.errstate``; so the error raised, the warnings emitted and the
+    weights left behind are those of checking every step.
     """
     n = mixed.shape[1]
     if n == 0:
@@ -331,18 +341,35 @@ def sgd_mixup_block(weights: np.ndarray, mixed: np.ndarray, labels: np.ndarray, 
     if labels.shape != mixed.shape[:2]:
         raise SelMixError("need one label per mixed row")
     cells = label_cells(labels, weights.shape[1])
+    start = weights.copy()
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            _sgd_steps(weights, mixed, cells, lrs, shift, checked=False)
+    except FloatingPointError:
+        pass
+    else:
+        if np.isfinite(weights).all():
+            return
+    weights[...] = start
+    _sgd_steps(weights, mixed, cells, lrs, shift, checked=True)
+
+
+def _sgd_steps(weights, mixed, cells, lrs, shift, checked: bool) -> None:
+    """:func:`sgd_mixup_block`'s steps, each checked if ``checked``."""
+    n = mixed.shape[1]
     p, col, grad = np.empty((n, weights.shape[1])), np.empty((n, 1)), np.empty_like(weights)
+    flat = p.reshape(-1)
     for x, c, lr in zip(mixed, cells, lrs):
         np.matmul(x, weights, out=p)
         if shift is not None:
             p += shift
         softmax_rows_inplace(p, col)
-        p.reshape(-1)[c] -= 1.0
+        flat[c] -= 1.0
         np.matmul(x.T, p, out=grad)
         grad /= n
         grad *= lr
         weights -= grad
-        if not np.isfinite(weights).all():
+        if checked and not np.isfinite(weights).all():
             raise SelMixError("weights must be finite")
 
 

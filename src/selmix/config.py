@@ -1,10 +1,11 @@
 """Flat key=value run configuration shared by the CLI commands.
 
-Unknown keys are rejected; missing keys take the documented defaults (the
-published recipe values where one exists: s=10, omega=40, lambda_max=100,
-tau=0.01, alpha=0.95, batch_size=64, cosine schedule).  Values are checked
-in one place: the trainer and data specs a config describes are built when
-it is parsed, and any value they reject is a :class:`ConfigError`.
+Unknown keys and keys given twice are rejected; missing keys take the
+documented defaults (the published recipe values where one exists: s=10,
+omega=40, lambda_max=100, tau=0.01, alpha=0.95, batch_size=64, cosine
+schedule).  Values are checked in one place: the trainer and data specs a
+config describes are built when it is parsed, and any value they reject is
+a :class:`ConfigError`.
 """
 
 from __future__ import annotations
@@ -98,6 +99,7 @@ def _parse_value(key: str, raw: str):
 
 def parse_config_text(text: str) -> RunConfig:
     values = dict(DEFAULTS)
+    given: dict[str, int] = {}                  # key -> the line that set it
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -108,6 +110,9 @@ def parse_config_text(text: str) -> RunConfig:
         key, raw = key.strip(), raw.strip()
         if key not in DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in given:
+            raise ConfigError(f"line {lineno}: key {key!r} already set on line {given[key]}")
+        given[key] = lineno
         values[key] = _parse_value(key, raw)
     return RunConfig(values)
 

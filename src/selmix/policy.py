@@ -49,6 +49,18 @@ class MixPolicy:
         cdf[np.flatnonzero(flat)[-1]:] = 1.0
         return cdf
 
+    @cached_property
+    def guide(self) -> np.ndarray:
+        """A guide table (Chen & Asau 1974) for :func:`sample_pairs`: m
+        buckets, m the power of two at least 4·K², and entry b the cell that
+        ``searchsorted(cdf, u, "right")`` gives for every u in [b/m,
+        (b+1)/m), or -1 where a CDF value inside the bucket splits it.  As
+        m is a power of two, u·m, its floor and b/m are exact, so each u
+        falls in exactly its bucket."""
+        m = 1 << (4 * self.cdf.size - 1).bit_length()
+        edges = np.searchsorted(self.cdf, np.arange(m + 1) / m, side="right")
+        return np.where(edges[:-1] == edges[1:], edges[:-1], -1)
+
     def entropy(self) -> float:
         p = self.probs[self.probs > 0]
         return float(-(p * np.log(p)).sum())
@@ -106,8 +118,22 @@ def sample_pairs(
     policy: MixPolicy, rng: np.random.Generator, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """``count`` inverse-CDF draws over the row-major cells, one uniform
-    each; returns the (i, j) index arrays."""
-    flat = np.searchsorted(policy.cdf, rng.random(count), side="right")
+    each; returns the (i, j) index arrays.  Each cell is exactly
+    ``np.searchsorted(policy.cdf, u, side="right")``, read from
+    :attr:`MixPolicy.guide` where the draw's bucket is not split.  6400
+    draws at K=10 take 100 µs this way, not 330 µs.  Fewer than 4·K² draws
+    search the CDF outright, as a table sized for them would have nearly
+    every bucket split: 1024 draws at K=100 took 131 µs through a
+    1024-bucket table against 121 µs without (timeit, 2 cores, numpy
+    2.4.6)."""
+    u, cdf = rng.random(count), policy.cdf
+    if count < 4 * cdf.size:
+        flat = np.searchsorted(cdf, u, side="right")
+    else:
+        guide = policy.guide
+        flat = guide[(u * guide.size).astype(np.intp)]
+        split = np.flatnonzero(flat < 0)
+        flat[split] = np.searchsorted(cdf, u[split], side="right")
     return np.divmod(flat, policy.probs.shape[1])
 
 
@@ -209,6 +235,15 @@ def _policy_sequence(cfg: OnlineGameConfig, flat: np.ndarray, cum: np.ndarray,
     return cum
 
 
+def _inverse_cdf_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row of the (rows, cells) ``cdf``, the first cell whose entry
+    exceeds that row's ``u``: the rule of :func:`sample_pairs`
+    (searchsorted's side="right"), as a CDF never decreases.  Where even
+    the row's sum is u or below, the last cell."""
+    above = cdf > u[:, None]
+    return np.where(above[:, -1], above.argmax(axis=1), cdf.shape[1] - 1)
+
+
 def run_online_game(cfg: OnlineGameConfig) -> dict:
     """Play one seeded game and report measured regret against the bound.
 
@@ -245,11 +280,8 @@ def run_online_game(cfg: OnlineGameConfig) -> dict:
 
         probs = _policy_sequence(cfg, flat, cum, before)
         expected[t0:t1] = (probs * flat).sum(axis=1)
-        # row-wise inverse-CDF sampling of one cell per round; ``<=`` is
-        # searchsorted's side="right", the rule of :func:`sample_pairs`
         cdf = np.cumsum(probs, axis=1, out=probs)
-        u = play_rng.random(rows.size)
-        chosen = np.minimum((cdf <= u[:, None]).sum(axis=1), cells - 1)
+        chosen = _inverse_cdf_rows(cdf, play_rng.random(rows.size))
         realized[t0:t1] = flat[rows, chosen]
 
     avg_expected = float(expected.mean())

@@ -13,17 +13,17 @@ for a given (config, seed): the root seed spawns independent streams for
 pair sampling, beta draws, and batch element choice, so toggling one
 consumer leaves the others unchanged.
 
-Within a cycle the policy, both pools and their class layouts are fixed,
-so none of the draws depends on the weights.  The SGD block therefore runs
-in blocks of whole steps, at most ``_BLOCK_ELEMENTS`` mixed entries each: a
+Within a cycle the policy, both pools and their class layouts are fixed, so
+none of the draws depends on the weights.  The SGD block therefore runs in
+blocks of whole steps, at most ``_BLOCK_ELEMENTS`` mixed entries each: a
 block is one pair draw, one draw of element choices and one of betas, one
 row gather per side (``_class_layout`` lays the labeled pool out by class
 once per run, the pseudo-labelled pool once per cycle) and one mix, both
-into two arrays the run allocates once, and
-``sgd_mixup_block`` then runs its steps in place on the cycle's one weights
-array.  A generator's n-value draw yields the same values and end state as
-n one-value draws, so blocks consume every stream exactly as per-step draws
-do and the run is bitwise the same for any block size.
+into two arrays the run allocates once, and one :func:`cosine_lr` call for
+its rates; ``sgd_mixup_block`` then runs its steps in place on the cycle's
+one weights array.  A generator's n-value draw yields the same values and
+end state as n one-value draws, so blocks consume every stream exactly as
+per-step draws do and the run is bitwise the same for any block size.
 """
 
 from __future__ import annotations
@@ -63,7 +63,12 @@ from .policy import (
 )
 
 # Mixed feature entries (steps x batch x d) drawn and gathered at once.
-_BLOCK_ELEMENTS = 1 << 15
+# At 1 << 17 a 100-step cycle at batch 64, d=16 (the reference run's) is one
+# block, where 1 << 15 split it 32+32+32+4 and each block paid the draw,
+# gather and mix overhead again.  Its largest fresh temporary, the (steps,
+# 2, batch) element draw, is then 100 KiB, under glibc's 128 KiB mmap
+# threshold; the gathered rows go into arrays allocated once per run.
+_BLOCK_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -149,9 +154,12 @@ class RunHistory:
         return "\n".join(r.to_json() for r in self.records) + "\n"
 
 
-def cosine_lr(base: float, step: int, total: int) -> float:
-    """Half-cosine ramp from base (step 0) to 0 (step == total)."""
-    if total < 1 or not 0 <= step <= total:
+def cosine_lr(base: float, step, total: int):
+    """Half-cosine ramp from base (step 0) to 0 (step == total).  ``step``
+    may be an array of steps, as the SGD block passes them; each entry then
+    equals the scalar call's value bit for bit."""
+    steps = np.asarray(step)
+    if total < 1 or not (steps.size and 0 <= steps.min() and steps.max() <= total):
         raise SelMixError("need 0 <= step <= total and total >= 1")
     return base * 0.5 * (1.0 + np.cos(np.pi * step / total))
 
@@ -197,10 +205,12 @@ def pretrain_erm(
         if not np.isfinite(shift[present]).all():
             raise SelMixError(f"pretrain logit adjustment {logit_adjust!r} makes a logit "
                               "shift non-finite")
-    block = max(1, _BLOCK_ELEMENTS // (batch_size * train.dim))
+    block = max(1, min(_BLOCK_ELEMENTS // (batch_size * train.dim), steps))
+    rows = np.empty((block, batch_size, train.dim))    # every block gathers into it
     for done in range(0, steps, block):
         idx = rng.integers(0, train.n, size=(min(block, steps - done), batch_size))
-        sgd_mixup_block(w, train.features[idx], train.labels[idx], [lr] * len(idx), shift)
+        x = np.take(train.features, idx, axis=0, out=rows[:len(idx)], mode="clip")
+        sgd_mixup_block(w, x, train.labels[idx], [lr] * len(idx), shift)
     return LinearModel(w)
 
 
@@ -271,9 +281,12 @@ def run_selmix(
     second_pool, second = train, first
     total_steps = max(config.cycles * config.sgd_steps_per_cycle, 1)
     spec = config.metric
-    block = max(1, _BLOCK_ELEMENTS // (config.batch_size * train.dim))
+    block = max(1, min(_BLOCK_ELEMENTS // (config.batch_size * train.dim),
+                       config.sgd_steps_per_cycle))
     # every SGD block gathers and mixes its rows in these two arrays: fresh
-    # block-sized arrays would each be mapped in and out by the allocator
+    # block-sized arrays would each be mapped in and out by the allocator.
+    # Every index is in range, and np.take's default mode="raise" would
+    # first gather into a block-sized temporary of its own.
     side_a, side_b = np.empty((2, block, config.batch_size, train.dim))
 
     # gradient-input smoothing: half a count keeps collapsed prediction
@@ -313,15 +326,16 @@ def run_selmix(
             u = elem_rng.random((steps, 2, config.batch_size))
             betas = beta_rng.uniform(config.beta_min, 1.0, size=(steps, config.batch_size))
             mixed = mix_rows_inplace(
-                np.take(train.features, first.rows(y1, u[:, 0]), axis=0, out=side_a[:steps]),
+                np.take(train.features, first.rows(y1, u[:, 0]), axis=0, out=side_a[:steps],
+                        mode="clip"),
                 np.take(second_pool.features, second.rows(y2, u[:, 1]), axis=0,
-                        out=side_b[:steps]),
+                        out=side_b[:steps], mode="clip"),
                 betas,
             )
             lrs = [config.lr] * steps
             if config.lr_schedule == "cosine":
                 start = (t - 1) * config.sgd_steps_per_cycle + done
-                lrs = [cosine_lr(config.lr, start + n, total_steps) for n in range(steps)]
+                lrs = cosine_lr(config.lr, np.arange(start, start + steps), total_steps)
             sgd_mixup_block(weights, mixed, y1, lrs)
             history.sgd_steps += steps
         model = LinearModel(weights)

@@ -79,6 +79,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_text("learning_rate=0.1")
 
+    def test_key_given_twice_rejected_naming_both_lines(self):
+        with pytest.raises(ConfigError, match=r"^line 3: key 'K' already set on line 1$"):
+            parse_config_text("K = 3\n# a comment\nK = 4\n")
+
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="invalid value"):
             parse_config_text("cycles=ten")
@@ -514,15 +518,18 @@ _TRAIN = ("train", "--config", "{tmp}/gen.cfg", "--data", "{tmp}/data", "--out",
     ((*_TRAIN, "--init", "{tmp}/m.csv"), "init model shape does not match the data"),
     (("gen-data", "--config", "{tmp}/tail.cfg", "--out", "{tmp}/out"),
      "config error: class 2 too small to appear in all requested splits"),
+    (("gen-data", "--config", "{tmp}/twice.cfg", "--out", "{tmp}/out"),
+     "config error: line 2: key 'K' already set on line 1"),
 ], ids=["sim-seed", "theory-seed", "mixup-seed", "conv-K-neg", "conv-d-neg", "conv-K-0",
         "conv-d-0", "mixup-d-neg", "mixup-d-0", "sim-out-of-memory", "sim-s-overflow",
         "pretrain-la-inf", "pretrain-la-overflow", "pretrain-la-nan", "pretrain-steps-neg",
-        "init-shape-mismatch", "gen-data-tail-too-small"])
+        "init-shape-mismatch", "gen-data-tail-too-small", "gen-data-key-twice"])
 def test_bad_arguments_exit_with_one_line_and_no_traceback(monkeypatch, request, tmp_path, capsys,
                                                            argv, message):
     # the out-of-memory case stands in a callee that raises instead of allocating
     monkeypatch.setattr("selmix.cli.run_online_game", _out_of_memory)
     (tmp_path / "tail.cfg").write_text(_TAIL_OF_ONE)
+    (tmp_path / "twice.cfg").write_text("K = 3\nK = 4\n")
     if argv[0] == "train":
         request.getfixturevalue("small_data_dir")       # gen.cfg and data/ in tmp_path
         save_model_csv(LinearModel(np.zeros((3, 5))), tmp_path / "m.csv")     # data is 6 x 4

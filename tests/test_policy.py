@@ -204,6 +204,37 @@ class TestSamplePair:
         with pytest.raises(SelMixError):
             MixPolicy(np.array([[0.5, 0.2], [0.0, 0.0]]))
 
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.sampled_from([1, 2, 10, 100]), mass=st.sampled_from(["spread", "sparse", "one"]),
+           counts=st.permutations([0, 1, 7, 6400, 40000]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_draw_equals_searchsorted_on_the_cdf(self, k, mass, counts, seed):
+        # draws of every size from one policy: those of 4·K² or more read
+        # the guide table, the first of them building it
+        rng = np.random.default_rng(seed)
+        probs = rng.random(k * k)
+        if mass == "sparse":                      # zero-mass cells, runs of equal CDF values
+            probs *= rng.random(k * k) < 0.3
+            probs[rng.integers(k * k)] = 1.0
+        elif mass == "one":
+            probs = np.zeros(k * k)
+            probs[rng.integers(k * k)] = 1.0
+        policy = MixPolicy((probs / probs.sum()).reshape(k, k))
+        cdf = policy.cdf
+        inner = cdf[cdf < 1.0]
+        m = 1 << (4 * k * k - 1).bit_length()     # the guide table's buckets
+        special = np.concatenate([inner, np.nextafter(inner, 0.0), np.arange(m) / m,
+                                  [np.nextafter(1.0, 0.0)]])
+        for count in counts:
+            u = np.where(rng.random(count) < 0.5, rng.choice(special, count), rng.random(count))
+
+            class FixedUniforms:
+                def random(self, size):
+                    assert size == count
+                    return u.copy()
+
+            i, j = sample_pairs(policy, FixedUniforms(), count)
+            np.testing.assert_array_equal(k * i + j, np.searchsorted(cdf, u, side="right"))
+
 
 class TestOnlineGame:
     def test_constant_gains_give_zero_regret(self):
@@ -262,6 +293,26 @@ class TestOnlineGame:
         i, j = sample_pairs(uniform_distribution(2), FixedUniforms(), 1)
         # round 0 of the alternating generator pays (i + j) % 2
         assert report["avg_gain_policy"] == (i[0] + j[0]) % 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(1, 4), rows=st.integers(1, 6), zero_share=st.sampled_from([0.0, 0.5]),
+           scale=st.sampled_from([1.0, 1.0 - 2 ** -52, 0.9]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_round_draw_equals_the_sum_of_entries_at_or_below_u(self, k, rows, zero_share,
+                                                                 scale, seed):
+        # rows of zero-mass cells and rows whose CDF ends below 1, with u
+        # drawn at random, exactly on CDF values and above the row's sum
+        rng = np.random.default_rng(seed)
+        cells = k * k
+        probs = rng.random((rows, cells)) * (rng.random((rows, cells)) >= zero_share)
+        probs[np.arange(rows), rng.integers(cells, size=rows)] += 0.1
+        cdf = np.cumsum(probs / probs.sum(axis=1, keepdims=True) * scale, axis=1)
+        u = rng.random(rows)
+        on = rng.random(rows) < 0.4
+        u[on] = cdf[on, rng.integers(cells, size=rows)[on]]
+        past = rng.random(rows) < 0.2
+        u[past] = np.nextafter(np.maximum(cdf[past, -1], u[past]), 1.0)
+        want = np.minimum((cdf <= u[:, None]).sum(axis=1), cells - 1)
+        np.testing.assert_array_equal(policy._inverse_cdf_rows(cdf, u), want)
 
     def test_out_of_range_gains_are_clamped_and_counted(self):
         cfg = OnlineGameConfig(K=3, T=50, s=1.0, gain_generator="spiky",

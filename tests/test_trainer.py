@@ -53,6 +53,18 @@ class TestCosineLr:
     def test_bounds_checked(self):
         with pytest.raises(SelMixError):
             cosine_lr(0.1, 5, 4)
+        for steps in ([3, 5], [-1, 2], []):
+            with pytest.raises(SelMixError):
+                cosine_lr(0.1, np.array(steps), 4)
+
+    # the SGD block takes a block's rates in one call: 1000 and 5000 steps
+    # are the reference run's and the benchmark's schedules
+    @pytest.mark.parametrize("total", [1, 7, 200, 1000, 2000, 5000, 123457])
+    def test_array_of_steps_equals_scalar_calls_bit_for_bit(self, total):
+        steps = np.arange(total + 1)
+        for base in (0.2, 0.37):
+            want = np.array([cosine_lr(base, s, total) for s in range(total + 1)])
+            assert cosine_lr(base, steps, total).tobytes() == want.tobytes()
 
 
 class TestRefreshPseudoLabels:
@@ -213,15 +225,21 @@ class TestClassLayout:
         assert set(layout.order[: np.sum(labels == -1)]) == set(np.flatnonzero(labels == -1))
 
 
-def reference_sgd_step(model, mixed, labels, lr):
+def reference_step_weights(weights, mixed, labels, lr):
     """One mixup SGD step written out with fresh arrays: the batch-mean
     cross-entropy gradient of the mixed rows, row-indexed label cells."""
-    shifted = mixed @ model.weights
+    shifted = mixed @ weights
     shifted = shifted - shifted.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=1, keepdims=True)
     p[np.arange(mixed.shape[0]), labels] -= 1.0
-    return LinearModel(model.weights - lr * (mixed.T @ p / mixed.shape[0]))
+    return weights - lr * (mixed.T @ p / mixed.shape[0])
+
+
+def reference_sgd_step(model, mixed, labels, lr):
+    """:func:`reference_step_weights` as a new model, which refuses
+    non-finite weights."""
+    return LinearModel(reference_step_weights(model.weights, mixed, labels, lr))
 
 
 def per_step_run(config, train, unlabeled, validation, init):
@@ -354,8 +372,9 @@ class TestSgdMixupBlock:
     @settings(max_examples=60, deadline=None)
     @given(k=st.integers(2, 12), d=st.integers(1, 20), n=st.integers(1, 70),
            steps=st.integers(1, 40), schedule=st.sampled_from(["zero", "cosine"]),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_byte_equal_to_a_chain_of_reference_steps(self, k, d, n, steps, schedule, seed):
+           as_array=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_byte_equal_to_a_chain_of_reference_steps(self, k, d, n, steps, schedule, as_array,
+                                                      seed):
         rng = np.random.default_rng(seed)
         weights = rng.normal(size=(d, k))
         mixed = rng.normal(size=(steps, n, d)) * rng.uniform(0.1, 3.0)
@@ -364,6 +383,8 @@ class TestSgdMixupBlock:
         if schedule == "cosine":
             total, start, base = steps + 40, int(rng.integers(0, 41)), rng.uniform(0.0, 1.0)
             lrs = [cosine_lr(base, start + s, total) for s in range(steps)]
+        if as_array:
+            lrs = np.array(lrs)
         want = reference_chain(weights, mixed, labels, lrs)
         got = weights.copy()
         sgd_mixup_block(got, mixed, labels, lrs)
@@ -380,25 +401,74 @@ class TestSgdMixupBlock:
         with pytest.raises(SelMixError, match=r"labels must lie in \[0, 4\)"):
             sgd_mixup_step(LinearModel(weights), mixed[1], labels[1], 0.1)
 
-    def test_overflow_raises_at_the_reference_step(self):
+    @staticmethod
+    def blowup_case(blowup):
+        """A 6-step block whose steps from 3 on overflow: through features
+        scaled by 1e200, which leave NaN weights, or through a rate of
+        1e308 at step 3 alone, whose infinite weights later steps would turn
+        NaN."""
         rng = np.random.default_rng(2)
         weights, labels = rng.normal(size=(4, 3)), rng.integers(3, size=(6, 8))
         mixed = rng.normal(size=(6, 8, 4))
-        mixed[3:] *= 1e200
         lrs = [0.5] * 6
-        model, failing = LinearModel(weights), None
+        if blowup == "features":
+            mixed[3:] *= 1e200
+        else:
+            mixed[3] *= 1e10
+            lrs[3] = 1e308
+        return weights, mixed, labels, lrs
+
+    @staticmethod
+    def reference_chain_to_failure(weights, mixed, labels, lrs):
+        """(first step whose weights are non-finite, the weights before
+        it, the weights it leaves) of the chain of reference steps."""
+        for s, (x, y, lr) in enumerate(zip(mixed, labels, lrs)):
+            weights, before = reference_step_weights(weights, x, y, lr), weights
+            if not np.isfinite(weights).all():
+                return s, before, weights
+        raise AssertionError("no step overflowed")
+
+    @pytest.mark.parametrize("blowup", ["features", "rate"])
+    def test_overflow_raises_at_the_reference_step(self, blowup):
+        weights, mixed, labels, lrs = self.blowup_case(blowup)
         with np.errstate(all="ignore"):
-            for s in range(6):
-                try:
-                    model = reference_sgd_step(model, mixed[s], labels[s], lrs[s])
-                except SelMixError as exc:
-                    failing, message = s, str(exc)
-                    break
-            assert failing is not None and failing >= 3
+            failing, before, want = self.reference_chain_to_failure(weights, mixed, labels, lrs)
+            with pytest.raises(SelMixError) as reference:
+                reference_sgd_step(LinearModel(before), mixed[failing], labels[failing],
+                                   lrs[failing])
+            assert 3 <= failing < 5
             sgd_mixup_block(weights.copy(), mixed[:failing], labels[:failing], lrs)
+            got = weights.copy()
             with pytest.raises(SelMixError) as raised:
-                sgd_mixup_block(weights.copy(), mixed[:failing + 1], labels[:failing + 1], lrs)
-        assert str(raised.value) == message == "weights must be finite"
+                sgd_mixup_block(got, mixed, labels, lrs)
+        assert str(raised.value) == str(reference.value) == "weights must be finite"
+        # the weights the failing step left, not those of the steps after it
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("blowup", ["features", "rate"])
+    def test_overflow_warns_and_raises_as_the_reference_chain(self, blowup):
+        # no np.errstate here: the caller's default one turns events into warnings
+        weights, mixed, labels, lrs = self.blowup_case(blowup)
+        with warnings.catch_warnings(record=True) as want:
+            warnings.simplefilter("always")
+            _, before, _ = self.reference_chain_to_failure(weights, mixed, labels, lrs)
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            with pytest.raises(SelMixError, match="weights must be finite"):
+                sgd_mixup_block(weights.copy(), mixed, labels, lrs)
+        assert want and [(w.category, str(w.message)) for w in got] == [
+            (w.category, str(w.message)) for w in want]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning) as reference:
+                self.reference_chain_to_failure(weights, mixed, labels, lrs)
+            left = weights.copy()
+            with pytest.raises(RuntimeWarning) as raised:
+                sgd_mixup_block(left, mixed, labels, lrs)
+        assert str(raised.value) == str(reference.value)
+        # both overflows raise before the step writes its weights
+        assert left.tobytes() == before.tobytes()
 
     def test_step_leaves_its_model_alone(self):
         rng = np.random.default_rng(3)
