@@ -321,19 +321,17 @@ def sgd_mixup_block(weights: np.ndarray, mixed: np.ndarray, labels: np.ndarray, 
     ``labels[s]`` (each in [0, K)) at rate ``lrs[s]``.  Gradients are averaged
     so lr does not scale with batch size.  ``shift``, a per-class vector, is
     added to every row's logits inside the loss (the warm start's logit
-    adjustment; -inf leaves a class without probability).  A step that
-    leaves a weight non-finite raises :class:`SelMixError`, leaving
-    ``weights`` as it made them.
+    adjustment; -inf leaves a class without probability).
 
-    The block's weights are checked once, not after every step, where the
-    check cost 1.6 µs at d×K = 16×10 and 4.7 µs at 128×100 (timeit, 2
-    cores, numpy 2.4.6), against ~20 µs for a whole 16×10 step at batch 64.
-    The steps first run with floating-point overflow, invalid and
-    divide-by-zero events raised instead of warned.  If one is raised or a
-    weight ends non-finite, the starting weights are restored and the block
-    is replayed step by step, checked after each step, under the caller's
-    ``np.errstate``; so the error raised, the warnings emitted and the
-    weights left behind are those of checking every step.
+    The block is atomic.  Its steps run with every floating-point event
+    ignored, so the caller's errstate and warning filters change nothing and
+    no warning is emitted.  If a weight ends non-finite, ``weights`` is
+    restored to the block's start and :class:`SelMixError` is raised.  A
+    non-finite weight stays non-finite under ``weights -= grad``, so this
+    raises exactly when checking after every step would; the check runs once
+    per block, where it cost 1.6 µs at d×K = 16×10 and 4.7 µs at 128×100
+    (timeit, 2 cores, numpy 2.4.6), against ~20 µs for a whole 16×10 step at
+    batch 64.
     """
     n = mixed.shape[1]
     if n == 0:
@@ -342,35 +340,23 @@ def sgd_mixup_block(weights: np.ndarray, mixed: np.ndarray, labels: np.ndarray, 
         raise SelMixError("need one label per mixed row")
     cells = label_cells(labels, weights.shape[1])
     start = weights.copy()
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            _sgd_steps(weights, mixed, cells, lrs, shift, checked=False)
-    except FloatingPointError:
-        pass
-    else:
-        if np.isfinite(weights).all():
-            return
-    weights[...] = start
-    _sgd_steps(weights, mixed, cells, lrs, shift, checked=True)
-
-
-def _sgd_steps(weights, mixed, cells, lrs, shift, checked: bool) -> None:
-    """:func:`sgd_mixup_block`'s steps, each checked if ``checked``."""
-    n = mixed.shape[1]
     p, col, grad = np.empty((n, weights.shape[1])), np.empty((n, 1)), np.empty_like(weights)
     flat = p.reshape(-1)
-    for x, c, lr in zip(mixed, cells, lrs):
-        np.matmul(x, weights, out=p)
-        if shift is not None:
-            p += shift
-        softmax_rows_inplace(p, col)
-        flat[c] -= 1.0
-        np.matmul(x.T, p, out=grad)
-        grad /= n
-        grad *= lr
-        weights -= grad
-        if checked and not np.isfinite(weights).all():
-            raise SelMixError("weights must be finite")
+    with np.errstate(all="ignore"):
+        for x, c, lr in zip(mixed, cells, lrs):
+            np.matmul(x, weights, out=p)
+            if shift is not None:
+                p += shift
+            softmax_rows_inplace(p, col)
+            flat[c] -= 1.0
+            np.matmul(x.T, p, out=grad)
+            grad /= n
+            grad *= lr
+            weights -= grad
+    if np.isfinite(weights).all():
+        return
+    weights[...] = start
+    raise SelMixError("weights must be finite")
 
 
 def sgd_mixup_step(

@@ -66,8 +66,7 @@ def load_model_csv(path) -> LinearModel:
 
 
 def cmd_gen_data(args) -> int:
-    cfg = load_config(args.config)
-    spec = cfg.lt_spec()
+    spec = load_config(args.config).data
     check_split_sizes(spec.class_counts(), POOL_FRACTIONS, error=ConfigError)
     # the pool is freed once split returns, before the holdout is drawn
     train, _, unlabeled = split(generate_longtail(spec), POOL_FRACTIONS, seed=spec.seed)
@@ -102,19 +101,19 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     data_dir = Path(args.data)
-    k = cfg["K"]
+    k = cfg.data.K
     train = load_dataset(data_dir / "train.csv", expected_classes=k)
     val = load_dataset(data_dir / "val.csv", expected_classes=k)
     unlabeled = None
-    if cfg["mode"] == "ssl":
+    if cfg.trainer.mode == "ssl":
         unlabeled = load_dataset(data_dir / "unlabeled.csv", expected_classes=k).as_unlabeled()
     if args.init is not None:
         init = load_model_csv(args.init)
     else:  # zero steps give zero weights
-        init = pretrain_erm(train, steps=args.pretrain_steps, seed=cfg["seed"],
+        init = pretrain_erm(train, steps=args.pretrain_steps, seed=cfg.trainer.seed,
                             logit_adjust=args.pretrain_la)
 
-    trainer_cfg = cfg.trainer_config()
+    trainer_cfg = cfg.trainer
     if args.policy != "selmix":
         from dataclasses import replace
 
@@ -127,13 +126,13 @@ def cmd_train(args) -> int:
     summary = {
         "psi": history.final_psi,
         "cycle1_psi": history.records[0].psi,
-        "metric": cfg["metric"],
+        "metric": cfg.trainer.metric.kind,
         "policy": args.policy,
         "cycles": len(history.records),
         "sgd_steps": history.sgd_steps,
         "recalls": history.records[-1].recalls,
         "coverages": history.records[-1].coverages,
-        "seed": cfg["seed"],
+        "seed": cfg.trainer.seed,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     _log(f"final psi={history.final_psi:.4f} after {history.sgd_steps} SGD steps "

@@ -10,7 +10,7 @@ a :class:`ConfigError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .data import LTSpec
 from .errors import ConfigError, SelMixError
@@ -45,47 +45,12 @@ DEFAULTS: dict[str, object] = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed configuration; see DEFAULTS for the key set.
+class RunConfig(NamedTuple):
+    """A parsed configuration: the trainer and data specs its keys (see
+    DEFAULTS) describe."""
 
-    Creating one builds its trainer and data specs, so every value is
-    checked before any command runs.
-    """
-
-    values: dict
-
-    def __post_init__(self):
-        v = self.values
-        try:
-            head_set = None
-            if v["head_tail_split"] >= 0:
-                if not 0 < v["head_tail_split"] < v["K"]:
-                    raise ConfigError(f"head_tail_split must lie in (0, {v['K']})")
-                head_set = tuple(range(v["head_tail_split"]))
-            metric = MetricSpec(kind=v["metric"], omega=v["omega"], alpha=v["alpha"],
-                                lambda_max=v["lambda_max"], tau=v["tau"], head_set=head_set)
-            trainer = TrainerConfig(
-                metric=metric, cycles=v["cycles"], sgd_steps_per_cycle=v["sgd_steps"],
-                batch_size=v["batch_size"], lr=v["lr"], lr_schedule=v["lr_schedule"],
-                s=v["s"], beta_min=v["beta_min"], mode=v["mode"], seed=v["seed"],
-                mask_negative=v["mask_negative"],
-            )
-            lt = LTSpec(K=v["K"], d=v["d"], N1=v["n1"], rho=v["rho"], seed=v["seed"],
-                        cluster_separation=v["cluster_separation"], within_std=v["within_std"])
-        except SelMixError as exc:
-            raise ConfigError(str(exc)) from None
-        object.__setattr__(self, "_trainer", trainer)
-        object.__setattr__(self, "_lt", lt)
-
-    def __getitem__(self, key: str):
-        return self.values[key]
-
-    def trainer_config(self) -> TrainerConfig:
-        return self._trainer
-
-    def lt_spec(self) -> LTSpec:
-        return self._lt
+    trainer: TrainerConfig
+    data: LTSpec
 
 
 def _parse_value(key: str, raw: str):
@@ -98,7 +63,7 @@ def _parse_value(key: str, raw: str):
 
 
 def parse_config_text(text: str) -> RunConfig:
-    values = dict(DEFAULTS)
+    v = dict(DEFAULTS)
     given: dict[str, int] = {}                  # key -> the line that set it
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -113,8 +78,26 @@ def parse_config_text(text: str) -> RunConfig:
         if key in given:
             raise ConfigError(f"line {lineno}: key {key!r} already set on line {given[key]}")
         given[key] = lineno
-        values[key] = _parse_value(key, raw)
-    return RunConfig(values)
+        v[key] = _parse_value(key, raw)
+    try:
+        head_set = None
+        if v["head_tail_split"] >= 0:
+            if not 0 < v["head_tail_split"] < v["K"]:
+                raise ConfigError(f"head_tail_split must lie in (0, {v['K']})")
+            head_set = tuple(range(v["head_tail_split"]))
+        metric = MetricSpec(kind=v["metric"], omega=v["omega"], alpha=v["alpha"],
+                            lambda_max=v["lambda_max"], tau=v["tau"], head_set=head_set)
+        trainer = TrainerConfig(
+            metric=metric, cycles=v["cycles"], sgd_steps_per_cycle=v["sgd_steps"],
+            batch_size=v["batch_size"], lr=v["lr"], lr_schedule=v["lr_schedule"],
+            s=v["s"], beta_min=v["beta_min"], mode=v["mode"], seed=v["seed"],
+            mask_negative=v["mask_negative"],
+        )
+        data = LTSpec(K=v["K"], d=v["d"], N1=v["n1"], rho=v["rho"], seed=v["seed"],
+                      cluster_separation=v["cluster_separation"], within_std=v["within_std"])
+    except SelMixError as exc:
+        raise ConfigError(str(exc)) from None
+    return RunConfig(trainer, data)
 
 
 def load_config(path) -> RunConfig:

@@ -130,10 +130,14 @@ def gain_matrix(
 ) -> GainMatrix:
     """Evaluate the gain of every (i, j) mixup at the current model.
 
-    ``c`` and ``centroids`` must come from the same validation pass.
+    ``c`` and ``centroids`` must come from the same validation pass.  A
+    product that overflows emits no warning: :class:`GainMatrix` refuses the
+    non-finite result.
     """
     dgrad = metric_grad_unconstrained(spec, c, lam)
-    return GainMatrix(gain_from_metric_grad(model, centroids, dgrad, beta_bar))
+    with np.errstate(all="ignore"):
+        values = gain_from_metric_grad(model, centroids, dgrad, beta_bar)
+    return GainMatrix(values)
 
 
 def gain_fd_oracle(

@@ -356,7 +356,8 @@ def update_lagrange(spec: MetricSpec, c: ConfusionMatrix) -> np.ndarray:
     Min-recall kinds: softmax(-omega * recall), concentrating on the worst
     classes.  Coverage kinds: lambda_j = max(0, lambda_max * (1 -
     exp((cov_j - alpha/K) / tau))), clamped at zero exactly when the
-    constraint is met.
+    constraint is met.  A slack that overflows (a tiny ``tau``) is ±inf,
+    whose limits are 0 and ``lambda_max``.
     """
     family = _KINDS[spec.kind].family
     if family is None:
@@ -364,6 +365,7 @@ def update_lagrange(spec: MetricSpec, c: ConfusionMatrix) -> np.ndarray:
     groups = _groups(spec, c.k)
     if family == _SIMPLEX:
         return softmax(-spec.omega * _per_group(c.recalls(), groups))
-    slack = (_per_group(c.coverages(), groups) - spec.alpha / c.k) / spec.tau
+    with np.errstate(over="ignore"):
+        slack = (_per_group(c.coverages(), groups) - spec.alpha / c.k) / spec.tau
     lam = spec.lambda_max * (1.0 - np.exp(np.minimum(slack, 0.0)))
     return np.where(slack >= 0.0, 0.0, lam)

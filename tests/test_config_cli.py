@@ -61,19 +61,18 @@ CONFIG_TEXTS = st.fixed_dictionaries(
 
 class TestConfigParsing:
     def test_empty_text_gives_documented_defaults(self):
-        cfg = parse_config_text("")
-        assert cfg["s"] == 10.0
-        assert cfg["omega"] == 40.0
-        assert cfg["lambda_max"] == 100.0
-        assert cfg["tau"] == 0.01
-        assert cfg["alpha"] == 0.95
-        assert cfg["batch_size"] == 64
-        assert cfg["lr_schedule"] == "cosine"
+        trainer = parse_config_text("").trainer
+        assert trainer.s == 10.0
+        assert trainer.metric.omega == 40.0
+        assert trainer.metric.lambda_max == 100.0
+        assert trainer.metric.tau == 0.01
+        assert trainer.metric.alpha == 0.95
+        assert trainer.batch_size == 64
+        assert trainer.lr_schedule == "cosine"
 
     def test_round_trip_all_keys(self):
         text = "\n".join(f"{k}={v}" for k, v in DEFAULTS.items())
-        cfg = parse_config_text(text)
-        assert cfg.values == dict(DEFAULTS)
+        assert parse_config_text(text) == parse_config_text("")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -89,7 +88,7 @@ class TestConfigParsing:
 
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config_text("# a comment\n\nseed=9\n")
-        assert cfg["seed"] == 9
+        assert cfg.trainer.seed == cfg.data.seed == 9
 
     def test_metric_name_checked(self):
         with pytest.raises(ConfigError):
@@ -97,8 +96,8 @@ class TestConfigParsing:
 
     def test_trainer_and_lt_specs_materialize(self):
         cfg = parse_config_text("metric=min_recall\nK=6\nd=8\nn1=60\nrho=10\ncycles=3")
-        assert cfg.trainer_config().metric.kind == "min_recall"
-        assert cfg.lt_spec().K == 6
+        assert cfg.trainer.metric.kind == "min_recall"
+        assert cfg.data.K == 6
 
     @pytest.mark.parametrize("text", ["cycles=0", "lr=-1", "lr=nan", "lr=inf", "s=inf",
                                       "omega=inf", "within_std=nan", "K=1", "seed=-1",
@@ -114,8 +113,8 @@ class TestConfigParsing:
             cfg = parse_config_text(text)
         except ConfigError:
             return
-        assert isinstance(cfg.trainer_config(), TrainerConfig)
-        assert isinstance(cfg.lt_spec(), LTSpec)
+        assert isinstance(cfg.trainer, TrainerConfig)
+        assert isinstance(cfg.data, LTSpec)
 
 
 class TestGenData:
@@ -245,6 +244,15 @@ class TestTrain:
         assert code == 0
         assert [str(w.message) for w in caught] == []
         assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_tiny_tau_coverage_run_exits_0_without_a_warning(self, tmp_path, small_data_dir):
+        # tau = 1e-310 overflows the multiplier slack (coverage - alpha/K) / tau
+        conf = tmp_path / "train.cfg"
+        conf.write_text("K=4\nd=6\nmetric=mean_recall_coverage\ntau=1e-310\ncycles=3\n"
+                        "sgd_steps=5\nbatch_size=8\nlr=0.05\nseed=1\n")
+        assert run_cli_raising_warnings("train", "--config", str(conf), "--data",
+                                        str(small_data_dir), "--out", str(tmp_path / "run"),
+                                        "--pretrain-steps", "40") == 0
 
     def test_ragged_train_csv_exits_1_and_creates_no_output(self, tmp_path, small_data_dir,
                                                              capsys):
@@ -496,6 +504,9 @@ def _out_of_memory(cfg):
 # the unlabeled split gen-data makes
 _TAIL_OF_ONE = "K=3\nn1=60\n"
 _TRAIN = ("train", "--config", "{tmp}/gen.cfg", "--data", "{tmp}/data", "--out", "{tmp}/out")
+# clusters 1e200 apart: the warm start's logits and the gain's products overflow
+_FAR_APART = "K=4\nd=6\nn1=80\nrho=8\nseed=5\ncluster_separation=1e200\n"
+_TRAIN_FAR = ("train", "--config", "{tmp}/far.cfg", "--data", "{tmp}/far", "--out", "{tmp}/out")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -520,10 +531,13 @@ _TRAIN = ("train", "--config", "{tmp}/gen.cfg", "--data", "{tmp}/data", "--out",
      "config error: class 2 too small to appear in all requested splits"),
     (("gen-data", "--config", "{tmp}/twice.cfg", "--out", "{tmp}/out"),
      "config error: line 2: key 'K' already set on line 1"),
+    ((*_TRAIN_FAR, "--pretrain-steps", "5"), "error: weights must be finite"),
+    ((*_TRAIN_FAR, "--pretrain-steps", "0"), "error: gain matrix must be finite"),
 ], ids=["sim-seed", "theory-seed", "mixup-seed", "conv-K-neg", "conv-d-neg", "conv-K-0",
         "conv-d-0", "mixup-d-neg", "mixup-d-0", "sim-out-of-memory", "sim-s-overflow",
         "pretrain-la-inf", "pretrain-la-overflow", "pretrain-la-nan", "pretrain-steps-neg",
-        "init-shape-mismatch", "gen-data-tail-too-small", "gen-data-key-twice"])
+        "init-shape-mismatch", "gen-data-tail-too-small", "gen-data-key-twice",
+        "far-apart-pretrain-overflow", "far-apart-gain-overflow"])
 def test_bad_arguments_exit_with_one_line_and_no_traceback(monkeypatch, request, tmp_path, capsys,
                                                            argv, message):
     # the out-of-memory case stands in a callee that raises instead of allocating
@@ -533,6 +547,9 @@ def test_bad_arguments_exit_with_one_line_and_no_traceback(monkeypatch, request,
     if argv[0] == "train":
         request.getfixturevalue("small_data_dir")       # gen.cfg and data/ in tmp_path
         save_model_csv(LinearModel(np.zeros((3, 5))), tmp_path / "m.csv")     # data is 6 x 4
+        (tmp_path / "far.cfg").write_text(_FAR_APART)
+        assert run_cli("gen-data", "--config", str(tmp_path / "far.cfg"),
+                       "--out", str(tmp_path / "far")) == 0
         capsys.readouterr()
     code = run_cli_raising_warnings(*(arg.format(tmp=tmp_path) for arg in argv))
     out = capsys.readouterr()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -228,6 +230,16 @@ class TestUpdateLagrange:
         lams = 100.0 * (1.0 - np.exp(np.minimum((coverages - target) / spec.tau, 0.0)))
         assert np.all(np.diff(lams) < 0)        # farther below target -> larger lambda
         assert np.all(lams <= 100.0)
+
+    @pytest.mark.parametrize("kind", [MEAN_RECALL_COVERAGE, H_MEAN_COVERAGE])
+    def test_overflowing_slack_takes_its_limits_without_a_warning(self, kind):
+        # HAND_C's coverages 0.4, 0.3, 0.2, 0.1 lie at least 0.0375 from the
+        # target 0.2375, so each slack (coverage - alpha/K) / tau overflows
+        spec = MetricSpec(kind, alpha=0.95, tau=1e-310, lambda_max=100.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam = update_lagrange(spec, HAND_C)
+        assert lam.tolist() == [0.0, 0.0, 100.0, 100.0]
 
     def test_large_omega_recovers_min_recall(self):
         rng = np.random.default_rng(17)

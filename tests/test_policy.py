@@ -200,6 +200,32 @@ class TestSamplePair:
         i, j = sample_pairs(policy, Top(), 3)
         np.testing.assert_array_equal(4 * i + j, [9, 9, 9])
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_cdf_values_on_the_bucket_edges_draw_as_searchsorted(self, k):
+        # a CDF value at a bucket edge b/m, or an ulp from it, with draws an
+        # ulp either side: a draw reads its bucket through u·m and floor, so
+        # the table needs u·m and b/m exact, which a power-of-two m makes them
+        m = MixPolicy(np.full((k, k), 1.0 / k ** 2)).guide.size
+        edges = np.arange(m + 1) / m
+        near = np.concatenate([np.nextafter(edges, 0.0), edges, np.nextafter(edges, 1.0)])
+        near = near[(near >= 0.0) & (near < 1.0)]
+        assert near.size >= 4 * k * k               # enough draws to read the table
+
+        class FixedUniforms:
+            def random(self, count):
+                assert count == near.size
+                return near.copy()
+
+        for c in (near[near > 0.0] if k > 1 else [1.0]):
+            probs = np.zeros(k * k)
+            probs[0] = c
+            probs[-1] += 1.0 - c
+            policy = MixPolicy(probs.reshape(k, k))
+            assert policy.cdf[0] == c and policy.guide.size == m
+            i, j = sample_pairs(policy, FixedUniforms(), near.size)
+            np.testing.assert_array_equal(k * i + j,
+                                          np.searchsorted(policy.cdf, near, side="right"))
+
     def test_policy_validation(self):
         with pytest.raises(SelMixError):
             MixPolicy(np.array([[0.5, 0.2], [0.0, 0.0]]))

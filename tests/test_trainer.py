@@ -419,56 +419,73 @@ class TestSgdMixupBlock:
         return weights, mixed, labels, lrs
 
     @staticmethod
-    def reference_chain_to_failure(weights, mixed, labels, lrs):
-        """(first step whose weights are non-finite, the weights before
-        it, the weights it leaves) of the chain of reference steps."""
-        for s, (x, y, lr) in enumerate(zip(mixed, labels, lrs)):
-            weights, before = reference_step_weights(weights, x, y, lr), weights
-            if not np.isfinite(weights).all():
-                return s, before, weights
+    def reference_chain_failure(weights, mixed, labels, lrs):
+        """The first step whose weights the chain of reference steps leaves
+        non-finite."""
+        with np.errstate(all="ignore"):
+            for s, (x, y, lr) in enumerate(zip(mixed, labels, lrs)):
+                weights = reference_step_weights(weights, x, y, lr)
+                if not np.isfinite(weights).all():
+                    return s
         raise AssertionError("no step overflowed")
 
+    # numpy's default errstate, then a caller that ignores or raises every event
+    CALLER_ERRSTATES = {"default": dict(divide="warn", over="warn", invalid="warn",
+                                        under="ignore"),
+                        "ignore": dict(all="ignore"), "raise": dict(all="raise")}
+
+    @pytest.mark.parametrize("caller", sorted(CALLER_ERRSTATES))
+    @pytest.mark.parametrize("action", ["always", "error"])
     @pytest.mark.parametrize("blowup", ["features", "rate"])
-    def test_overflow_raises_at_the_reference_step(self, blowup):
+    def test_overflow_restores_the_block_and_raises_once(self, blowup, action, caller):
         weights, mixed, labels, lrs = self.blowup_case(blowup)
+        failing = self.reference_chain_failure(weights, mixed, labels, lrs)
+        assert 3 <= failing < 5
+        finite = [reference_chain(weights, mixed[:steps], labels[:steps], lrs[:steps])
+                  for steps in range(failing + 1)]
+        with warnings.catch_warnings(record=True) as caught, \
+                np.errstate(**self.CALLER_ERRSTATES[caller]):
+            warnings.simplefilter(action)
+            for steps in range(1, len(lrs) + 1):
+                got = weights.copy()
+                if steps <= failing:
+                    sgd_mixup_block(got, mixed[:steps], labels[:steps], lrs[:steps])
+                    assert got.tobytes() == finite[steps].tobytes()
+                    continue
+                with pytest.raises(SelMixError) as raised:
+                    sgd_mixup_block(got, mixed[:steps], labels[:steps], lrs[:steps])
+                assert str(raised.value) == "weights must be finite"
+                assert got.tobytes() == weights.tobytes()
+        assert caught == []
+
+    def test_softmax_underflow_completes_under_a_raising_errstate(self):
+        rng = np.random.default_rng(4)
+        weights, labels = rng.normal(size=(4, 3)), rng.integers(3, size=(5, 8))
+        mixed = rng.normal(size=(5, 8, 4)) * 300       # logit gaps far past exp's range
+        lrs = [1e-3] * 5
+        want = weights.copy()
+        sgd_mixup_block(want, mixed, labels, lrs)
+        with np.errstate(under="raise"):
+            with pytest.raises(FloatingPointError, match="underflow"):
+                reference_chain(weights, mixed, labels, lrs)
+        got = weights.copy()
+        with np.errstate(all="raise"):
+            sgd_mixup_block(got, mixed, labels, lrs)
+        assert np.isfinite(got).all() and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("caller", sorted(CALLER_ERRSTATES))
+    def test_logit_overflow_to_minus_inf_completes_as_the_reference_chain(self, caller):
+        # the first row's class-0 logit overflows to -inf, leaving that class no
+        # probability; the gradient and the weights stay finite
+        weights = np.array([[-1e10, 0.0]])
+        mixed, labels, lrs = np.array([[[1e300], [1.0]]] * 2), np.array([[1, 0]] * 2), [0.5] * 2
         with np.errstate(all="ignore"):
-            failing, before, want = self.reference_chain_to_failure(weights, mixed, labels, lrs)
-            with pytest.raises(SelMixError) as reference:
-                reference_sgd_step(LinearModel(before), mixed[failing], labels[failing],
-                                   lrs[failing])
-            assert 3 <= failing < 5
-            sgd_mixup_block(weights.copy(), mixed[:failing], labels[:failing], lrs)
-            got = weights.copy()
-            with pytest.raises(SelMixError) as raised:
-                sgd_mixup_block(got, mixed, labels, lrs)
-        assert str(raised.value) == str(reference.value) == "weights must be finite"
-        # the weights the failing step left, not those of the steps after it
-        assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("blowup", ["features", "rate"])
-    def test_overflow_warns_and_raises_as_the_reference_chain(self, blowup):
-        # no np.errstate here: the caller's default one turns events into warnings
-        weights, mixed, labels, lrs = self.blowup_case(blowup)
-        with warnings.catch_warnings(record=True) as want:
-            warnings.simplefilter("always")
-            _, before, _ = self.reference_chain_to_failure(weights, mixed, labels, lrs)
-        with warnings.catch_warnings(record=True) as got:
-            warnings.simplefilter("always")
-            with pytest.raises(SelMixError, match="weights must be finite"):
-                sgd_mixup_block(weights.copy(), mixed, labels, lrs)
-        assert want and [(w.category, str(w.message)) for w in got] == [
-            (w.category, str(w.message)) for w in want]
-
-        with warnings.catch_warnings():
+            want = reference_chain(weights, mixed, labels, lrs)
+        got = weights.copy()
+        with warnings.catch_warnings(), np.errstate(**self.CALLER_ERRSTATES[caller]):
             warnings.simplefilter("error")
-            with pytest.raises(RuntimeWarning) as reference:
-                self.reference_chain_to_failure(weights, mixed, labels, lrs)
-            left = weights.copy()
-            with pytest.raises(RuntimeWarning) as raised:
-                sgd_mixup_block(left, mixed, labels, lrs)
-        assert str(raised.value) == str(reference.value)
-        # both overflows raise before the step writes its weights
-        assert left.tobytes() == before.tobytes()
+            sgd_mixup_block(got, mixed, labels, lrs)
+        assert got.tobytes() == want.tobytes() != weights.tobytes()
 
     def test_step_leaves_its_model_alone(self):
         rng = np.random.default_rng(3)
