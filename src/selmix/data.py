@@ -19,6 +19,8 @@ from .errors import DataError
 CSV_HEADER_PREFIX = "label"
 LABEL_BOUND = 2 ** 53    # labels below it are exact in float64, so in numpy's reader
 POOL_FRACTIONS = (0.8, 0.0, 0.2)    # labeled / (unused) / unlabeled share of the LT pool
+CHUNK_BYTES = 2 ** 18    # block size of the plain-text scan and the feature compaction
+PLAIN_BYTES = bytes(range(0x20, 0x7f)) + b"\n"    # printable ASCII and LF
 
 
 def norm_bounds(a: np.ndarray, axis: int) -> np.ndarray:
@@ -233,24 +235,6 @@ def _read_lines(path) -> list[str]:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def _loadtxt(lines: list[str]) -> np.ndarray | None:
-    """Label-first rows parsed by numpy's C reader, or None where it refuses
-    them or they hold no data.
-
-    The label column goes through ``int``, so ``3.0`` is refused.  Any value
-    numpy takes, ``float`` takes with the same bits, except that numpy also
-    strips ``\\x1c``-``\\x1f`` around a value; ``splitlines`` has already
-    broken the lines at the first three.
-    """
-    if not any(lines) or any("\x1f" in line for line in lines):
-        return None
-    try:
-        return np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2,
-                          converters={0: int})
-    except ValueError:
-        return None
-
-
 def load_dataset(path, expected_classes: int | None = None) -> FeatureDataset:
     """Parse a dataset CSV written by :func:`save_dataset`.
 
@@ -258,21 +242,61 @@ def load_dataset(path, expected_classes: int | None = None) -> FeatureDataset:
     non-numeric or non-finite fields, or labels outside
     ``[0, expected_classes)``, or ``[0, LABEL_BOUND)`` without it.  Without
     ``expected_classes`` the class count is the largest label plus one,
-    which may not exceed the row count.  numpy's
-    C reader parses a well-formed file; every other file goes to the
-    per-line pass, which names the line.
+    which may not exceed the row count.
+
+    A file of printable ASCII and LF that the checks accept is parsed by
+    numpy's C reader straight from the file.  Any other file is read whole
+    and parsed by the per-line pass, which names the line; both give the
+    same arrays and messages.
     """
+    ds = _load_plain(path, expected_classes)
+    if ds is not None:
+        return ds
     raw = _read_lines(path)
-    d = _header_width(path, raw)
-    table = _loadtxt(raw[1:])
-    top = LABEL_BOUND if expected_classes is None else expected_classes
-    if (table is not None and table.shape[1] == d + 1
-            and np.isfinite(table[:, 1:]).all()
-            and table[:, 0].min() >= 0 and table[:, 0].max() < top):
-        labels, features = table[:, 0].astype(np.int64), table[:, 1:]
-    else:
-        labels, features = _parse_dataset_lines(path, raw, d, expected_classes)
+    labels, features = _parse_dataset_lines(path, raw, _header_width(path, raw), expected_classes)
     return _dataset(path, raw, labels, features, expected_classes)
+
+
+def _load_plain(path, expected_classes: int | None) -> FeatureDataset | None:
+    """The dataset numpy's C reader parses from a file of printable ASCII and
+    LF with a non-blank line after its header, or None for any other file
+    and for a table that numpy or a check of :func:`load_dataset` refuses.
+
+    Those bytes, checked in chunks of at most ``CHUNK_BYTES``, are what
+    :func:`save_dataset` writes, and the one case where numpy splits a
+    file's lines where ``str.splitlines`` does.  The features then move, a
+    block of rows at a time, to the front of the table's own buffer and
+    stay a view of it, so they are never held twice.
+    """
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        if not header.endswith(b"\n") or header.translate(None, PLAIN_BYTES):
+            return None
+        has_row = False
+        while chunk := fh.read(CHUNK_BYTES):
+            if chunk.translate(None, PLAIN_BYTES):
+                return None
+            has_row = has_row or chunk.count(b"\n") < len(chunk)
+    if not has_row:
+        return None
+    d = _header_width(path, [header[:-1].decode("ascii")])
+    try:
+        table = np.loadtxt(path, dtype=np.float64, delimiter=",", comments=None, ndmin=2,
+                           converters={0: int}, skiprows=1, encoding="ascii")
+    except ValueError:
+        return None
+    n = table.shape[0]
+    top = n if expected_classes is None else expected_classes
+    if (table.shape[1] != d + 1 or not _all_finite(table)
+            or table[:, 0].min() < 0 or table[:, 0].max() >= top):
+        return None
+    labels = table[:, 0].astype(np.int64)
+    flat, block = table.reshape(-1), max(1, CHUNK_BYTES // 8 // d)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        flat[start * d:stop * d] = table[start:stop, 1:].ravel()
+    k = int(labels.max()) + 1 if expected_classes is None else expected_classes
+    return FeatureDataset(features=flat[:n * d].reshape(n, d), labels=labels, num_classes=k)
 
 
 def _dataset(path, raw: list[str], labels, features, expected_classes: int | None):

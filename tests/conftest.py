@@ -1,8 +1,10 @@
 """Shared helpers: random valid confusion matrices, random multiplier
-states, and the central finite-difference oracle for the reparameterized
-metric gradients."""
+states, the central finite-difference oracle for the reparameterized
+metric gradients, and mutations of the dataset CSVs ``save_dataset``
+writes."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from selmix.metrics import (
     ConfusionMatrix,
@@ -54,3 +56,53 @@ def fd_metric_grad(
             f_minus = evaluate_metric(spec, unconstrained_to_confusion(minus, c.priors), lam)
             grad[i, j] = (f_plus - f_minus) / (2.0 * step)
     return grad
+
+
+# one edit to a dataset CSV: (kind, where, what); ``mutate_csv`` applies them
+LINE_BREAKS = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
+               "\u2028", "\u2029"]
+CSV_MUTATIONS = st.one_of(
+    st.tuples(st.just("end"), st.integers(0, 99), st.sampled_from(LINE_BREAKS)),
+    st.tuples(st.just("insert"), st.integers(0, 99), st.sampled_from(["", "", " ", "\t", " , "])),
+    st.tuples(st.just("ragged"), st.integers(0, 99), st.sampled_from([-1, 1])),
+    st.tuples(st.just("value"), st.integers(0, 99),
+              st.sampled_from(["nan", "inf", "-inf", "1e309", "-1e309"])),
+    # an int is an offset from the row count: a label at or beyond it
+    st.tuples(st.just("label"), st.integers(0, 99), st.sampled_from(["3.0", "-1", "+2", 0, 1])),
+    st.tuples(st.just("file"), st.integers(0, 10 ** 6),
+              st.sampled_from(["header-only", "no-final-newline", "bom", "bad-byte"])),
+)
+
+
+def mutate_csv(text: str, mutations) -> bytes:
+    """The bytes of the LF-ended CSV ``text``, a header and at least one
+    row, after ``mutations`` drawn from ``CSV_MUTATIONS``: line edits in
+    order, then the file-wide ones."""
+    lines = text.split("\n")[:-1]
+    ends = ["\n"] * len(lines)
+    rows = len(lines) - 1
+    for kind, where, what in mutations:
+        i = 1 + where % (len(lines) - 1)
+        fields = lines[i].split(",")
+        if kind == "end":
+            ends[where % len(lines)] = what
+        elif kind == "insert":
+            lines.insert(i, what)
+            ends.insert(i, "\n")
+        elif kind == "ragged":
+            lines[i] = ",".join(fields[:-1] if what < 0 else fields + ["0.5"])
+        elif kind == "value":
+            lines[i] = ",".join(fields[:-1] + [what])
+        elif kind == "label":
+            lines[i] = ",".join([what if isinstance(what, str) else str(rows + what)] + fields[1:])
+    kinds = {what: where for kind, where, what in mutations if kind == "file"}
+    if "header-only" in kinds:
+        lines, ends = lines[:1], ends[:1]
+    if "no-final-newline" in kinds:
+        ends[-1] = ""
+    blob = ("\ufeff" if "bom" in kinds else "") + "".join(map(str.__add__, lines, ends))
+    blob = blob.encode("utf-8")
+    if "bad-byte" in kinds:
+        at = kinds["bad-byte"] % (len(blob) + 1)
+        blob = blob[:at] + b"\xff" + blob[at:]
+    return blob

@@ -3,9 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import CSV_MUTATIONS, mutate_csv
 from selmix.cli import main, save_model_csv
 from selmix.classifier import LinearModel
 from selmix.config import DEFAULTS, parse_config_text
@@ -507,6 +508,20 @@ _TRAIN = ("train", "--config", "{tmp}/gen.cfg", "--data", "{tmp}/data", "--out",
 # clusters 1e200 apart: the warm start's logits and the gain's products overflow
 _FAR_APART = "K=4\nd=6\nn1=80\nrho=8\nseed=5\ncluster_separation=1e200\n"
 _TRAIN_FAR = ("train", "--config", "{tmp}/far.cfg", "--data", "{tmp}/far", "--out", "{tmp}/out")
+_EVAL = ("eval", "--model", "{tmp}/m.csv", "--data")
+
+
+def _write_eval_inputs(tmp):
+    """A 4 x 2 model, a 60,000-row ``val.csv`` of 18-byte lines whose byte
+    1,050,000 (past the first MiB) is not UTF-8, and a CSV whose data lines
+    are all blank."""
+    save_model_csv(LinearModel(np.zeros((4, 2))), tmp / "m.csv")
+    val = tmp / "val.csv"
+    save_dataset(FeatureDataset(np.ones((60_000, 4)), np.arange(60_000) % 2, num_classes=2), val)
+    blob = bytearray(val.read_bytes())
+    blob[1_050_000] = 0xFF
+    val.write_bytes(blob)
+    (tmp / "blank.csv").write_text("label,f0,f1,f2,f3\n\n\n\n")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -533,11 +548,14 @@ _TRAIN_FAR = ("train", "--config", "{tmp}/far.cfg", "--data", "{tmp}/far", "--ou
      "config error: line 2: key 'K' already set on line 1"),
     ((*_TRAIN_FAR, "--pretrain-steps", "5"), "error: weights must be finite"),
     ((*_TRAIN_FAR, "--pretrain-steps", "0"), "error: gain matrix must be finite"),
+    ((*_EVAL, "{tmp}/val.csv"), "val.csv: not UTF-8 text (invalid start byte at byte 1050000)"),
+    ((*_EVAL, "{tmp}/blank.csv"), "blank.csv: no data rows"),
 ], ids=["sim-seed", "theory-seed", "mixup-seed", "conv-K-neg", "conv-d-neg", "conv-K-0",
         "conv-d-0", "mixup-d-neg", "mixup-d-0", "sim-out-of-memory", "sim-s-overflow",
         "pretrain-la-inf", "pretrain-la-overflow", "pretrain-la-nan", "pretrain-steps-neg",
         "init-shape-mismatch", "gen-data-tail-too-small", "gen-data-key-twice",
-        "far-apart-pretrain-overflow", "far-apart-gain-overflow"])
+        "far-apart-pretrain-overflow", "far-apart-gain-overflow", "eval-bad-byte-past-1mib",
+        "eval-blank-data-lines"])
 def test_bad_arguments_exit_with_one_line_and_no_traceback(monkeypatch, request, tmp_path, capsys,
                                                            argv, message):
     # the out-of-memory case stands in a callee that raises instead of allocating
@@ -551,9 +569,34 @@ def test_bad_arguments_exit_with_one_line_and_no_traceback(monkeypatch, request,
         assert run_cli("gen-data", "--config", str(tmp_path / "far.cfg"),
                        "--out", str(tmp_path / "far")) == 0
         capsys.readouterr()
+    if argv[0] == "eval":
+        _write_eval_inputs(tmp_path)
     code = run_cli_raising_warnings(*(arg.format(tmp=tmp_path) for arg in argv))
     out = capsys.readouterr()
     assert code == (2 if message.startswith("config error:") else 1)
     assert out.err.count("\n") == 1 and message in out.err
     assert "Traceback" not in out.err + out.out
     assert not (tmp_path / "out").exists()
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutations=st.lists(CSV_MUTATIONS, max_size=4))
+def test_eval_of_a_mutated_val_csv_prints_one_line(tmp_path, capsys, mutations):
+    # the CSV half of the CLI fuzz contract: exit 0 with one JSON line on
+    # stdout, or exit 1 with one line on stderr; never a traceback or warning
+    rng = np.random.default_rng(7)
+    val = tmp_path / "val.csv"
+    save_dataset(FeatureDataset(rng.standard_normal((8, 3)), np.arange(8) % 3, num_classes=3), val)
+    val.write_bytes(mutate_csv(val.read_text(encoding="utf-8"), mutations))
+    model = tmp_path / "m.csv"
+    save_model_csv(LinearModel(np.eye(3)), model)
+    code = run_cli_raising_warnings("eval", "--model", str(model), "--data", str(val))
+    out = capsys.readouterr()
+    assert code in (0, 1)
+    lines = (out.out if code == 0 else out.err).splitlines()
+    assert len(lines) == 1 and (out.err if code == 0 else out.out) == ""
+    if code == 0:
+        strict_loads(lines[0])
+    else:
+        assert lines[0].startswith("error: ")

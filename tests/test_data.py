@@ -1,5 +1,7 @@
+import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import CSV_MUTATIONS, mutate_csv
 from selmix.benchmark import BenchmarkSetting, make_benchmark
 from selmix.classifier import class_centroids
 from selmix.data import (
@@ -76,6 +79,18 @@ def csv_texts(draw):
     lines = [draw(st.sampled_from([good] * 6 + ["label", "klass,f0", "label,f1", ""]))] + lines
     ends = draw(st.lists(LINE_ENDS, min_size=len(lines), max_size=len(lines)))
     return "".join(line + end for line, end in zip(lines, ends))
+
+
+@st.composite
+def mutated_saved_files(draw):
+    """The bytes of a file ``save_dataset`` wrote, after up to three edits
+    drawn from ``CSV_MUTATIONS``."""
+    features, labels, k = draw(labeled_tables())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "saved.csv"
+        save_dataset(FeatureDataset(features, labels, num_classes=k), path)
+        text = path.read_text(encoding="utf-8")
+    return mutate_csv(text, draw(st.lists(CSV_MUTATIONS, max_size=3)))
 
 
 def _outcome(read, path, *args):
@@ -317,12 +332,27 @@ class TestCsvReader:
         assert back.labels.tobytes() == labels.tobytes()
 
     @REUSED_TMP_PATH
-    @given(text=csv_texts(), expected_classes=st.sampled_from([None, 2, 3]))
-    def test_dataset_reader_equals_the_per_line_pass(self, tmp_path, text, expected_classes):
+    @given(blob=csv_texts().map(str.encode) | mutated_saved_files(),
+           expected_classes=st.sampled_from([None, 2, 3, 5]))
+    def test_dataset_reader_equals_the_per_line_pass(self, tmp_path, blob, expected_classes):
         path = tmp_path / "gen.csv"
-        path.write_text(text, encoding="utf-8", newline="")
+        path.write_bytes(blob)
         assert (_outcome(load_dataset, path, expected_classes)
                 == _outcome(_dataset_per_line, path, expected_classes))
+
+    def test_saved_file_is_parsed_without_a_text_copy(self, tmp_path, monkeypatch):
+        ds = generate_longtail(LTSpec(K=3, d=4, N1=20, rho=2.0, seed=5))
+        path = tmp_path / "ds.csv"
+        save_dataset(ds, path)
+
+        def refuse(_):
+            raise AssertionError("whole-file read")
+
+        monkeypatch.setattr("selmix.data._read_lines", refuse)
+        for expected_classes in (None, 3):
+            back = load_dataset(path, expected_classes)
+            assert back.features.tobytes() == ds.features.tobytes()
+            assert back.labels.tobytes() == ds.labels.tobytes() and back.num_classes == 3
 
     @pytest.mark.parametrize("text", ["label,f0,f1\n", "label,f0,f1\n\n\n", "label,f0\r\n\r\n"])
     def test_header_only_file_has_no_data_rows(self, tmp_path, text):
@@ -472,6 +502,14 @@ class TestMemory:
                             num_classes=10)
         assert _traced_peak(save_dataset, ds, tmp_path / "big.csv") < 2 ** 20
         assert load_dataset(tmp_path / "big.csv").features.tobytes() == ds.features.tobytes()
+
+    def test_load_dataset_peaks_near_its_feature_array(self, tmp_path):
+        # reading the whole text first peaked at 5.1x the features
+        rng = np.random.default_rng(5)
+        ds = FeatureDataset(rng.standard_normal((3000, 64)), rng.integers(0, 10, 3000),
+                            num_classes=10)
+        save_dataset(ds, tmp_path / "big.csv")
+        assert _traced_peak(load_dataset, tmp_path / "big.csv") <= 2.5 * ds.features.nbytes
 
     def test_make_benchmark_frees_the_pool_before_the_holdout(self):
         # the split (pool, train and unlabeled at once) sets the peak: about
