@@ -105,11 +105,12 @@ _SCREEN_MIN_WORK = 8_000_000         # n*d*K
 # 1 1.37.  A zero model rechecks every row (50 ms, plain 16 ms, before the
 # cap); trained models on the benchmark's validation sets recheck 0.1%.
 _SCREEN_MAX_RECHECK_SHARE = 1 / 32
-# Past this share of rows left uncertified by the carried margins, screen
-# all of x32 rather than a gathered copy of those rows: gathered time over
-# full time by share, n=15000, d=128 K=100: 0.5 0.53, 0.7 0.78, 0.9 1.01,
-# 0.97 1.11.
-_SCREEN_MAX_GATHER_SHARE = 0.8
+# The screened rows are gathered, multiplied and reduced this many float32
+# logits at a time (at least one row), so no (n, K) logits array is held.
+# Fresh screen time per call, n=15000, blocks of 2^12 2^14 2^16 2^18 logits
+# against one block of all rows: d=128 K=100 10.5 7.8 5.5 5.7 ms against
+# 5.5 ms; d=64 K=1000 66.7 40.8 25.1 19.2 ms against 24.4 ms.
+_SCREEN_BLOCK = 2 ** 16
 
 
 def _rounding_error(norms: np.ndarray, wnorm: float, d: int, dtype) -> np.ndarray:
@@ -183,9 +184,9 @@ def _screened_argmax(model: LinearModel, data: FeatureDataset,
     ‖x‖·maxₗ‖δ_c − δ_l‖ (:func:`_drift_bounds`), so a row whose carried
     bound exceeds 2·e64 has the same unique maximum in any float64 product
     and keeps its label without a product.  Only the other rows take the
-    screen above, over a gathered copy of them while they are at most
-    ``_SCREEN_MAX_GATHER_SHARE`` of the rows.  Every kept label is the
-    float64 argmax at W, so the answer never depends on the call history.
+    screen above, gathered ``_SCREEN_BLOCK`` logits at a time.  Every kept
+    label is the float64 argmax at W, so the answer never depends on the
+    call history.
     A call that is not decided here empties ``carry``.
     """
     state = None
@@ -209,14 +210,16 @@ def _screened_argmax(model: LinearModel, data: FeatureDataset,
     else:
         labels, bound, rows = np.empty(n, dtype=np.intp), np.empty(n), np.arange(n)
     if rows.size:
-        w32 = w.astype(np.float32)
-        if rows.size > _SCREEN_MAX_GATHER_SHARE * n:
-            sub_labels, margin = _top2(x32 @ w32)
-            sub_labels, margin = sub_labels[rows], margin[rows]
-        else:
-            sub_labels, margin = _top2(x32[rows] @ w32)
+        step = min(rows.size, max(1, _SCREEN_BLOCK // model.classes))
+        w32, margin = w.astype(np.float32), np.empty(rows.size, dtype=np.float32)
+        xb, logits = np.empty((step, d), np.float32), np.empty((step, model.classes), np.float32)
+        for start in range(0, rows.size, step):
+            part = rows[start:start + step]
+            xs, ls = xb[:part.size], logits[:part.size]
+            np.take(x32, part, axis=0, out=xs, mode="clip")
+            np.matmul(xs, w32, out=ls)
+            labels[part], margin[start:start + part.size] = _top2(ls)
         e32 = _rounding_error(norms[rows], wnorm, d, np.float32)
-        labels[rows] = sub_labels
         bound[rows] = margin - 2 * e32
         rows = rows[~(margin > 2 * (e32 + e64[rows]))]
         if rows.size > _SCREEN_MAX_RECHECK_SHARE * n:
@@ -233,21 +236,12 @@ def _screened_argmax(model: LinearModel, data: FeatureDataset,
     return labels.copy()
 
 
-def mix_features(feat_a: np.ndarray, feat_b: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    """Feature-space mixup per row: beta * feat_a + (1 - beta) * feat_b.
-
-    ``betas`` holds one weight per row, so a (steps, batch) array mixes a
-    (steps, batch, d) block of rows at once.  The inputs are left as they
-    were; :func:`mix_rows_inplace` mixes in the caller's own arrays.
-    """
-    return mix_rows_inplace(np.array(feat_a, dtype=np.float64),
-                            np.array(feat_b, dtype=np.float64), betas)
-
-
 def mix_rows_inplace(feat_a: np.ndarray, feat_b: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    """:func:`mix_features` into the float64 array ``feat_a``, with
-    ``feat_b`` overwritten as scratch; returns ``feat_a``.  Each entry is
-    rounded as ``beta * a + (1 - beta) * b`` rounds it."""
+    """Feature-space mixup per row, beta * feat_a + (1 - beta) * feat_b, into
+    the float64 array ``feat_a``, with ``feat_b`` overwritten as scratch;
+    returns ``feat_a``.  ``betas`` holds one weight per row, so a (steps,
+    batch) array mixes a (steps, batch, d) block of rows at once.  Each
+    entry is rounded as ``beta * a + (1 - beta) * b`` rounds it."""
     betas = np.asarray(betas, dtype=np.float64)
     if betas.size == 0:
         raise SelMixError("mixup needs a nonempty batch")

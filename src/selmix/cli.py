@@ -17,8 +17,9 @@ import numpy as np
 from . import __version__
 from .classifier import LinearModel
 from .config import load_config
-from .data import (POOL_FRACTIONS, balanced_validation, check_split_sizes, generate_longtail,
-                   load_dataset, load_weights, save_dataset, split)
+# generate_longtail stays importable here: perfbench/tracing.py wraps it by this name
+from .data import (POOL_FRACTIONS, balanced_validation, check_split_sizes,  # noqa: F401
+                   generate_longtail, load_dataset, load_weights, save_dataset, split)
 from .errors import ConfigError, SelMixError
 from .gain import gain_oracle_median_error
 from .metrics import (
@@ -68,8 +69,7 @@ def load_model_csv(path) -> LinearModel:
 def cmd_gen_data(args) -> int:
     spec = load_config(args.config).data
     check_split_sizes(spec.class_counts(), POOL_FRACTIONS, error=ConfigError)
-    # the pool is freed once split returns, before the holdout is drawn
-    train, _, unlabeled = split(generate_longtail(spec), POOL_FRACTIONS, seed=spec.seed)
+    train, _, unlabeled = split(spec, POOL_FRACTIONS, seed=spec.seed)
     val = balanced_validation(spec, per_class=max(10, round(spec.N1 / 10)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

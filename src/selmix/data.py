@@ -88,8 +88,11 @@ class FeatureDataset:
 
     def class_indices(self) -> list[np.ndarray]:
         """Row indices per class, in ascending row order (a partition of the
-        assigned rows)."""
-        return [np.flatnonzero(self.labels == k) for k in range(self.num_classes)]
+        assigned rows): one stable sort, cut at the class boundaries, with
+        the unassigned (-1) rows cut off the front."""
+        order = np.argsort(self.labels, kind="stable")
+        ends = np.cumsum(np.bincount(self.labels + 1, minlength=self.num_classes + 1))
+        return np.split(order, ends[:-1])[1:]
 
     def class_counts(self) -> np.ndarray:
         return np.bincount(self.labels[self.labels >= 0], minlength=self.num_classes)
@@ -164,25 +167,34 @@ class LTSpec:
         return self.cluster_separation * raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
-def _draw_clusters(spec: LTSpec, counts: np.ndarray, seed: int) -> FeatureDataset:
-    """``counts[k]`` rows around each class mean of ``spec``, ordered by class.
+def _sample_stream(seed: int) -> np.random.Generator:
+    """The generator the cluster rows of ``seed`` are drawn from."""
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
 
-    The (N, d) array is allocated once and each class's rows are drawn into
-    their own slice: standard normals, scaled by ``within_std``, then
-    shifted by the mean, so every value is rounded exactly as
-    ``mean + within_std * z`` would round it.  Raises :class:`DataError`
-    when a finite but huge ``within_std`` makes a drawn feature overflow.
-    """
-    means = spec.class_means()
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
-    feats = np.empty((int(counts.sum()), spec.d))
+
+def _draw_cluster(rng: np.random.Generator, rows: np.ndarray, mean: np.ndarray,
+                  within_std: float) -> None:
+    """Fill ``rows`` with the next draws of ``rng`` around ``mean``: standard
+    normals, scaled by ``within_std``, then shifted by the mean, so every
+    value is rounded exactly as ``mean + within_std * z`` would round it.
+    Raises :class:`DataError` when a finite but huge ``within_std`` makes a
+    drawn feature overflow."""
     with np.errstate(over="ignore"):
-        for mean, rows in zip(means, np.split(feats, np.cumsum(counts)[:-1])):
-            rng.standard_normal(out=rows)
-            rows *= spec.within_std
-            rows += mean
-    if not _all_finite(feats):
-        raise DataError(f"within_std={spec.within_std!r} overflows the drawn features")
+        rng.standard_normal(out=rows)
+        rows *= within_std
+        rows += mean
+    if not _all_finite(rows):
+        raise DataError(f"within_std={within_std!r} overflows the drawn features")
+
+
+def _draw_clusters(spec: LTSpec, counts: np.ndarray, seed: int) -> FeatureDataset:
+    """``counts[k]`` rows around each class mean of ``spec``, ordered by class,
+    each class drawn by :func:`_draw_cluster` into its own slice of the one
+    (N, d) array."""
+    means, rng = spec.class_means(), _sample_stream(seed)
+    feats = np.empty((int(counts.sum()), spec.d))
+    for mean, rows in zip(means, np.split(feats, np.cumsum(counts)[:-1])):
+        _draw_cluster(rng, rows, mean, spec.within_std)
     labels = np.repeat(np.arange(spec.K), counts)
     return FeatureDataset(features=feats, labels=labels, num_classes=spec.K)
 
@@ -388,50 +400,61 @@ def check_split_sizes(counts: np.ndarray, fractions, error: type[Exception] = Da
         raise error(f"class {small[0]} too small to appear in all requested splits")
 
 
-def split(
-    ds: FeatureDataset,
-    fractions: tuple[float, float, float],
-    seed: int,
-) -> tuple[FeatureDataset, FeatureDataset, FeatureDataset]:
-    """Stratified (train, val, unlabeled) split.
-
-    Every split with a positive fraction receives at least one sample of
-    every class, otherwise a :class:`DataError` is raised.  The unlabeled
-    part comes back with ``pseudo=True``: its ``labels`` start unassigned
-    (-1) and the ground truth is kept in ``true_labels``.
-    """
+def stratified_rows(counts, fractions, seed: int) -> list[list[np.ndarray]]:
+    """Per class k, the ascending indices into its ``counts[k]`` rows that go
+    to the train, validation and unlabeled parts: one seeded permutation per
+    class, cut at floor(fraction * count), with every positive fraction
+    given at least one row and the rest handed to the largest fractional
+    remainders.  Raises :class:`DataError` unless ``fractions`` are three
+    nonnegative values summing to 1 and every class fits them
+    (:func:`check_split_sizes`)."""
     fr = np.asarray(fractions, dtype=np.float64)
     if fr.shape != (3,) or np.any(fr < 0) or abs(fr.sum() - 1.0) > 1e-9:
         raise DataError("fractions must be three nonnegative values summing to 1")
-    check_split_sizes(ds.class_counts(), fr)
+    check_split_sizes(counts, fr)
     active = [s for s in range(3) if fr[s] > 0]
     rng = np.random.default_rng(seed)
-    buckets: list[list[np.ndarray]] = [[], [], []]
-    for k in range(ds.num_classes):
-        idx = np.flatnonzero(ds.labels == k)
-        n_k = idx.size
-        perm = idx[rng.permutation(n_k)]
-        counts = np.floor(fr * n_k).astype(int)
-        for s in range(3):
-            if fr[s] > 0 and counts[s] == 0:
-                counts[s] = 1
-        # hand remaining samples to the largest fractional remainders
-        while counts.sum() < n_k:
-            rem = fr * n_k - counts
+    rows = []
+    for n_k in map(int, counts):
+        perm = rng.permutation(n_k)
+        sizes = np.floor(fr * n_k).astype(int)
+        for s in active:
+            sizes[s] = max(sizes[s], 1)
+        while sizes.sum() < n_k:
+            rem = fr * n_k - sizes
             rem[fr == 0] = -np.inf
-            counts[int(np.argmax(rem))] += 1
-        while counts.sum() > n_k:
-            rem = fr * n_k - counts
-            order = [s for s in active if counts[s] > 1]
-            counts[min(order, key=lambda s: rem[s])] -= 1
-        start = 0
-        for s in range(3):
-            buckets[s].append(perm[start : start + counts[s]])
-            start += counts[s]
+            sizes[int(np.argmax(rem))] += 1
+        while sizes.sum() > n_k:
+            rem = fr * n_k - sizes
+            sizes[min((s for s in active if sizes[s] > 1), key=lambda s: rem[s])] -= 1
+        a, b = sizes[0], sizes[0] + sizes[1]
+        rows.append([np.sort(perm[:a]), np.sort(perm[a:b]), np.sort(perm[b:])])
+    return rows
 
-    def take(parts: list[np.ndarray]) -> FeatureDataset:
-        rows = np.sort(np.concatenate(parts)) if parts else np.array([], dtype=np.int64)
-        return FeatureDataset(features=ds.features[rows], labels=ds.labels[rows],
-                              num_classes=ds.num_classes)
 
-    return take(buckets[0]), take(buckets[1]), take(buckets[2]).as_unlabeled()
+def split(spec: LTSpec, fractions: tuple[float, float, float],
+          seed: int) -> tuple[FeatureDataset, FeatureDataset, FeatureDataset]:
+    """Stratified (train, val, unlabeled) split of the pool
+    ``generate_longtail(spec)`` draws, rows in pool order, per
+    :func:`stratified_rows` of its class counts and ``seed``.
+
+    The pool itself is never held: each class is drawn into one reused
+    block exactly as the pool draws it and its rows are copied straight
+    into the parts.  The unlabeled part comes back with ``pseudo=True``:
+    its ``labels`` start unassigned (-1) and the ground truth is kept in
+    ``true_labels``.
+    """
+    counts = spec.class_counts()
+    rows = stratified_rows(counts, fractions, seed)
+    sizes = np.array([[part.size for part in parts] for parts in rows])    # (K, 3)
+    outs = [np.empty((n, spec.d)) for n in sizes.sum(axis=0)]
+    starts = (np.cumsum(sizes, axis=0) - sizes).tolist()
+    means, rng = spec.class_means(), _sample_stream(spec.seed)
+    block = np.empty((counts.max(), spec.d))
+    for k, n_k in enumerate(counts):
+        _draw_cluster(rng, block[:n_k], means[k], spec.within_std)
+        for out, start, part in zip(outs, starts[k], rows[k]):
+            np.take(block, part, axis=0, out=out[start:start + part.size], mode="clip")
+    parts = [FeatureDataset(features=out, labels=np.repeat(np.arange(spec.K), sizes[:, s]),
+                            num_classes=spec.K) for s, out in enumerate(outs)]
+    return parts[0], parts[1], parts[2].as_unlabeled()

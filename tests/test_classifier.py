@@ -8,12 +8,19 @@ from selmix.classifier import (
     class_centroids,
     direction_matrix,
     log_softmax,
-    mix_features,
+    mix_rows_inplace,
     sgd_mixup_step,
     softmax,
 )
 from selmix.data import FeatureDataset
 from selmix.errors import DataError, SelMixError
+
+
+def mix_features(feat_a, feat_b, betas):
+    """Feature-space mixup per row, beta * feat_a + (1 - beta) * feat_b, on
+    float64 copies of the inputs."""
+    return mix_rows_inplace(np.array(feat_a, dtype=np.float64),
+                            np.array(feat_b, dtype=np.float64), betas)
 
 
 def mixup_loss(model, feat_a, feat_b, labels, betas):

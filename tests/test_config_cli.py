@@ -1,4 +1,5 @@
 import json
+import shutil
 import warnings
 
 import numpy as np
@@ -600,3 +601,32 @@ def test_eval_of_a_mutated_val_csv_prints_one_line(tmp_path, capsys, mutations):
         strict_loads(lines[0])
     else:
         assert lines[0].startswith("error: ")
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(train_edits=st.lists(CSV_MUTATIONS, max_size=3),
+       unlabeled_edits=st.lists(CSV_MUTATIONS, max_size=3))
+def test_train_on_mutated_csvs_exits_with_one_line(small_data_dir, tmp_path, capsys,
+                                                   train_edits, unlabeled_edits):
+    # the train half of the CLI fuzz contract: exit 0, 1 or 2 with one line
+    # on stderr and nothing on stdout; a failed run leaves no output directory
+    data, out = tmp_path / "mutated", tmp_path / "run"
+    data.mkdir(exist_ok=True)
+    shutil.copyfile(small_data_dir / "val.csv", data / "val.csv")
+    for name, edits in (("train.csv", train_edits), ("unlabeled.csv", unlabeled_edits)):
+        text = (small_data_dir / name).read_text(encoding="utf-8")
+        (data / name).write_bytes(mutate_csv(text, edits))
+    conf = tmp_path / "ssl.cfg"
+    conf.write_text("K=4\nd=6\nmode=ssl\ncycles=1\nsgd_steps=5\nbatch_size=8\nlr=0.05\nseed=1\n")
+    code = run_cli_raising_warnings("train", "--config", str(conf), "--data", str(data),
+                                    "--out", str(out), "--pretrain-steps", "0")
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    if code == 0:
+        assert (out / "history.jsonl").is_file()
+        shutil.rmtree(out)
+    else:
+        assert not out.exists()

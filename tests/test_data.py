@@ -16,6 +16,7 @@ from selmix.data import (
     FeatureDataset,
     LTSpec,
     balanced_validation,
+    check_split_sizes,
     generate_longtail,
     _dataset,
     _header_width,
@@ -25,6 +26,7 @@ from selmix.data import (
     load_weights,
     save_dataset,
     split,
+    stratified_rows,
 )
 from selmix.errors import DataError
 
@@ -132,6 +134,52 @@ def _dataset_per_line(path, expected_classes):
     raw = _read_lines(path)
     labels, features = _parse_dataset_lines(path, raw, _header_width(path, raw), expected_classes)
     return _dataset(path, raw, labels, features, expected_classes)
+
+
+def reference_split(ds, fractions, seed):
+    """``data.split`` in its earlier form, on a drawn pool dataset: the
+    reference the pool-free split must equal byte for byte."""
+    fr = np.asarray(fractions, dtype=np.float64)
+    if fr.shape != (3,) or np.any(fr < 0) or abs(fr.sum() - 1.0) > 1e-9:
+        raise DataError("fractions must be three nonnegative values summing to 1")
+    check_split_sizes(ds.class_counts(), fr)
+    active = [s for s in range(3) if fr[s] > 0]
+    rng = np.random.default_rng(seed)
+    buckets = [[], [], []]
+    for k in range(ds.num_classes):
+        idx = np.flatnonzero(ds.labels == k)
+        n_k = idx.size
+        perm = idx[rng.permutation(n_k)]
+        counts = np.floor(fr * n_k).astype(int)
+        for s in range(3):
+            if fr[s] > 0 and counts[s] == 0:
+                counts[s] = 1
+        # hand remaining samples to the largest fractional remainders
+        while counts.sum() < n_k:
+            rem = fr * n_k - counts
+            rem[fr == 0] = -np.inf
+            counts[int(np.argmax(rem))] += 1
+        while counts.sum() > n_k:
+            rem = fr * n_k - counts
+            order = [s for s in active if counts[s] > 1]
+            counts[min(order, key=lambda s: rem[s])] -= 1
+        start = 0
+        for s in range(3):
+            buckets[s].append(perm[start : start + counts[s]])
+            start += counts[s]
+
+    def take(parts):
+        rows = np.sort(np.concatenate(parts)) if parts else np.array([], dtype=np.int64)
+        return FeatureDataset(features=ds.features[rows], labels=ds.labels[rows],
+                              num_classes=ds.num_classes)
+
+    return take(buckets[0]), take(buckets[1]), take(buckets[2]).as_unlabeled()
+
+
+def _dataset_bytes(ds):
+    truth = None if ds.true_labels is None else ds.true_labels.tobytes()
+    return (ds.features.shape, ds.features.tobytes(), ds.labels.dtype, ds.labels.tobytes(),
+            ds.num_classes, ds.pseudo, truth)
 
 
 class TestGenerateLongtail:
@@ -417,49 +465,74 @@ class TestBalancedValidation:
 
 
 class TestSplit:
-    def test_all_train_returns_everything(self):
-        ds = generate_longtail(LTSpec(K=3, d=4, N1=12, rho=2.0, seed=6))
-        train, val, unl = split(ds, (1.0, 0.0, 0.0), seed=0)
-        assert train.n == ds.n and val.n == 0 and unl.n == 0
-        np.testing.assert_array_equal(np.sort(train.labels), np.sort(ds.labels))
+    def test_all_train_returns_the_whole_pool(self):
+        spec = LTSpec(K=3, d=4, N1=12, rho=2.0, seed=6)
+        train, val, unl = split(spec, (1.0, 0.0, 0.0), seed=0)
+        pool = generate_longtail(spec)
+        assert val.n == 0 and unl.n == 0
+        assert _dataset_bytes(train) == _dataset_bytes(pool)
 
     def test_stratified_halves(self):
-        ds = FeatureDataset(np.random.default_rng(0).normal(size=(30, 2)),
-                            np.repeat(np.arange(3), 10), num_classes=3)
-        train, val, _ = split(ds, (0.5, 0.5, 0.0), seed=1)
-        np.testing.assert_array_equal(train.class_counts(), [5, 5, 5])
-        np.testing.assert_array_equal(val.class_counts(), [5, 5, 5])
+        rows = stratified_rows(np.full(3, 10), (0.5, 0.5, 0.0), seed=1)
+        assert [[part.size for part in parts] for parts in rows] == [[5, 5, 0]] * 3
 
     def test_seeded_reproducibility(self):
-        ds = generate_longtail(LTSpec(K=4, d=3, N1=40, rho=4.0, seed=7))
-        a = split(ds, (0.6, 0.2, 0.2), seed=5)
-        b = split(ds, (0.6, 0.2, 0.2), seed=5)
-        c = split(ds, (0.6, 0.2, 0.2), seed=6)
+        spec = LTSpec(K=4, d=3, N1=40, rho=4.0, seed=7)
+        a = split(spec, (0.6, 0.2, 0.2), seed=5)
+        b = split(spec, (0.6, 0.2, 0.2), seed=5)
+        c = split(spec, (0.6, 0.2, 0.2), seed=6)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.features, y.features)
         assert not np.array_equal(a[0].features, c[0].features)
 
     def test_every_class_lands_in_val(self):
-        ds = generate_longtail(LTSpec(K=8, d=4, N1=64, rho=20.0, seed=8))
-        _, val, _ = split(ds, (0.6, 0.2, 0.2), seed=2)
+        _, val, _ = split(LTSpec(K=8, d=4, N1=64, rho=20.0, seed=8), (0.6, 0.2, 0.2), seed=2)
         assert np.all(val.class_counts() >= 1)
 
     def test_class_too_small_rejected(self):
-        ds = FeatureDataset(np.ones((4, 2)), np.array([0, 0, 0, 1]), num_classes=2)
-        with pytest.raises(DataError, match="too small"):
-            split(ds, (0.4, 0.3, 0.3), seed=0)
+        with pytest.raises(DataError, match="class 1 too small"):
+            stratified_rows([3, 1], (0.4, 0.3, 0.3), seed=0)
+        with pytest.raises(DataError, match="class 2 too small"):
+            split(LTSpec(K=3, d=2, N1=8, rho=4.0, seed=0), (0.4, 0.3, 0.3), seed=0)
 
     def test_unlabeled_split_hides_but_keeps_truth(self):
-        ds = generate_longtail(LTSpec(K=3, d=4, N1=30, rho=2.0, seed=9))
-        _, _, unl = split(ds, (0.5, 0.25, 0.25), seed=3)
+        _, _, unl = split(LTSpec(K=3, d=4, N1=30, rho=2.0, seed=9), (0.5, 0.25, 0.25), seed=3)
         assert unl.pseudo
         assert np.all(unl.labels == -1)
         assert unl.true_labels is not None and np.all(unl.true_labels >= 0)
 
     def test_fraction_validation(self):
-        ds = generate_longtail(LTSpec(K=3, d=4, N1=30, rho=2.0, seed=9))
-        with pytest.raises(DataError):
-            split(ds, (0.5, 0.4, 0.2), seed=0)
+        with pytest.raises(DataError, match="fractions"):
+            split(LTSpec(K=3, d=4, N1=30, rho=2.0, seed=9), (0.5, 0.4, 0.2), seed=0)
+
+    def test_overflowing_within_std_raises(self):
+        spec = LTSpec(K=4, d=4, N1=50, rho=4.0, within_std=1e308, seed=0)
+        with pytest.raises(DataError) as info:
+            split(spec, (0.8, 0.0, 0.2), seed=0)
+        assert str(info.value) == "within_std=1e+308 overflows the drawn features"
+
+
+@st.composite
+def split_specs(draw):
+    """An ``LTSpec`` whose classes all fit the drawn fractions, the fractions
+    (a validation share among them, and (1, 0, 0)) and a split seed."""
+    fractions = draw(st.sampled_from([(0.8, 0.0, 0.2), (0.6, 0.2, 0.2), (0.5, 0.3, 0.2),
+                                      (1.0, 0.0, 0.0), (0.0, 0.5, 0.5), (0.25, 0.25, 0.5)]))
+    k, rho = draw(st.integers(2, 12)), draw(st.sampled_from([1.0, 1.5, 4.0, 20.0]))
+    n1 = draw(st.integers(int(np.ceil(3 * rho)), 60))
+    spec = LTSpec(K=k, d=draw(st.integers(1, 9)), N1=n1, rho=rho,
+                  within_std=draw(st.sampled_from([0.55, 1e-3, 3.0])),
+                  seed=draw(st.integers(0, 2 ** 32 - 1)))
+    return spec, fractions, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_specs())
+def test_split_equals_the_split_of_the_drawn_pool(case):
+    spec, fractions, seed = case
+    parts = split(spec, fractions, seed=seed)
+    want = reference_split(generate_longtail(spec), fractions, seed=seed)
+    assert [_dataset_bytes(p) for p in parts] == [_dataset_bytes(p) for p in want]
 
 
 @st.composite
@@ -473,19 +546,31 @@ def split_cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(split_cases())
-def test_split_is_a_stratified_partition(case):
+def test_stratified_rows_partition_every_class(case):
     counts, fractions, seed = case
-    labels = np.repeat(np.arange(counts.size), counts)
-    ds = FeatureDataset(np.arange(labels.size, dtype=np.float64)[:, None], labels,
-                        num_classes=counts.size)
-    parts = split(ds, fractions, seed=seed)
-    rows = [part.features[:, 0].astype(np.int64) for part in parts]
-    np.testing.assert_array_equal(np.sort(np.concatenate(rows)), np.arange(labels.size))
-    for part, part_rows, fraction in zip(parts, rows, fractions):
-        truth = part.true_labels if part.pseudo else part.labels
-        np.testing.assert_array_equal(truth, labels[part_rows])
-        if fraction > 0:
-            assert np.all(np.bincount(truth, minlength=counts.size) >= 1)
+    rows = stratified_rows(counts, fractions, seed=seed)
+    assert len(rows) == counts.size
+    for n_k, parts in zip(counts, rows):
+        assert len(parts) == 3
+        np.testing.assert_array_equal(np.sort(np.concatenate(parts)), np.arange(n_k))
+        for part, fraction in zip(parts, fractions):
+            assert np.all(np.diff(part) > 0)
+            assert part.size >= 1 if fraction > 0 else part.size == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 12), pseudo=st.booleans(),
+       labels=st.lists(st.integers(-1, 11), max_size=60))
+def test_class_indices_equal_the_per_class_rows(k, pseudo, labels):
+    # -1 rows (unassigned pseudo labels) belong to no class; empty classes stay
+    labels = np.array([lab % k if lab >= 0 or not pseudo else -1 for lab in labels],
+                      dtype=np.int64)
+    ds = FeatureDataset(np.zeros((labels.size, 1)), labels, num_classes=k, pseudo=pseudo)
+    got = ds.class_indices()
+    want = [np.flatnonzero(labels == c) for c in range(k)]
+    assert len(got) == k
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 class TestMemory:
@@ -512,7 +597,8 @@ class TestMemory:
         assert _traced_peak(load_dataset, tmp_path / "big.csv") <= 2.5 * ds.features.nbytes
 
     def test_make_benchmark_frees_the_pool_before_the_holdout(self):
-        # the split (pool, train and unlabeled at once) sets the peak: about
-        # 65 MiB, where a pool kept through the holdout draw reached 94 MiB
+        # split holds no pool, only its parts and one class block: the peak
+        # is about 49 MiB, where drawing the pool first and splitting it
+        # reached 65 MiB, and a pool kept through the holdout draw 94 MiB
         setting = BenchmarkSetting(K=100, d=128, pretrain_steps=0)
-        assert _traced_peak(make_benchmark, 0, setting) <= 70 * 2 ** 20
+        assert _traced_peak(make_benchmark, 0, setting) <= 52 * 2 ** 20

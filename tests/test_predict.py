@@ -3,6 +3,7 @@ whichever of its paths (plain float64, the float32 screen with or without
 float64 rechecks, the margins an ``ArgmaxCarry`` holds from the last call on
 the same dataset, or the full-product fallback) decides a call."""
 
+import tracemalloc
 from contextlib import contextmanager, nullcontext
 
 import numpy as np
@@ -15,7 +16,7 @@ from selmix.benchmark import BenchmarkSetting, benchmark_config, make_benchmark
 from selmix.classifier import ArgmaxCarry, LinearModel, predict
 from selmix.data import FeatureDataset, norm_bounds
 from selmix.errors import SelMixError
-from selmix.metrics import MEAN_RECALL, MetricSpec
+from selmix.metrics import MEAN_RECALL, MetricSpec, model_confusion
 from selmix.trainer import refresh_pseudo_labels, run_selmix
 
 
@@ -35,6 +36,32 @@ def screen_every_shape():
         mp.setattr(classifier, "_SCREEN_MIN_ROW_WORK", 0)
         mp.setattr(classifier, "_SCREEN_MIN_WORK", 0)
         yield
+
+
+@contextmanager
+def screen_blocks(rows: int | None, k: int):
+    """Screen ``rows`` rows per block (the module's block size for None)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(classifier, "_SCREEN_BLOCK", rows * k)
+        yield
+
+
+# rows per screen block, from the number of rows n and classes k
+BLOCK_ROWS = {"one": lambda n, k: 1, "k-minus-1": lambda n, k: k - 1,
+              "non-divisor": lambda n, k: n // 2 + 1}
+
+
+def count_top2(monkeypatch) -> list:
+    """The (dtype, shape) of each logit block later products hand to _top2."""
+    shapes, top2 = [], classifier._top2
+    monkeypatch.setattr(classifier, "_top2", lambda l: shapes.append((l.dtype, l.shape)) or top2(l))
+    return shapes
+
+
+def screened_rows(shapes) -> int:
+    """Rows the float32 screen multiplied, summed over its blocks."""
+    return sum(shape[0] for dtype, shape in shapes if dtype == np.float32)
 
 
 def rechecked_rows(model: LinearModel, ds: FeatureDataset) -> int:
@@ -124,6 +151,21 @@ def test_chained_predicts_equal_float64_argmax(chain):
             assert_exact(model, ds, carry)
 
 
+@pytest.mark.parametrize("block", sorted(BLOCK_ROWS))
+@settings(max_examples=60, deadline=None)
+@given(chain=screen_chains())
+def test_any_screen_block_gives_the_float64_argmax(block, chain):
+    # 1 row, K-1 rows and a non-divisor of n (for n >= 3) per block, with
+    # and without carried margins
+    ds, models, forced = chain
+    carry = ArgmaxCarry()
+    with screen_blocks(BLOCK_ROWS[block](ds.n, ds.num_classes), ds.num_classes):
+        with screen_every_shape() if forced else nullcontext():
+            assert_exact(models[0], ds)
+            for model in models:
+                assert_exact(model, ds, carry)
+
+
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 40), k=st.integers(2, 12),
        scale=st.sampled_from([1.0, 1e-160, 1e-310, 1e30]),
@@ -141,19 +183,12 @@ def test_drift_bounds_cover_every_column_distance(seed, d, k, scale, step, ties)
 
 
 class TestCarriedMargins:
-    @staticmethod
-    def count_products(monkeypatch) -> list:
-        """The shapes of the logit blocks each later product hands to _top2."""
-        shapes, top2 = [], classifier._top2
-        monkeypatch.setattr(classifier, "_top2", lambda l: shapes.append(l.shape) or top2(l))
-        return shapes
-
     def test_identical_weights_run_no_product_on_the_second_call(self, monkeypatch):
         ds, model = clusters(np.random.default_rng(11), 3000, 64, 100)
         carry = ArgmaxCarry()
         first = predict(model, ds, carry)
         assert carry.state is not None
-        shapes = self.count_products(monkeypatch)
+        shapes = count_top2(monkeypatch)
         again = predict(LinearModel(model.weights.copy()), ds, carry)
         assert shapes == [] and again.tobytes() == first.tobytes()
 
@@ -162,16 +197,18 @@ class TestCarriedMargins:
         ds, model = clusters(rng, 3000, 64, 100)
         carry = ArgmaxCarry()
         predict(model, ds, carry)
-        shapes = self.count_products(monkeypatch)
+        shapes = count_top2(monkeypatch)
         moved = LinearModel(model.weights + 0.1 * rng.normal(size=model.weights.shape))
         assert_exact(moved, ds, carry)
-        assert len(shapes) == 1 and 0 < shapes[0][0] < ds.n * classifier._SCREEN_MAX_GATHER_SHARE
+        # no float64 recheck, and under 80% of the rows screened in float32
+        assert shapes and all(dtype == np.float32 for dtype, _ in shapes)
+        assert 0 < screened_rows(shapes) < ds.n * 0.8
 
     def test_a_second_refresh_at_the_same_weights_runs_no_product(self, monkeypatch):
         ds, model = clusters(np.random.default_rng(13), 3000, 64, 100)
         pool, carry = ds.as_unlabeled(), ArgmaxCarry()
         first = refresh_pseudo_labels(model, pool, carry)
-        shapes = self.count_products(monkeypatch)
+        shapes = count_top2(monkeypatch)
         again = refresh_pseudo_labels(model, pool, carry)
         assert shapes == []
         assert again.labels.tobytes() == first.labels.tobytes() == oracle(model, ds).tobytes()
@@ -204,7 +241,7 @@ class TestCarriedMargins:
         for start in (0.0, 1.0):
             w = model.weights + start * rng.normal(size=model.weights.shape)
             runs.append([LinearModel(w := w + 0.05 * rng.normal(size=w.shape)) for _ in range(5)])
-        shapes = self.count_products(monkeypatch)
+        shapes = count_top2(monkeypatch)
 
         def screened(order):
             carries, calls = [ArgmaxCarry(), ArgmaxCarry()], ([], [])
@@ -218,7 +255,7 @@ class TestCarriedMargins:
         interleaved = screened([(r, m) for pair in zip(*runs) for r, m in enumerate(pair)])
         assert interleaved == alone
         # every later call of a run screened fewer rows than a fresh one
-        assert all(not call or call[0][0] < ds.n for run in alone for call in run[1:])
+        assert all(screened_rows(call) < ds.n for run in alone for call in run[1:])
 
     def test_a_carry_filled_on_another_dataset_is_not_carried_over(self, monkeypatch):
         # same shape, rows reversed: the first dataset's carried labels would
@@ -227,10 +264,26 @@ class TestCarriedMargins:
         b = FeatureDataset(a.features[::-1], a.labels[::-1], 100)
         carry = ArgmaxCarry()
         predict(model, a, carry)
-        shapes = self.count_products(monkeypatch)
+        shapes = count_top2(monkeypatch)
         assert_exact(model, b, carry)
-        assert shapes[0] == (b.n, 100)
+        assert screened_rows(shapes) == b.n
         assert carry.state[0] is b.screen_arrays[0]
+
+    def test_a_warm_carry_confusion_holds_no_logits_array(self):
+        # nearly every row drifts out of its carried margin and is screened;
+        # the screen once held all 15000 x 100 float32 logits (5.7 MiB)
+        rng = np.random.default_rng(19)
+        ds, model = clusters(rng, 15000, 128, 100)
+        moved = LinearModel(model.weights + 0.5 * rng.normal(size=model.weights.shape))
+        carry = ArgmaxCarry()
+        model_confusion(model, ds, carry)
+        tracemalloc.start()
+        try:
+            model_confusion(moved, ds, carry)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert carry.state is not None and peak < 2 * 2 ** 20
 
     def test_predict_without_a_carry_adds_only_the_screen_arrays(self):
         ds, model = clusters(np.random.default_rng(18), 3000, 64, 100)
@@ -318,10 +371,10 @@ class TestScreenPaths:
         rng = np.random.default_rng(10)
         ds = FeatureDataset(rng.normal(size=(15000, 128)), rng.integers(0, 100, 15000), 100)
         model = LinearModel(np.zeros((128, 100)))
-        shapes, top2 = [], classifier._top2
-        monkeypatch.setattr(classifier, "_top2", lambda l: shapes.append(l.shape) or top2(l))
+        shapes = count_top2(monkeypatch)
         assert_exact(model, ds)
-        assert shapes == [(15000, 100)]
+        assert screened_rows(shapes) == 15000
+        assert all(dtype == np.float32 and k == 100 for dtype, (_, k) in shapes)
 
     def test_dimension_mismatch_raises(self):
         ds, _ = clusters(np.random.default_rng(6), 2000, 64, 100)
@@ -363,17 +416,21 @@ def benchmark_models(request):
     return k, validation, (init, tuned)
 
 
-@pytest.mark.parametrize("which", [0, 1], ids=["warm_start", "two_cycles"])
-def test_benchmark_validation_sets_pin_the_argmax(benchmark_models, which):
+@pytest.mark.parametrize("which, block",
+                         [(0, None), (1, None), *((1, b) for b in sorted(BLOCK_ROWS))],
+                         ids=["warm_start", "two_cycles", *sorted(BLOCK_ROWS)])
+def test_benchmark_validation_sets_pin_the_argmax(benchmark_models, which, block):
     # each model is also predicted right after the other through one carry,
-    # so the second call starts from margins carried across the drift
+    # so the second call starts from margins carried across the drift; the
+    # odd block sizes run the two_cycles order, which visits both models
     k, validation, models = benchmark_models
     model, other = models[which], models[1 - which]
-    if k == 100:      # these shapes are past the cutover: the screen decides them
-        assert classifier._screened_argmax(model, validation) is not None
-    carry = ArgmaxCarry()
-    for m in (model, other, model):
-        assert_exact(m, validation, carry)
-    with screen_every_shape():
-        for m in (other, model, other):
+    with screen_blocks(block and BLOCK_ROWS[block](validation.n, k), k):
+        if k == 100:      # these shapes are past the cutover: the screen decides them
+            assert classifier._screened_argmax(model, validation) is not None
+        carry = ArgmaxCarry()
+        for m in (model, other, model):
             assert_exact(m, validation, carry)
+        with screen_every_shape():
+            for m in (other, model, other):
+                assert_exact(m, validation, carry)

@@ -35,8 +35,8 @@ from selmix.trainer import (
 
 
 def small_benchmark(seed=0, within_std=0.45):
-    ds = generate_longtail(LTSpec(K=5, d=8, N1=120, rho=12.0, within_std=within_std, seed=seed))
-    return split(ds, (0.5, 0.3, 0.2), seed=seed)
+    spec = LTSpec(K=5, d=8, N1=120, rho=12.0, within_std=within_std, seed=seed)
+    return split(spec, (0.5, 0.3, 0.2), seed=seed)
 
 
 def biased_init(train, seed=0):
@@ -181,8 +181,8 @@ class TestGreedyFormablePairs:
     def test_ssl_greedy_run_never_draws_an_empty_pseudo_pool(self):
         # the argmax cell's pseudo-labelled pool is empty in this run; greedy
         # used to put all its mass there and abort after 1000 redraws
-        ds = generate_longtail(LTSpec(K=6, d=8, N1=100, rho=20.0, seed=0))
-        train, val, unlabeled = split(ds, (0.5, 0.3, 0.2), seed=0)
+        spec = LTSpec(K=6, d=8, N1=100, rho=20.0, seed=0)
+        train, val, unlabeled = split(spec, (0.5, 0.3, 0.2), seed=0)
         init = pretrain_erm(train, steps=60, seed=0)
         cfg = TrainerConfig(metric=MetricSpec(MEAN_RECALL), cycles=3, sgd_steps_per_cycle=7,
                             batch_size=16, lr=0.1, seed=0, mode="ssl", policy="greedy")
@@ -197,8 +197,8 @@ class TestMissingLabeledClasses:
         # classes 4 and 5 keep no labeled rows; the min-recall multipliers
         # push the gain toward them, and every pair drawn must avoid them
         for seed in range(20):
-            ds = generate_longtail(LTSpec(K=6, d=8, N1=100, rho=20.0, seed=seed))
-            train, val, unlabeled = split(ds, (0.5, 0.3, 0.2), seed=seed)
+            spec = LTSpec(K=6, d=8, N1=100, rho=20.0, seed=seed)
+            train, val, unlabeled = split(spec, (0.5, 0.3, 0.2), seed=seed)
             keep = train.labels <= 3
             train = FeatureDataset(train.features[keep], train.labels[keep], train.num_classes)
             init = pretrain_erm(train, steps=60, seed=seed)
@@ -328,8 +328,8 @@ class TestBlockDrawnSgd:
         pools = case.pop("pools", None)
         if case.get("mode") == "ssl":
             # pseudo-labelled pools of this run empty out
-            ds = generate_longtail(LTSpec(K=6, d=8, N1=100, rho=20.0, seed=0))
-            train, val, unlabeled = split(ds, (0.5, 0.3, 0.2), seed=0)
+            spec = LTSpec(K=6, d=8, N1=100, rho=20.0, seed=0)
+            train, val, unlabeled = split(spec, (0.5, 0.3, 0.2), seed=0)
         elif pools == "first_gaps":
             (train, val), unlabeled = _first_pool_gaps(), None
         else:
