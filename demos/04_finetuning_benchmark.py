@@ -50,5 +50,5 @@ cfg = replace(benchmark_config(MetricSpec("min_recall"), SEED, cycles=20), mode=
 model, history = run_selmix(cfg, train, unlabeled, val, init)
 conf = model_confusion(model, val)
 pseudo = refresh_pseudo_labels(model, unlabeled)
-acc = float(np.mean(pseudo.labels == unlabeled.true_labels))
+acc = float(np.mean(pseudo.labels == unlabeled.labels))
 print(f"  min recall {conf.recalls().min():.3f}, pseudo-label accuracy {acc:.3f}")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureDataset, norm_bounds
+from .data import FeatureDataset, _all_finite, norm_bounds
 from .errors import DataError, SelMixError
 
 
@@ -84,10 +84,17 @@ def predict(model: LinearModel, data: FeatureDataset,
     """Argmax class per row of ``data``'s features; ties go to the smallest
     class index.  Exactly ``np.argmax(features @ weights, axis=1)``, which
     it computes outright when :func:`_screened_argmax` cannot decide.
-    ``carry`` only saves work: the answer is the same without it."""
+    ``carry`` only saves work: the answer is the same without it.  Raises
+    :class:`SelMixError` when the product overflows: finite features give a
+    non-finite logit (the weights are finite)."""
     labels = _screened_argmax(model, data, carry)
     if labels is None:
-        labels = np.argmax(batch_logits(model, data.features), axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits = batch_logits(model, data.features)
+        if not _all_finite(logits) and _all_finite(data.features):
+            raise SelMixError("logits overflow: the model's products with the features are "
+                              "not finite")
+        labels = np.argmax(logits, axis=1)
     return labels
 
 
@@ -258,7 +265,7 @@ def mix_rows_inplace(feat_a: np.ndarray, feat_b: np.ndarray, betas: np.ndarray) 
 def class_centroids(features: FeatureDataset) -> CentroidSet:
     """Mean feature vector per class (validation split in the training loop)."""
     cents = np.zeros((features.num_classes, features.dim))
-    for k, idx in enumerate(features.class_indices()):
+    for k, idx in enumerate(features.class_layout().indices()):
         if idx.size == 0:
             raise DataError(f"no validation samples for class {k}")
         cents[k] = features.features[idx].mean(axis=0)

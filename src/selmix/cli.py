@@ -89,7 +89,7 @@ def cmd_gen_data(args) -> int:
         "splits": {
             "train": [int(c) for c in train.class_counts()],
             "val": [int(c) for c in val.class_counts()],
-            "unlabeled": [int(c) for c in np.bincount(unlabeled.true_labels, minlength=spec.K)],
+            "unlabeled": [int(c) for c in unlabeled.class_counts()],
         },
         "files": {"train": "train.csv", "val": "val.csv", "unlabeled": "unlabeled.csv"},
     }
@@ -106,7 +106,7 @@ def cmd_train(args) -> int:
     val = load_dataset(data_dir / "val.csv", expected_classes=k)
     unlabeled = None
     if cfg.trainer.mode == "ssl":
-        unlabeled = load_dataset(data_dir / "unlabeled.csv", expected_classes=k).as_unlabeled()
+        unlabeled = load_dataset(data_dir / "unlabeled.csv", expected_classes=k)
     if args.init is not None:
         init = load_model_csv(args.init)
     else:  # zero steps give zero weights

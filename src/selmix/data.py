@@ -1,16 +1,17 @@
 """Synthetic long-tailed Gaussian features, CSV I/O, and split management.
 
-Datasets are plain containers of a feature matrix plus integer labels.  The
-label vector doubles as the pseudo-label slot for unlabeled pools: a dataset
-built with ``pseudo=True`` keeps the ground truth aside in ``true_labels``
-(so pseudo-label accuracy stays measurable) while ``labels`` holds whatever
-the current model assigned.  A pseudo label of -1 means "not assigned yet".
+Datasets are plain containers of a feature matrix plus integer labels in
+[0, K), whose rows :meth:`FeatureDataset.class_layout` partitions by class.
+An unlabeled pool is such a dataset too: :func:`split` gives it its ground
+truth labels, so pseudo-label accuracy stays measurable, and the SSL trainer
+never reads them; it pseudo-labels the pool with the model instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,9 +43,26 @@ def _all_finite(a: np.ndarray) -> bool:
     return not a.size or bool(np.isfinite([a.min(), a.max()]).all())
 
 
+class ClassLayout(NamedTuple):
+    """CSR-style class-row index of a dataset: the rows of class k are
+    ``order[start[k]:start[k] + count[k]]``, in ascending row order."""
+
+    order: np.ndarray
+    start: np.ndarray
+    count: np.ndarray
+
+    def indices(self) -> list[np.ndarray]:
+        """Row indices per class; empty for a class without rows."""
+        return np.split(self.order, self.start[1:])
+
+    def rows(self, y: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Row per draw: the int(u * count[y])-th row of class y, u in [0, 1)."""
+        return self.order[self.start[y] + (u * self.count[y]).astype(np.intp)]
+
+
 @dataclass(frozen=True)
 class FeatureDataset:
-    """Fixed feature vectors with labels and per-class index sets.
+    """Fixed feature vectors with labels in [0, ``num_classes``).
 
     ``features`` is stored as a read-only view (of the caller's array when
     no copy is needed), so nothing writes through the dataset;
@@ -52,10 +70,8 @@ class FeatureDataset:
     """
 
     features: np.ndarray          # (N, d) float64
-    labels: np.ndarray            # (N,) int64; -1 = unassigned pseudo slot
+    labels: np.ndarray            # (N,) int64
     num_classes: int
-    pseudo: bool = False
-    true_labels: np.ndarray | None = None
 
     def __post_init__(self):
         feats = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64)).view()
@@ -69,14 +85,8 @@ class FeatureDataset:
             raise DataError("labels length must match feature rows")
         if self.num_classes < 1:
             raise DataError("num_classes must be >= 1")
-        low = -1 if self.pseudo else 0
-        if labels.size and (labels.min() < low or labels.max() >= self.num_classes):
+        if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
             raise DataError("label outside [0, K)")
-        if self.true_labels is not None:
-            tl = np.asarray(self.true_labels, dtype=np.int64)
-            object.__setattr__(self, "true_labels", tl)
-            if tl.shape != labels.shape:
-                raise DataError("true_labels length must match labels")
 
     @property
     def n(self) -> int:
@@ -86,16 +96,14 @@ class FeatureDataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def class_indices(self) -> list[np.ndarray]:
-        """Row indices per class, in ascending row order (a partition of the
-        assigned rows): one stable sort, cut at the class boundaries, with
-        the unassigned (-1) rows cut off the front."""
-        order = np.argsort(self.labels, kind="stable")
-        ends = np.cumsum(np.bincount(self.labels + 1, minlength=self.num_classes + 1))
-        return np.split(order, ends[:-1])[1:]
+    def class_layout(self) -> ClassLayout:
+        """The rows of each class: one stable sort of the labels, cut at the
+        class boundaries."""
+        count = self.class_counts()
+        return ClassLayout(np.argsort(self.labels, kind="stable"), np.cumsum(count) - count, count)
 
     def class_counts(self) -> np.ndarray:
-        return np.bincount(self.labels[self.labels >= 0], minlength=self.num_classes)
+        return np.bincount(self.labels, minlength=self.num_classes)
 
     def priors(self) -> np.ndarray:
         counts = self.class_counts()
@@ -104,11 +112,6 @@ class FeatureDataset:
     def with_labels(self, labels: np.ndarray) -> "FeatureDataset":
         """New dataset value with replaced (pseudo) labels; features shared."""
         return replace(self, labels=labels)
-
-    def as_unlabeled(self) -> "FeatureDataset":
-        """This dataset as an unlabeled pool: every pseudo label unassigned
-        (-1), the labels kept aside as ``true_labels``."""
-        return replace(self, labels=np.full(self.n, -1), pseudo=True, true_labels=self.labels)
 
     @cached_property
     def screen_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -219,22 +222,17 @@ def balanced_validation(spec: LTSpec, per_class: int) -> FeatureDataset:
 def save_dataset(ds: FeatureDataset, path) -> None:
     """Write a dataset as CSV: header ``label,f0,...,f{d-1}``, LF endings.
 
-    Floats are written with ``repr`` so the round trip is exact.  Pseudo
-    datasets are saved with their ground-truth labels when available.  Rows
-    are streamed to the file one line at a time, so no text copy of the
-    whole array is held.  A dataset :func:`load_dataset` would refuse (an
-    unassigned pseudo label, a non-finite feature) raises
-    :class:`DataError` before the file is opened.
+    Floats are written with ``repr`` so the round trip is exact.  Rows are
+    streamed to the file one line at a time, so no text copy of the whole
+    array is held.  A non-finite feature, which :func:`load_dataset` would
+    refuse, raises :class:`DataError` before the file is opened.
     """
-    labels = ds.true_labels if (ds.pseudo and ds.true_labels is not None) else ds.labels
-    if labels.size and labels.min() < 0:
-        raise DataError("cannot save unassigned (-1) pseudo labels without true_labels")
     if not _all_finite(ds.features):
         raise DataError("cannot save non-finite feature values")
     header = ",".join([CSV_HEADER_PREFIX] + [f"f{i}" for i in range(ds.dim)])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for row, lab in zip(ds.features, labels.tolist()):
+        for row, lab in zip(ds.features, ds.labels.tolist()):
             fh.write(f"{lab}," + ",".join(map(repr, row.tolist())) + "\n")
 
 
@@ -440,9 +438,8 @@ def split(spec: LTSpec, fractions: tuple[float, float, float],
 
     The pool itself is never held: each class is drawn into one reused
     block exactly as the pool draws it and its rows are copied straight
-    into the parts.  The unlabeled part comes back with ``pseudo=True``:
-    its ``labels`` start unassigned (-1) and the ground truth is kept in
-    ``true_labels``.
+    into the parts.  Every part keeps its ground-truth labels, the
+    unlabeled one too.
     """
     counts = spec.class_counts()
     rows = stratified_rows(counts, fractions, seed)
@@ -455,6 +452,5 @@ def split(spec: LTSpec, fractions: tuple[float, float, float],
         _draw_cluster(rng, block[:n_k], means[k], spec.within_std)
         for out, start, part in zip(outs, starts[k], rows[k]):
             np.take(block, part, axis=0, out=out[start:start + part.size], mode="clip")
-    parts = [FeatureDataset(features=out, labels=np.repeat(np.arange(spec.K), sizes[:, s]),
-                            num_classes=spec.K) for s, out in enumerate(outs)]
-    return parts[0], parts[1], parts[2].as_unlabeled()
+    return tuple(FeatureDataset(features=out, labels=np.repeat(np.arange(spec.K), sizes[:, s]),
+                                num_classes=spec.K) for s, out in enumerate(outs))

@@ -237,7 +237,7 @@ def soft_confusion(model: LinearModel, features: FeatureDataset) -> ConfusionMat
     probs = softmax(batch_logits(model, features.features))
     k = features.num_classes
     entries = np.zeros((k, k))
-    for i, idx in enumerate(features.class_indices()):
+    for i, idx in enumerate(features.class_layout().indices()):
         if idx.size == 0:
             raise DataError(f"class {i} absent from evaluation set")
         entries[i] = probs[idx].sum(axis=0)

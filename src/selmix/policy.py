@@ -36,7 +36,8 @@ class MixPolicy:
         object.__setattr__(self, "probs", p)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise SelMixError("policy must be a square matrix")
-        if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
+        # positive comparisons, so a NaN entry fails them
+        if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-9):
             raise SelMixError("policy entries must be nonnegative and sum to 1")
 
     @cached_property
@@ -92,8 +93,10 @@ def selmix_distribution(g: GainMatrix, s: float, mask_negative: bool = True,
     keep = formable & (values >= 0.0)
     if not (mask_negative and keep.any()):
         keep = formable
-    scaled = np.where(keep, s * values, -np.inf)
-    return MixPolicy(softmax(scaled.reshape(-1)).reshape(values.shape))
+    # a huge s can overflow s * G; the NaN policy it gives fails MixPolicy's check
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs = softmax(np.where(keep, s * values, -np.inf).reshape(-1))
+    return MixPolicy(probs.reshape(values.shape))
 
 
 def greedy_distribution(g: GainMatrix, formable: np.ndarray | None = None) -> MixPolicy:

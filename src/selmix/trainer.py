@@ -17,8 +17,8 @@ Within a cycle the policy, both pools and their class layouts are fixed, so
 none of the draws depends on the weights.  The SGD block therefore runs in
 blocks of whole steps, at most ``_BLOCK_ELEMENTS`` mixed entries each: a
 block is one pair draw, one draw of element choices and one of betas, one
-row gather per side (``_class_layout`` lays the labeled pool out by class
-once per run, the pseudo-labelled pool once per cycle) and one mix, both
+row gather per side (the labeled pool's class layout is built once per run,
+the pseudo-labelled pool's once per cycle) and one mix, both
 into two arrays the run allocates once, and one :func:`cosine_lr` call for
 its rates; ``sgd_mixup_block`` then runs its steps in place on the cycle's
 one weights array.  A generator's n-value draw yields the same values and
@@ -31,7 +31,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -166,9 +165,9 @@ def cosine_lr(base: float, step, total: int):
 
 def refresh_pseudo_labels(model: LinearModel, unlabeled: FeatureDataset,
                           carry: ArgmaxCarry | None = None) -> FeatureDataset:
-    """Assign every sample the argmax class of its logits (ties to the
-    smallest index; ``carry`` as in :func:`predict`) and rebuild the
-    per-class index sets."""
+    """``unlabeled`` with every label replaced by the argmax class of the
+    row's logits (ties to the smallest index; ``carry`` as in
+    :func:`predict`); the labels it had are never read."""
     return unlabeled.with_labels(predict(model, unlabeled, carry))
 
 
@@ -214,30 +213,6 @@ def pretrain_erm(
     return LinearModel(w)
 
 
-class _ClassLayout(NamedTuple):
-    """CSR-style class-row index of one pool.
-
-    The rows of class k are ``order[start[k]:start[k] + count[k]]`` in
-    ascending row order; rows labelled -1 (unassigned pseudo slots) sort
-    first and belong to no class.
-    """
-
-    order: np.ndarray
-    start: np.ndarray
-    count: np.ndarray
-
-    def rows(self, y: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Row per draw: the int(u * count[y])-th row of class y, u in [0, 1)."""
-        return self.order[self.start[y] + (u * self.count[y]).astype(np.intp)]
-
-
-def _class_layout(pool: FeatureDataset) -> _ClassLayout:
-    order = np.argsort(pool.labels, kind="stable")
-    count = pool.class_counts()
-    start = pool.n - count.sum() + np.cumsum(count) - count
-    return _ClassLayout(order, start, count)
-
-
 def _cycle_policy(cfg: TrainerConfig, gains: GainMatrix, formable: np.ndarray) -> MixPolicy:
     if cfg.policy == "uniform":
         return uniform_distribution(gains.values.shape[0], formable)
@@ -277,7 +252,7 @@ def run_selmix(
     centroids: CentroidSet = class_centroids(validation)
     val_carry, pool_carry = ArgmaxCarry(), ArgmaxCarry()
     history = RunHistory()
-    first = _class_layout(train)
+    first = train.class_layout()
     second_pool, second = train, first
     total_steps = max(config.cycles * config.sgd_steps_per_cycle, 1)
     spec = config.metric
@@ -297,7 +272,7 @@ def run_selmix(
     for t in range(1, config.cycles + 1):
         if config.mode == "ssl":
             second_pool = refresh_pseudo_labels(model, unlabeled, pool_carry)
-            second = _class_layout(second_pool)
+            second = second_pool.class_layout()
         confusion = model_confusion(model, validation, val_carry)
         lam = update_lagrange(spec, confusion)
         psi = evaluate_metric(spec, confusion, lam)

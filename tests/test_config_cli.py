@@ -510,6 +510,10 @@ _TRAIN = ("train", "--config", "{tmp}/gen.cfg", "--data", "{tmp}/data", "--out",
 _FAR_APART = "K=4\nd=6\nn1=80\nrho=8\nseed=5\ncluster_separation=1e200\n"
 _TRAIN_FAR = ("train", "--config", "{tmp}/far.cfg", "--data", "{tmp}/far", "--out", "{tmp}/out")
 _EVAL = ("eval", "--model", "{tmp}/m.csv", "--data")
+# s * gain overflows, so the softmax over the pairs is NaN
+_HUGE_S = "K=4\nd=6\nmetric=mean_recall_coverage\ns=1e308\ncycles=3\nsgd_steps=5\n"
+# a finite 6 x 4 model whose logits on the gen.cfg data overflow
+_HUGE_MODEL = np.where(np.indices((6, 4)).sum(axis=0) % 2, -1e308, 1e308)
 
 
 def _write_eval_inputs(tmp):
@@ -551,25 +555,34 @@ def _write_eval_inputs(tmp):
     ((*_TRAIN_FAR, "--pretrain-steps", "0"), "error: gain matrix must be finite"),
     ((*_EVAL, "{tmp}/val.csv"), "val.csv: not UTF-8 text (invalid start byte at byte 1050000)"),
     ((*_EVAL, "{tmp}/blank.csv"), "blank.csv: no data rows"),
+    (("train", "--config", "{tmp}/huge_s.cfg", "--data", "{tmp}/data", "--out", "{tmp}/out"),
+     "error: policy entries must be nonnegative and sum to 1"),
+    (("eval", "--model", "{tmp}/huge.csv", "--data", "{tmp}/data/val.csv"),
+     "error: logits overflow"),
+    ((*_TRAIN, "--init", "{tmp}/huge.csv"), "error: logits overflow"),
 ], ids=["sim-seed", "theory-seed", "mixup-seed", "conv-K-neg", "conv-d-neg", "conv-K-0",
         "conv-d-0", "mixup-d-neg", "mixup-d-0", "sim-out-of-memory", "sim-s-overflow",
         "pretrain-la-inf", "pretrain-la-overflow", "pretrain-la-nan", "pretrain-steps-neg",
         "init-shape-mismatch", "gen-data-tail-too-small", "gen-data-key-twice",
         "far-apart-pretrain-overflow", "far-apart-gain-overflow", "eval-bad-byte-past-1mib",
-        "eval-blank-data-lines"])
+        "eval-blank-data-lines", "policy-s-overflow", "eval-logit-overflow",
+        "init-logit-overflow"])
 def test_bad_arguments_exit_with_one_line_and_no_traceback(monkeypatch, request, tmp_path, capsys,
                                                            argv, message):
     # the out-of-memory case stands in a callee that raises instead of allocating
     monkeypatch.setattr("selmix.cli.run_online_game", _out_of_memory)
     (tmp_path / "tail.cfg").write_text(_TAIL_OF_ONE)
     (tmp_path / "twice.cfg").write_text("K = 3\nK = 4\n")
-    if argv[0] == "train":
+    (tmp_path / "huge_s.cfg").write_text(_HUGE_S)
+    save_model_csv(LinearModel(_HUGE_MODEL), tmp_path / "huge.csv")
+    if argv[0] == "train" or "{tmp}/data/val.csv" in argv:
         request.getfixturevalue("small_data_dir")       # gen.cfg and data/ in tmp_path
+    if argv[0] == "train":
         save_model_csv(LinearModel(np.zeros((3, 5))), tmp_path / "m.csv")     # data is 6 x 4
         (tmp_path / "far.cfg").write_text(_FAR_APART)
         assert run_cli("gen-data", "--config", str(tmp_path / "far.cfg"),
                        "--out", str(tmp_path / "far")) == 0
-        capsys.readouterr()
+    capsys.readouterr()
     if argv[0] == "eval":
         _write_eval_inputs(tmp_path)
     code = run_cli_raising_warnings(*(arg.format(tmp=tmp_path) for arg in argv))
@@ -621,6 +634,84 @@ def test_train_on_mutated_csvs_exits_with_one_line(small_data_dir, tmp_path, cap
     conf.write_text("K=4\nd=6\nmode=ssl\ncycles=1\nsgd_steps=5\nbatch_size=8\nlr=0.05\nseed=1\n")
     code = run_cli_raising_warnings("train", "--config", str(conf), "--data", str(data),
                                     "--out", str(out), "--pretrain-steps", "0")
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    if code == 0:
+        assert (out / "history.jsonl").is_file()
+        shutil.rmtree(out)
+    else:
+        assert not out.exists()
+
+
+# one edit to a headerless model CSV: (kind, where, what); ``mutate_model`` applies them
+MODEL_MUTATIONS = st.one_of(
+    st.tuples(st.just("value"), st.integers(0, 99),
+              st.sampled_from(["1e308", "-1e308", "1.7976931348623157e308", "nan", "inf",
+                               "-inf", "1e309"])),
+    st.tuples(st.just("scale"), st.integers(0, 99), st.sampled_from([1e150, 1e300, -1e307])),
+    st.tuples(st.just("ragged"), st.integers(0, 99), st.sampled_from([-1, 1])),
+    st.tuples(st.just("insert"), st.integers(0, 99), st.sampled_from(["", " ", "\t", " , "])),
+    # a row (d) or a column (K) dropped or added
+    st.tuples(st.sampled_from(["rows", "cols"]), st.integers(0, 99), st.sampled_from([-1, 1])),
+    st.tuples(st.just("bom"), st.just(0), st.just("")),
+)
+
+
+def mutate_model(weights: np.ndarray, mutations) -> bytes:
+    """The bytes ``save_model_csv`` writes for ``weights``, after
+    ``mutations`` drawn from ``MODEL_MUTATIONS``: value and shape edits on
+    the array, then line edits, in order."""
+    w = weights.copy()
+    for kind, where, what in mutations:
+        if kind == "scale":
+            with np.errstate(over="ignore"):    # a second scale may overflow to inf
+                w = w * what
+        elif kind == "rows":
+            w = w[:-1] if what < 0 and len(w) > 1 else np.vstack([w, w[where % len(w)]])
+        elif kind == "cols":
+            w = w[:, :-1] if what < 0 and w.shape[1] > 1 else np.hstack([w, w[:, :1]])
+    lines = [",".join(repr(float(v)) for v in row) for row in w]
+    for kind, where, what in mutations:
+        i = where % len(lines)
+        fields = lines[i].split(",")
+        if kind == "value":
+            fields[where % len(fields)] = what
+            lines[i] = ",".join(fields)
+        elif kind == "ragged":
+            lines[i] = ",".join(fields[:-1] if what < 0 else fields + ["0.5"])
+        elif kind == "insert":
+            lines.insert(i, what)
+    bom = "\ufeff" if any(kind == "bom" for kind, _, _ in mutations) else ""
+    return (bom + "\n".join(lines) + "\n").encode("utf-8")
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutations=st.lists(MODEL_MUTATIONS, max_size=3))
+def test_eval_and_train_on_a_mutated_model_exit_with_one_line(small_data_dir, tmp_path, capsys,
+                                                              mutations):
+    # the model half of the CLI fuzz contract: exit 0, 1 or 2 with one line,
+    # never a traceback or warning; a failed train leaves no output directory
+    model, out = tmp_path / "mutated.csv", tmp_path / "run"
+    weights = np.random.default_rng(3).standard_normal((6, 4))      # the data is 6 x 4
+    model.write_bytes(mutate_model(weights, mutations))
+    code = run_cli_raising_warnings("eval", "--model", str(model),
+                                    "--data", str(small_data_dir / "val.csv"))
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    lines = (captured.out if code == 0 else captured.err).splitlines()
+    assert len(lines) == 1 and (captured.err if code == 0 else captured.out) == ""
+    if code == 0:
+        strict_loads(lines[0])
+    assert "Traceback" not in lines[0]
+
+    conf = tmp_path / "init.cfg"
+    conf.write_text("K=4\nd=6\nmode=ssl\ncycles=1\nsgd_steps=5\nbatch_size=8\nlr=0.05\nseed=1\n")
+    code = run_cli_raising_warnings("train", "--config", str(conf), "--data", str(small_data_dir),
+                                    "--out", str(out), "--init", str(model),
+                                    "--pretrain-steps", "0")
     captured = capsys.readouterr()
     assert code in (0, 1, 2)
     assert captured.out == "" and captured.err.count("\n") == 1

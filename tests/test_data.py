@@ -173,13 +173,12 @@ def reference_split(ds, fractions, seed):
         return FeatureDataset(features=ds.features[rows], labels=ds.labels[rows],
                               num_classes=ds.num_classes)
 
-    return take(buckets[0]), take(buckets[1]), take(buckets[2]).as_unlabeled()
+    return take(buckets[0]), take(buckets[1]), take(buckets[2])
 
 
 def _dataset_bytes(ds):
-    truth = None if ds.true_labels is None else ds.true_labels.tobytes()
     return (ds.features.shape, ds.features.tobytes(), ds.labels.dtype, ds.labels.tobytes(),
-            ds.num_classes, ds.pseudo, truth)
+            ds.num_classes)
 
 
 class TestGenerateLongtail:
@@ -257,18 +256,13 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(back.labels, ds.labels)
         np.testing.assert_array_equal(back.features, ds.features)
 
-    @pytest.mark.parametrize("pseudo", [False, True])
-    def test_bytes_match_per_value_repr(self, tmp_path, pseudo):
+    def test_bytes_match_per_value_repr(self, tmp_path):
         # repr switches to exponent form below 1e-4 and from 1e16 up
         features = np.array([[-0.0, 5e-324, 1e-300, 1e-05],
                              [1e16, 0.1, 3.0, 1.7976931348623157e+308],
                              [-7.0, 0.0, 2.0 ** 60, 1e-4]])
         labels = np.array([2, 0, 1])
-        if pseudo:
-            ds = FeatureDataset(features, np.array([-1, 1, 1]), num_classes=3,
-                                pseudo=True, true_labels=labels)
-        else:
-            ds = FeatureDataset(features, labels, num_classes=3)
+        ds = FeatureDataset(features, labels, num_classes=3)
         path = tmp_path / "values.csv"
         save_dataset(ds, path)
         rows = [",".join([str(int(lab))] + [repr(float(v)) for v in row])
@@ -280,26 +274,19 @@ class TestCsvRoundTrip:
         assert back.features.tobytes() == features.tobytes()
 
     @pytest.mark.parametrize("ds, message", [
-        (FeatureDataset(np.ones((2, 1)), np.array([0, -1]), num_classes=2, pseudo=True),
-         "cannot save unassigned (-1) pseudo labels without true_labels"),
         (FeatureDataset(np.array([[1.0], [np.inf]]), np.array([0, 1]), num_classes=2),
          "cannot save non-finite feature values"),
         (FeatureDataset(np.array([[-np.inf], [1.0]]), np.array([0, 1]), num_classes=2),
          "cannot save non-finite feature values"),
         (FeatureDataset(np.array([[1.0, np.nan]]), np.array([0]), num_classes=1),
          "cannot save non-finite feature values"),
-    ], ids=["unassigned-pseudo", "inf", "minus-inf", "nan"])
+    ], ids=["inf", "minus-inf", "nan"])
     def test_unloadable_dataset_raises_before_creating_the_file(self, tmp_path, ds, message):
         path = tmp_path / "refused.csv"
         with pytest.raises(DataError) as info:
             save_dataset(ds, path)
         assert str(info.value) == message
         assert not path.exists()
-
-    def test_assigned_pseudo_labels_without_truth_are_saved(self, tmp_path):
-        ds = FeatureDataset(np.ones((2, 1)), np.array([1, 0]), num_classes=2, pseudo=True)
-        save_dataset(ds, tmp_path / "assigned.csv")
-        assert load_dataset(tmp_path / "assigned.csv").labels.tolist() == [1, 0]
 
     def test_hand_written_row(self, tmp_path):
         path = tmp_path / "tiny.csv"
@@ -365,14 +352,10 @@ class TestCsvRoundTrip:
 
 class TestCsvReader:
     @REUSED_TMP_PATH
-    @given(table=labeled_tables(), pseudo=st.booleans())
-    def test_save_then_load_is_byte_exact(self, tmp_path, table, pseudo):
+    @given(table=labeled_tables())
+    def test_save_then_load_is_byte_exact(self, tmp_path, table):
         features, labels, k = table
-        if pseudo:
-            ds = FeatureDataset(features, np.full(labels.size, -1), num_classes=k,
-                                pseudo=True, true_labels=labels)
-        else:
-            ds = FeatureDataset(features, labels, num_classes=k)
+        ds = FeatureDataset(features, labels, num_classes=k)
         path = tmp_path / "round.csv"
         save_dataset(ds, path)
         back = load_dataset(path, expected_classes=k)
@@ -495,11 +478,16 @@ class TestSplit:
         with pytest.raises(DataError, match="class 2 too small"):
             split(LTSpec(K=3, d=2, N1=8, rho=4.0, seed=0), (0.4, 0.3, 0.3), seed=0)
 
-    def test_unlabeled_split_hides_but_keeps_truth(self):
+    def test_unlabeled_split_keeps_its_ground_truth_labels(self):
         _, _, unl = split(LTSpec(K=3, d=4, N1=30, rho=2.0, seed=9), (0.5, 0.25, 0.25), seed=3)
-        assert unl.pseudo
-        assert np.all(unl.labels == -1)
-        assert unl.true_labels is not None and np.all(unl.true_labels >= 0)
+        counts = unl.class_counts()
+        assert np.all(counts >= 1)
+        np.testing.assert_array_equal(unl.labels, np.repeat(np.arange(3), counts))
+
+    @pytest.mark.parametrize("labels", [[0, -1], [-1], [2, 0]])
+    def test_a_label_outside_the_classes_is_refused(self, labels):
+        with pytest.raises(DataError, match=r"label outside \[0, K\)"):
+            FeatureDataset(np.ones((len(labels), 1)), np.array(labels), num_classes=2)
 
     def test_fraction_validation(self):
         with pytest.raises(DataError, match="fractions"):
@@ -559,18 +547,18 @@ def test_stratified_rows_partition_every_class(case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(k=st.integers(1, 12), pseudo=st.booleans(),
-       labels=st.lists(st.integers(-1, 11), max_size=60))
-def test_class_indices_equal_the_per_class_rows(k, pseudo, labels):
-    # -1 rows (unassigned pseudo labels) belong to no class; empty classes stay
-    labels = np.array([lab % k if lab >= 0 or not pseudo else -1 for lab in labels],
-                      dtype=np.int64)
-    ds = FeatureDataset(np.zeros((labels.size, 1)), labels, num_classes=k, pseudo=pseudo)
-    got = ds.class_indices()
+@given(k=st.integers(1, 12), labels=st.lists(st.integers(0, 11), max_size=60))
+def test_class_layout_equals_the_per_class_rows(k, labels):
+    # empty classes stay, with no rows
+    labels = np.array(labels, dtype=np.int64) % k
+    layout = FeatureDataset(np.zeros((labels.size, 1)), labels, num_classes=k).class_layout()
     want = [np.flatnonzero(labels == c) for c in range(k)]
+    got = layout.indices()
     assert len(got) == k
-    for g, w in zip(got, want):
+    for c, (g, w) in enumerate(zip(got, want)):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        assert layout.count[c] == w.size
+        assert layout.order[layout.start[c]:layout.start[c] + w.size].tobytes() == w.tobytes()
 
 
 class TestMemory:

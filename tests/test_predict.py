@@ -206,10 +206,10 @@ class TestCarriedMargins:
 
     def test_a_second_refresh_at_the_same_weights_runs_no_product(self, monkeypatch):
         ds, model = clusters(np.random.default_rng(13), 3000, 64, 100)
-        pool, carry = ds.as_unlabeled(), ArgmaxCarry()
-        first = refresh_pseudo_labels(model, pool, carry)
+        carry = ArgmaxCarry()
+        first = refresh_pseudo_labels(model, ds, carry)
         shapes = count_top2(monkeypatch)
-        again = refresh_pseudo_labels(model, pool, carry)
+        again = refresh_pseudo_labels(model, ds, carry)
         assert shapes == []
         assert again.labels.tobytes() == first.labels.tobytes() == oracle(model, ds).tobytes()
 

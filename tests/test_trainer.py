@@ -25,7 +25,6 @@ from selmix.trainer import (
     CycleRecord,
     RunHistory,
     TrainerConfig,
-    _class_layout,
     _cycle_policy,
     cosine_lr,
     pretrain_erm,
@@ -70,22 +69,21 @@ class TestCosineLr:
 class TestRefreshPseudoLabels:
     def test_zero_weights_tie_break_to_class_zero(self):
         ds = FeatureDataset(np.random.default_rng(0).normal(size=(6, 3)),
-                            np.full(6, -1), num_classes=4, pseudo=True)
+                            np.full(6, 3), num_classes=4)
         out = refresh_pseudo_labels(LinearModel(np.zeros((3, 4))), ds)
         assert np.all(out.labels == 0)
 
     def test_separable_clusters_recover_latents(self):
         spec = LTSpec(K=4, d=6, N1=30, rho=2.0, within_std=0.01, seed=1)
         ds = generate_longtail(spec)
-        hidden = FeatureDataset(ds.features, np.full(ds.n, -1), num_classes=4,
-                                pseudo=True, true_labels=ds.labels)
+        hidden = ds.with_labels(np.zeros(ds.n, dtype=np.int64))
         model = LinearModel(spec.class_means().T * 20.0)
         out = refresh_pseudo_labels(model, hidden)
-        np.testing.assert_array_equal(out.labels, hidden.true_labels)
+        np.testing.assert_array_equal(out.labels, ds.labels)
 
     def test_idempotent(self):
         rng = np.random.default_rng(2)
-        ds = FeatureDataset(rng.normal(size=(10, 3)), np.full(10, -1), 3, pseudo=True)
+        ds = FeatureDataset(rng.normal(size=(10, 3)), np.zeros(10, dtype=np.int64), 3)
         model = LinearModel(rng.normal(size=(3, 3)))
         once = refresh_pseudo_labels(model, ds)
         twice = refresh_pseudo_labels(model, once)
@@ -149,7 +147,7 @@ class TestRunSelmix:
         model, history = run_selmix(cfg, train, unl, val, biased_init(train))
         assert history.sgd_steps == 20
         refreshed = refresh_pseudo_labels(model, unl)
-        acc = np.mean(refreshed.labels == unl.true_labels)
+        acc = np.mean(refreshed.labels == unl.labels)
         assert acc > 0.5                      # clusters are tight; labels mostly right
 
     def test_ssl_mode_requires_unlabeled(self):
@@ -191,6 +189,25 @@ class TestGreedyFormablePairs:
         assert history.sgd_steps == 21
 
 
+class TestUnlabeledPoolLabels:
+    @pytest.mark.parametrize("relabel", ["shuffled", "constant", "relabelled"])
+    def test_ssl_run_never_reads_them(self, relabel):
+        # the trainer pseudo-labels the pool before any cycle reads its labels
+        spec = LTSpec(K=6, d=8, N1=100, rho=20.0, seed=0)
+        train, val, unlabeled = split(spec, (0.5, 0.3, 0.2), seed=0)
+        labels = {"shuffled": np.random.default_rng(1).permutation(unlabeled.labels),
+                  "constant": np.zeros(unlabeled.n, dtype=np.int64),
+                  "relabelled": (unlabeled.labels + 1) % spec.K}[relabel]
+        assert not np.array_equal(labels, unlabeled.labels)
+        init = pretrain_erm(train, steps=60, seed=0)
+        cfg = TrainerConfig(metric=MetricSpec(MIN_RECALL), cycles=3, sgd_steps_per_cycle=7,
+                            batch_size=16, lr=0.1, seed=0, mode="ssl")
+        want_model, want = run_selmix(cfg, train, unlabeled, val, init)
+        model, history = run_selmix(cfg, train, unlabeled.with_labels(labels), val, init)
+        assert history.to_jsonl() == want.to_jsonl()
+        assert model.weights.tobytes() == want_model.weights.tobytes()
+
+
 class TestMissingLabeledClasses:
     @pytest.mark.parametrize("mode", ["supervised", "ssl"])
     def test_no_seed_aborts_when_two_classes_have_no_labeled_rows(self, mode):
@@ -210,19 +227,15 @@ class TestMissingLabeledClasses:
 
 class TestClassLayout:
     def test_gather_matches_class_index_lists(self):
-        from selmix.trainer import _class_layout
-
         rng = np.random.default_rng(5)
-        labels = rng.choice([-1, 0, 2, 3], size=40)    # class 1 empty, some unassigned rows
-        pool = FeatureDataset(rng.normal(size=(40, 2)), labels, num_classes=4, pseudo=True)
-        layout = _class_layout(pool)
-        indices = pool.class_indices()
+        labels = rng.choice([0, 2, 3], size=40)    # class 1 empty
+        layout = FeatureDataset(rng.normal(size=(40, 2)), labels, num_classes=4).class_layout()
+        indices = layout.indices()
         np.testing.assert_array_equal(layout.count, [idx.size for idx in indices])
         for y in (0, 2, 3):
             u = np.append(rng.random(200), [0.0, np.nextafter(1.0, 0.0)])
             want = [indices[y][int(v * indices[y].size)] for v in u]
             np.testing.assert_array_equal(layout.rows(np.full(u.size, y), u), want)
-        assert set(layout.order[: np.sum(labels == -1)]) == set(np.flatnonzero(labels == -1))
 
 
 def reference_step_weights(weights, mixed, labels, lr):
@@ -255,7 +268,7 @@ def per_step_run(config, train, unlabeled, validation, init):
     if config.mode == "ssl":
         second_pool = refresh_pseudo_labels(model, unlabeled)
     history = RunHistory()
-    first = _class_layout(train)
+    first = train.class_layout()
     total_steps = max(config.cycles * config.sgd_steps_per_cycle, 1)
     spec = config.metric
     global_step = 0
@@ -266,7 +279,7 @@ def per_step_run(config, train, unlabeled, validation, init):
         psi = evaluate_metric(spec, confusion, lam)
         gains = gain_matrix(model, centroids, confusion.with_floor(0.5 / validation.n), spec,
                             lam, config.beta_bar)
-        second = _class_layout(second_pool)
+        second = second_pool.class_layout()
         formable = np.outer(first.count > 0, second.count > 0)
         gapped_cycles += not formable.all()
         policy = _cycle_policy(config, gains, formable)
