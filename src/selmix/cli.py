@@ -19,7 +19,8 @@ from .classifier import LinearModel
 from .config import load_config
 # generate_longtail stays importable here: perfbench/tracing.py wraps it by this name
 from .data import (POOL_FRACTIONS, balanced_validation, check_split_sizes,  # noqa: F401
-                   generate_longtail, load_dataset, load_weights, save_dataset, split)
+                   generate_longtail, load_dataset, load_weights, save_dataset, save_weights,
+                   split)
 from .errors import ConfigError, SelMixError
 from .gain import gain_oracle_median_error
 from .metrics import (
@@ -55,15 +56,6 @@ def _strict_json(value) -> str:
         return obj
 
     return json.dumps(scrub(value))
-
-
-def save_model_csv(model: LinearModel, path) -> None:
-    lines = [",".join(repr(float(v)) for v in row) for row in model.weights]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def load_model_csv(path) -> LinearModel:
-    return LinearModel(load_weights(path))
 
 
 def cmd_gen_data(args) -> int:
@@ -102,13 +94,13 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config)
     data_dir = Path(args.data)
     k = cfg.data.K
-    train = load_dataset(data_dir / "train.csv", expected_classes=k)
-    val = load_dataset(data_dir / "val.csv", expected_classes=k)
+    train = load_dataset(data_dir / "train.csv", k)
+    val = load_dataset(data_dir / "val.csv", k)
     unlabeled = None
     if cfg.trainer.mode == "ssl":
-        unlabeled = load_dataset(data_dir / "unlabeled.csv", expected_classes=k)
+        unlabeled = load_dataset(data_dir / "unlabeled.csv", k)
     if args.init is not None:
-        init = load_model_csv(args.init)
+        init = LinearModel(load_weights(args.init))
     else:  # zero steps give zero weights
         init = pretrain_erm(train, steps=args.pretrain_steps, seed=cfg.trainer.seed,
                             logit_adjust=args.pretrain_la)
@@ -122,7 +114,7 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "history.jsonl").write_text(history.to_jsonl(), encoding="utf-8")
-    save_model_csv(model, out / "final_model.csv")
+    save_weights(model.weights, out / "final_model.csv")
     summary = {
         "psi": history.final_psi,
         "cycle1_psi": history.records[0].psi,
@@ -189,8 +181,8 @@ def cmd_check_gain(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = load_model_csv(args.model)
-    ds = load_dataset(args.data, expected_classes=model.classes)
+    model = LinearModel(load_weights(args.model))
+    ds = load_dataset(args.data, model.classes)
     conf = model_confusion(model, ds)
     spec_min = MetricSpec(kind=MIN_RECALL, omega=args.omega)
     values = {

@@ -81,7 +81,7 @@ def parse_config_text(text: str) -> RunConfig:
         v[key] = _parse_value(key, raw)
     try:
         head_set = None
-        if v["head_tail_split"] >= 0:
+        if v["head_tail_split"] != -1:
             if not 0 < v["head_tail_split"] < v["K"]:
                 raise ConfigError(f"head_tail_split must lie in (0, {v['K']})")
             head_set = tuple(range(v["head_tail_split"]))

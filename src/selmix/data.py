@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DataError
 
 CSV_HEADER_PREFIX = "label"
-LABEL_BOUND = 2 ** 53    # labels below it are exact in float64, so in numpy's reader
+LABEL_BOUND = 2 ** 53    # most classes a dataset CSV may hold: every label is exact in float64
 POOL_FRACTIONS = (0.8, 0.0, 0.2)    # labeled / (unused) / unlabeled share of the LT pool
 CHUNK_BYTES = 2 ** 18    # block size of the plain-text scan and the feature compaction
 PLAIN_BYTES = bytes(range(0x20, 0x7f)) + b"\n"    # printable ASCII and LF
@@ -245,29 +245,31 @@ def _read_lines(path) -> list[str]:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def load_dataset(path, expected_classes: int | None = None) -> FeatureDataset:
-    """Parse a dataset CSV written by :func:`save_dataset`.
+def load_dataset(path, num_classes: int) -> FeatureDataset:
+    """Parse a dataset CSV written by :func:`save_dataset` as a dataset of
+    ``num_classes`` classes.
 
-    Raises :class:`DataError` naming the offending line for ragged rows,
-    non-numeric or non-finite fields, or labels outside
-    ``[0, expected_classes)``, or ``[0, LABEL_BOUND)`` without it.  Without
-    ``expected_classes`` the class count is the largest label plus one,
-    which may not exceed the row count.
+    Raises :class:`DataError` for a ``num_classes`` outside
+    ``[1, LABEL_BOUND]`` before the file is opened, and naming the
+    offending line for ragged rows, non-numeric or non-finite fields, or
+    labels outside ``[0, num_classes)``.
 
     A file of printable ASCII and LF that the checks accept is parsed by
     numpy's C reader straight from the file.  Any other file is read whole
     and parsed by the per-line pass, which names the line; both give the
     same arrays and messages.
     """
-    ds = _load_plain(path, expected_classes)
+    if not 1 <= num_classes <= LABEL_BOUND:
+        raise DataError(f"num_classes {num_classes} outside [1, {LABEL_BOUND}]")
+    ds = _load_plain(path, num_classes)
     if ds is not None:
         return ds
     raw = _read_lines(path)
-    labels, features = _parse_dataset_lines(path, raw, _header_width(path, raw), expected_classes)
-    return _dataset(path, raw, labels, features, expected_classes)
+    labels, features = _parse_dataset_lines(path, raw, _header_width(path, raw), num_classes)
+    return FeatureDataset(features=features, labels=labels, num_classes=num_classes)
 
 
-def _load_plain(path, expected_classes: int | None) -> FeatureDataset | None:
+def _load_plain(path, num_classes: int) -> FeatureDataset | None:
     """The dataset numpy's C reader parses from a file of printable ASCII and
     LF with a non-blank line after its header, or None for any other file
     and for a table that numpy or a check of :func:`load_dataset` refuses.
@@ -295,33 +297,16 @@ def _load_plain(path, expected_classes: int | None) -> FeatureDataset | None:
                            converters={0: int}, skiprows=1, encoding="ascii")
     except ValueError:
         return None
-    n = table.shape[0]
-    top = n if expected_classes is None else expected_classes
     if (table.shape[1] != d + 1 or not _all_finite(table)
-            or table[:, 0].min() < 0 or table[:, 0].max() >= top):
+            or table[:, 0].min() < 0 or table[:, 0].max() >= num_classes):
         return None
+    n = table.shape[0]
     labels = table[:, 0].astype(np.int64)
     flat, block = table.reshape(-1), max(1, CHUNK_BYTES // 8 // d)
     for start in range(0, n, block):
         stop = min(start + block, n)
         flat[start * d:stop * d] = table[start:stop, 1:].ravel()
-    k = int(labels.max()) + 1 if expected_classes is None else expected_classes
-    return FeatureDataset(features=flat[:n * d].reshape(n, d), labels=labels, num_classes=k)
-
-
-def _dataset(path, raw: list[str], labels, features, expected_classes: int | None):
-    """The parsed rows of a dataset CSV's lines ``raw`` as a dataset.  Without
-    ``expected_classes`` the class count is the largest label plus one; a
-    label at or above the row count raises :class:`DataError` naming its
-    line, before any per-class array is sized by it."""
-    if expected_classes is not None:
-        return FeatureDataset(features=features, labels=labels, num_classes=expected_classes)
-    top = int(labels.argmax())
-    if labels[top] >= labels.size:
-        lineno = [n for n, line in enumerate(raw[1:], start=2) if line][top]
-        raise DataError(f"{path}: line {lineno}: label {labels[top]} implies more classes "
-                        f"than the file's {labels.size} rows")
-    return FeatureDataset(features=features, labels=labels, num_classes=int(labels[top]) + 1)
+    return FeatureDataset(flat[:n * d].reshape(n, d), labels, num_classes)
 
 
 def _header_width(path, raw: list[str]) -> int:
@@ -336,7 +321,7 @@ def _header_width(path, raw: list[str]) -> int:
     return len(header) - 1
 
 
-def _parse_dataset_lines(path, raw: list[str], d: int, expected_classes: int | None):
+def _parse_dataset_lines(path, raw: list[str], d: int, num_classes: int):
     """(labels, features) of a dataset CSV's lines after a header declaring
     ``d`` features, one line at a time."""
     labels, rows = [], []
@@ -351,7 +336,7 @@ def _parse_dataset_lines(path, raw: list[str], d: int, expected_classes: int | N
             row = [float(v) for v in parts[1:]]
         except ValueError as exc:
             raise DataError(f"{path}: line {lineno}: {exc}") from None
-        if not 0 <= lab < (LABEL_BOUND if expected_classes is None else expected_classes):
+        if not 0 <= lab < num_classes:
             raise DataError(f"{path}: line {lineno}: label {lab} out of range")
         labels.append(lab)
         rows.append(row)
@@ -363,6 +348,14 @@ def _parse_dataset_lines(path, raw: list[str], d: int, expected_classes: int | N
         lineno = [n for n, line in enumerate(raw[1:], start=2) if line][bad[0]]
         raise DataError(f"{path}: line {lineno}: non-finite feature value")
     return np.array(labels, dtype=np.int64), features
+
+
+def save_weights(weights: np.ndarray, path) -> None:
+    """Write a weight matrix as a headerless CSV, one ``repr`` per value and
+    LF endings, so :func:`load_weights` reads back the same array."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for row in np.asarray(weights, dtype=np.float64).tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def load_weights(path) -> np.ndarray:

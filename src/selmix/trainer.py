@@ -240,6 +240,9 @@ def run_selmix(
         raise SelMixError(f"class {missing} absent from validation set")
     if config.mode == "ssl" and unlabeled is None:
         raise SelMixError("ssl mode requires an unlabeled set")
+    for name, ds in (("train", train), ("unlabeled", unlabeled)):
+        if ds is not None and ds.num_classes != k:
+            raise SelMixError(f"{name} set has {ds.num_classes} classes, validation has {k}")
     if init.classes != k or init.dim != train.dim:
         raise SelMixError("init model shape does not match the data")
 

@@ -270,7 +270,7 @@ class TestC9FormatRoundTrips:
         ds = generate_longtail(LTSpec(K=4, d=5, N1=40, rho=4.0, seed=3))
         path = tmp_path / "ds.csv"
         save_dataset(ds, path)
-        back = load_dataset(path, expected_classes=4)
+        back = load_dataset(path, 4)
         round_trip = (np.array_equal(back.labels, ds.labels)
                       and np.array_equal(back.features, ds.features))
 

@@ -8,10 +8,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import CSV_MUTATIONS, mutate_csv
-from selmix.cli import main, save_model_csv
-from selmix.classifier import LinearModel
+from selmix.cli import main
 from selmix.config import DEFAULTS, parse_config_text
-from selmix.data import FeatureDataset, LTSpec, save_dataset
+from selmix.data import FeatureDataset, LTSpec, save_dataset, save_weights
 from selmix.errors import ConfigError
 from selmix.metrics import METRIC_KINDS
 from selmix.trainer import TrainerConfig
@@ -389,7 +388,7 @@ class TestEval:
         data = tmp_path / "d.csv"
         save_dataset(ds, data)
         model = tmp_path / "m.csv"
-        save_model_csv(LinearModel(10.0 * np.eye(3)), model)
+        save_weights(10.0 * np.eye(3), model)
         assert run_cli("eval", "--model", str(model), "--data", str(data)) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["recalls"] == [1.0, 1.0, 1.0]
@@ -401,7 +400,7 @@ class TestEval:
         data = tmp_path / "d.csv"
         save_dataset(ds, data)
         model = tmp_path / "m.csv"
-        save_model_csv(LinearModel(np.zeros((4, 4))), model)
+        save_weights(np.zeros((4, 4)), model)
         assert run_cli("eval", "--model", str(model), "--data", str(data)) == 0
         report = json.loads(capsys.readouterr().out)
         # all argmax ties resolve to class 0: recall 1 there, 0 elsewhere
@@ -427,7 +426,7 @@ class TestEval:
         save_dataset(FeatureDataset(np.tile(np.eye(4)[:3], (2, 1)), np.tile(np.arange(3), 2),
                                     num_classes=3), data)
         model = tmp_path / "m.csv"
-        save_model_csv(LinearModel(10.0 * np.eye(4)), model)
+        save_weights(10.0 * np.eye(4), model)
         assert run_cli("eval", "--model", str(model), "--data", str(data)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -437,7 +436,7 @@ class TestEval:
         data = tmp_path / "d.csv"
         save_dataset(FeatureDataset(np.eye(3), np.arange(3), num_classes=3), data)
         model = tmp_path / "m.csv"
-        save_model_csv(LinearModel(np.eye(3)[:, :2]), model)
+        save_weights(np.eye(3)[:, :2], model)
         assert run_cli("eval", "--model", str(model), "--data", str(data)) == 1
         assert "line 4: label 2 out of range" in capsys.readouterr().err
 
@@ -445,7 +444,7 @@ class TestEval:
         data = tmp_path / "d.csv"
         data.write_text("label,f0,f1\n0,1.0,0.0\n1,nan,1.0\n")
         model = tmp_path / "m.csv"
-        save_model_csv(LinearModel(np.eye(2)), model)
+        save_weights(np.eye(2), model)
         assert run_cli("eval", "--model", str(model), "--data", str(data)) == 1
         assert "line 3: non-finite feature value" in capsys.readouterr().err
 
@@ -453,7 +452,7 @@ class TestEval:
         data = tmp_path / "d.csv"
         data.write_text("label,f0,f1\n")
         model = tmp_path / "m.csv"
-        save_model_csv(LinearModel(np.eye(2)), model)
+        save_weights(np.eye(2), model)
         assert run_cli_raising_warnings("eval", "--model", str(model), "--data", str(data)) == 1
         assert capsys.readouterr().err == f"error: {data}: no data rows\n"
 
@@ -480,7 +479,7 @@ def test_non_utf8_input_gives_one_line_naming_the_file(tmp_path, capsys, bad):
     data = tmp_path / "d.csv"
     save_dataset(FeatureDataset(np.eye(2), np.arange(2), num_classes=2), data)
     model = tmp_path / "m.csv"
-    save_model_csv(LinearModel(np.eye(2)), model)
+    save_weights(np.eye(2), model)
     conf = tmp_path / "c.cfg"
     conf.write_text("K=4\nd=4\nn1=20\nrho=2\n")
     path = {"data": data, "model": model, "config": conf}[bad]
@@ -520,7 +519,7 @@ def _write_eval_inputs(tmp):
     """A 4 x 2 model, a 60,000-row ``val.csv`` of 18-byte lines whose byte
     1,050,000 (past the first MiB) is not UTF-8, and a CSV whose data lines
     are all blank."""
-    save_model_csv(LinearModel(np.zeros((4, 2))), tmp / "m.csv")
+    save_weights(np.zeros((4, 2)), tmp / "m.csv")
     val = tmp / "val.csv"
     save_dataset(FeatureDataset(np.ones((60_000, 4)), np.arange(60_000) % 2, num_classes=2), val)
     blob = bytearray(val.read_bytes())
@@ -551,6 +550,8 @@ def _write_eval_inputs(tmp):
      "config error: class 2 too small to appear in all requested splits"),
     (("gen-data", "--config", "{tmp}/twice.cfg", "--out", "{tmp}/out"),
      "config error: line 2: key 'K' already set on line 1"),
+    (("gen-data", "--config", "{tmp}/split.cfg", "--out", "{tmp}/out"),
+     "config error: head_tail_split must lie in (0, 10)"),
     ((*_TRAIN_FAR, "--pretrain-steps", "5"), "error: weights must be finite"),
     ((*_TRAIN_FAR, "--pretrain-steps", "0"), "error: gain matrix must be finite"),
     ((*_EVAL, "{tmp}/val.csv"), "val.csv: not UTF-8 text (invalid start byte at byte 1050000)"),
@@ -564,21 +565,22 @@ def _write_eval_inputs(tmp):
         "conv-d-0", "mixup-d-neg", "mixup-d-0", "sim-out-of-memory", "sim-s-overflow",
         "pretrain-la-inf", "pretrain-la-overflow", "pretrain-la-nan", "pretrain-steps-neg",
         "init-shape-mismatch", "gen-data-tail-too-small", "gen-data-key-twice",
-        "far-apart-pretrain-overflow", "far-apart-gain-overflow", "eval-bad-byte-past-1mib",
-        "eval-blank-data-lines", "policy-s-overflow", "eval-logit-overflow",
-        "init-logit-overflow"])
+        "gen-data-split-below-default", "far-apart-pretrain-overflow", "far-apart-gain-overflow",
+        "eval-bad-byte-past-1mib", "eval-blank-data-lines", "policy-s-overflow",
+        "eval-logit-overflow", "init-logit-overflow"])
 def test_bad_arguments_exit_with_one_line_and_no_traceback(monkeypatch, request, tmp_path, capsys,
                                                            argv, message):
     # the out-of-memory case stands in a callee that raises instead of allocating
     monkeypatch.setattr("selmix.cli.run_online_game", _out_of_memory)
     (tmp_path / "tail.cfg").write_text(_TAIL_OF_ONE)
     (tmp_path / "twice.cfg").write_text("K = 3\nK = 4\n")
+    (tmp_path / "split.cfg").write_text("head_tail_split=-5\n")
     (tmp_path / "huge_s.cfg").write_text(_HUGE_S)
-    save_model_csv(LinearModel(_HUGE_MODEL), tmp_path / "huge.csv")
+    save_weights(_HUGE_MODEL, tmp_path / "huge.csv")
     if argv[0] == "train" or "{tmp}/data/val.csv" in argv:
         request.getfixturevalue("small_data_dir")       # gen.cfg and data/ in tmp_path
     if argv[0] == "train":
-        save_model_csv(LinearModel(np.zeros((3, 5))), tmp_path / "m.csv")     # data is 6 x 4
+        save_weights(np.zeros((3, 5)), tmp_path / "m.csv")     # data is 6 x 4
         (tmp_path / "far.cfg").write_text(_FAR_APART)
         assert run_cli("gen-data", "--config", str(tmp_path / "far.cfg"),
                        "--out", str(tmp_path / "far")) == 0
@@ -604,7 +606,7 @@ def test_eval_of_a_mutated_val_csv_prints_one_line(tmp_path, capsys, mutations):
     save_dataset(FeatureDataset(rng.standard_normal((8, 3)), np.arange(8) % 3, num_classes=3), val)
     val.write_bytes(mutate_csv(val.read_text(encoding="utf-8"), mutations))
     model = tmp_path / "m.csv"
-    save_model_csv(LinearModel(np.eye(3)), model)
+    save_weights(np.eye(3), model)
     code = run_cli_raising_warnings("eval", "--model", str(model), "--data", str(val))
     out = capsys.readouterr()
     assert code in (0, 1)
@@ -660,7 +662,7 @@ MODEL_MUTATIONS = st.one_of(
 
 
 def mutate_model(weights: np.ndarray, mutations) -> bytes:
-    """The bytes ``save_model_csv`` writes for ``weights``, after
+    """The bytes ``save_weights`` writes for ``weights``, after
     ``mutations`` drawn from ``MODEL_MUTATIONS``: value and shape edits on
     the array, then line edits, in order."""
     w = weights.copy()

@@ -13,18 +13,19 @@ from conftest import CSV_MUTATIONS, mutate_csv
 from selmix.benchmark import BenchmarkSetting, make_benchmark
 from selmix.classifier import class_centroids
 from selmix.data import (
+    LABEL_BOUND,
     FeatureDataset,
     LTSpec,
     balanced_validation,
     check_split_sizes,
     generate_longtail,
-    _dataset,
     _header_width,
     _parse_dataset_lines,
     _read_lines,
     load_dataset,
     load_weights,
     save_dataset,
+    save_weights,
     split,
     stratified_rows,
 )
@@ -130,10 +131,10 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def _dataset_per_line(path, expected_classes):
+def _dataset_per_line(path, num_classes):
     raw = _read_lines(path)
-    labels, features = _parse_dataset_lines(path, raw, _header_width(path, raw), expected_classes)
-    return _dataset(path, raw, labels, features, expected_classes)
+    labels, features = _parse_dataset_lines(path, raw, _header_width(path, raw), num_classes)
+    return FeatureDataset(features=features, labels=labels, num_classes=num_classes)
 
 
 def reference_split(ds, fractions, seed):
@@ -252,7 +253,7 @@ class TestCsvRoundTrip:
         ds = generate_longtail(LTSpec(K=3, d=4, N1=20, rho=2.0, seed=5))
         path = tmp_path / "ds.csv"
         save_dataset(ds, path)
-        back = load_dataset(path, expected_classes=3)
+        back = load_dataset(path, 3)
         np.testing.assert_array_equal(back.labels, ds.labels)
         np.testing.assert_array_equal(back.features, ds.features)
 
@@ -270,8 +271,17 @@ class TestCsvRoundTrip:
         want = "\n".join(["label,f0,f1,f2,f3"] + rows) + "\n"
         assert ",1e-05\n" in want and ",1.7976931348623157e+308\n" in want
         assert path.read_bytes() == want.encode("utf-8")
-        back = load_dataset(path, expected_classes=3)
+        back = load_dataset(path, 3)
         assert back.features.tobytes() == features.tobytes()
+
+    def test_weights_bytes_match_per_value_repr(self, tmp_path):
+        weights = np.array([[-0.0, 5e-324, -5e-324, 1e-05],
+                            [2.0 ** 60, 1.7976931348623157e+308, 1e16, 0.1]])
+        path = tmp_path / "w.csv"
+        save_weights(weights, path)
+        lines = [",".join(repr(float(v)) for v in row) for row in weights]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+        assert load_weights(path).tobytes() == weights.tobytes()
 
     @pytest.mark.parametrize("ds, message", [
         (FeatureDataset(np.array([[1.0], [np.inf]]), np.array([0, 1]), num_classes=2),
@@ -291,7 +301,7 @@ class TestCsvRoundTrip:
     def test_hand_written_row(self, tmp_path):
         path = tmp_path / "tiny.csv"
         path.write_text("label,f0,f1\n0,1.5,-2.0\n")
-        ds = load_dataset(path)
+        ds = load_dataset(path, 1)
         assert ds.n == 1 and ds.labels[0] == 0
         np.testing.assert_array_equal(ds.features[0], [1.5, -2.0])
 
@@ -299,55 +309,49 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("label,f0\n0,1.0\n7,2.0\n")
         with pytest.raises(DataError, match="line 3"):
-            load_dataset(path, expected_classes=3)
+            load_dataset(path, 3)
 
     @pytest.mark.parametrize("label", [2 ** 63, 9007199254740993])
-    def test_huge_label_without_expected_classes_names_line(self, tmp_path, label):
+    def test_huge_label_at_the_largest_class_count_names_line(self, tmp_path, label):
         path = tmp_path / "huge.csv"
         path.write_text(f"label,f0\n0,1.0\n{label},2.0\n")
         with pytest.raises(DataError, match=f"line 3: label {label} out of range"):
-            load_dataset(path)
+            load_dataset(path, LABEL_BOUND)
 
-    @pytest.mark.parametrize("label", [3, 9007199254740991])
-    def test_label_beyond_the_row_count_names_its_line(self, tmp_path, label):
-        # without expected_classes K would be label + 1: 2**53 classes would
-        # fail in numpy's allocator rather than here
-        path = tmp_path / "sparse.csv"
-        path.write_text(f"label,f0\n0,1.0\n\n{label},2.0\n1,3.0\n")
-        with pytest.raises(DataError, match=f"line 4: label {label} implies more classes "
-                                            "than the file's 3 rows"):
-            load_dataset(path)
-        assert load_dataset(path, expected_classes=label + 1).num_classes == label + 1
-
-    def test_largest_label_may_equal_the_last_row_index(self, tmp_path):
-        path = tmp_path / "dense.csv"
-        path.write_text("label,f0\n2,1.0\n0,2.0\n0,3.0\n")
-        assert load_dataset(path).num_classes == 3
+    @pytest.mark.parametrize("num_classes", [0, LABEL_BOUND + 1, 2 ** 60])
+    def test_class_count_outside_the_label_bound_is_refused_unread(self, tmp_path, num_classes):
+        # above 2**53 numpy's float64 labels are not exact: the fast reader
+        # would read 9007199254740993 as 9007199254740992
+        path = tmp_path / "huge.csv"
+        path.write_text("label,f0\n0,1.0\n9007199254740993,2.0\n")
+        message = f"num_classes {num_classes} outside [1, {LABEL_BOUND}]"
+        assert _outcome(load_dataset, path, num_classes) == message
+        assert _outcome(load_dataset, tmp_path / "missing.csv", num_classes) == message
 
     def test_ragged_row_names_line(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("label,f0,f1\n0,1.0,2.0\n1,3.0\n")
         with pytest.raises(DataError, match="line 3"):
-            load_dataset(path)
+            load_dataset(path, 2)
 
     def test_malformed_header_rejected(self, tmp_path):
         path = tmp_path / "hdr.csv"
         path.write_text("klass,f0\n0,1.0\n")
         with pytest.raises(DataError, match="line 1"):
-            load_dataset(path)
+            load_dataset(path, 1)
 
     def test_non_numeric_field_names_line(self, tmp_path):
         path = tmp_path / "nan.csv"
         path.write_text("label,f0\n0,abc\n")
         with pytest.raises(DataError, match="line 2"):
-            load_dataset(path)
+            load_dataset(path, 1)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_feature_names_line(self, tmp_path, value):
         path = tmp_path / "nonfinite.csv"
         path.write_text(f"label,f0,f1\n0,1.0,2.0\n\n1,3.0,{value}\n")
         with pytest.raises(DataError, match="line 4: non-finite"):
-            load_dataset(path)
+            load_dataset(path, 2)
 
 
 class TestCsvReader:
@@ -358,18 +362,18 @@ class TestCsvReader:
         ds = FeatureDataset(features, labels, num_classes=k)
         path = tmp_path / "round.csv"
         save_dataset(ds, path)
-        back = load_dataset(path, expected_classes=k)
+        back = load_dataset(path, k)
         assert back.features.tobytes() == features.tobytes()
         assert back.labels.tobytes() == labels.tobytes()
 
     @REUSED_TMP_PATH
     @given(blob=csv_texts().map(str.encode) | mutated_saved_files(),
-           expected_classes=st.sampled_from([None, 2, 3, 5]))
-    def test_dataset_reader_equals_the_per_line_pass(self, tmp_path, blob, expected_classes):
+           num_classes=st.sampled_from([2, 3, 5]))
+    def test_dataset_reader_equals_the_per_line_pass(self, tmp_path, blob, num_classes):
         path = tmp_path / "gen.csv"
         path.write_bytes(blob)
-        assert (_outcome(load_dataset, path, expected_classes)
-                == _outcome(_dataset_per_line, path, expected_classes))
+        assert (_outcome(load_dataset, path, num_classes)
+                == _outcome(_dataset_per_line, path, num_classes))
 
     def test_saved_file_is_parsed_without_a_text_copy(self, tmp_path, monkeypatch):
         ds = generate_longtail(LTSpec(K=3, d=4, N1=20, rho=2.0, seed=5))
@@ -380,35 +384,35 @@ class TestCsvReader:
             raise AssertionError("whole-file read")
 
         monkeypatch.setattr("selmix.data._read_lines", refuse)
-        for expected_classes in (None, 3):
-            back = load_dataset(path, expected_classes)
-            assert back.features.tobytes() == ds.features.tobytes()
-            assert back.labels.tobytes() == ds.labels.tobytes() and back.num_classes == 3
+        back = load_dataset(path, 3)
+        assert back.features.tobytes() == ds.features.tobytes()
+        assert back.labels.tobytes() == ds.labels.tobytes() and back.num_classes == 3
 
     @pytest.mark.parametrize("text", ["label,f0,f1\n", "label,f0,f1\n\n\n", "label,f0\r\n\r\n"])
     def test_header_only_file_has_no_data_rows(self, tmp_path, text):
         path = tmp_path / "empty.csv"
         path.write_text(text, newline="")
-        assert _outcome(load_dataset, path) == f"{path}: no data rows"
+        assert _outcome(load_dataset, path, 2) == f"{path}: no data rows"
 
     def test_field_split_by_a_form_feed_is_two_lines(self, tmp_path):
         # numpy reading the file handle would see one three-field row here
         path = tmp_path / "ff.csv"
         path.write_text("label,f0,f1\n0,1\x0c,2.0\n")
-        assert _outcome(load_dataset, path) == f"{path}: line 2: expected 3 fields, got 2"
+        assert _outcome(load_dataset, path, 1) == f"{path}: line 2: expected 3 fields, got 2"
 
     def test_unit_separator_around_a_value_is_refused(self, tmp_path):
         # numpy strips \x1f around a value; float() does not
         path = tmp_path / "us.csv"
         path.write_text("label,f0\n0,1.0\x1f\n")
-        assert _outcome(load_dataset, path) == (
+        assert _outcome(load_dataset, path, 1) == (
             f"{path}: line 2: could not convert string to float: '1.0\\x1f'")
 
-    @pytest.mark.parametrize("read", [load_dataset, load_weights])
-    def test_non_utf8_file_names_the_file(self, tmp_path, read):
+    @pytest.mark.parametrize("read, args", [(load_dataset, (1,)), (load_weights, ())],
+                             ids=["load_dataset", "load_weights"])
+    def test_non_utf8_file_names_the_file(self, tmp_path, read, args):
         path = tmp_path / "latin1.csv"
         path.write_bytes(b"label,f0\n0,\xff\n")
-        assert _outcome(read, path) == (
+        assert _outcome(read, path, *args) == (
             f"{path}: not UTF-8 text (invalid start byte at byte 11)")
 
     def test_non_finite_weight_names_its_line(self, tmp_path):
@@ -574,7 +578,7 @@ class TestMemory:
         ds = FeatureDataset(rng.standard_normal((3000, 64)), rng.integers(0, 10, 3000),
                             num_classes=10)
         assert _traced_peak(save_dataset, ds, tmp_path / "big.csv") < 2 ** 20
-        assert load_dataset(tmp_path / "big.csv").features.tobytes() == ds.features.tobytes()
+        assert load_dataset(tmp_path / "big.csv", 10).features.tobytes() == ds.features.tobytes()
 
     def test_load_dataset_peaks_near_its_feature_array(self, tmp_path):
         # reading the whole text first peaked at 5.1x the features
@@ -582,7 +586,7 @@ class TestMemory:
         ds = FeatureDataset(rng.standard_normal((3000, 64)), rng.integers(0, 10, 3000),
                             num_classes=10)
         save_dataset(ds, tmp_path / "big.csv")
-        assert _traced_peak(load_dataset, tmp_path / "big.csv") <= 2.5 * ds.features.nbytes
+        assert _traced_peak(load_dataset, tmp_path / "big.csv", 10) <= 2.5 * ds.features.nbytes
 
     def test_make_benchmark_frees_the_pool_before_the_holdout(self):
         # split holds no pool, only its parts and one class block: the peak

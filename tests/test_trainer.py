@@ -164,6 +164,17 @@ class TestRunSelmix:
         with pytest.raises(SelMixError, match="class 2 absent"):
             run_selmix(cfg, train, None, gap, biased_init(train))
 
+    @pytest.mark.parametrize("name", ["train", "unlabeled"])
+    def test_a_class_count_other_than_validation_is_named(self, name):
+        data = dict(zip(["train", "validation", "unlabeled"], small_benchmark()))
+        init = biased_init(data["train"])
+        wide = data[name]
+        data[name] = FeatureDataset(wide.features, wide.labels, num_classes=6)
+        cfg = TrainerConfig(metric=MetricSpec(MEAN_RECALL), cycles=1, sgd_steps_per_cycle=2,
+                            batch_size=4, mode="ssl", seed=0)
+        with pytest.raises(SelMixError, match=f"^{name} set has 6 classes, validation has 5$"):
+            run_selmix(cfg, **data, init=init)
+
     def test_uniform_and_greedy_policies_run(self):
         train, val, _ = small_benchmark()
         init = biased_init(train)
