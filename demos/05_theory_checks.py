@@ -35,4 +35,4 @@ for scale in (0.2, 0.1, 0.05, 0.025, 0.0):
           f"{r['rel_error']:10.2e}")
 r = mixup_regularization_check(5, 8, (2.0, 2.0), 0.1, N=400, mc_pairs=200_000, seed=1)
 print(f"\nreweighted-mixture moment E[(1-l)^2/(2l^2)] = {r['lambda_moment']:.3f} "
-      f"(alpha=beta=2), E[l] = {r['lambda_mean']:.3f}")
+      f"(alpha=beta=2), E[l] = {r['lambda_mean']:.3f}, both exact (closed form)")

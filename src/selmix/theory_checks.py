@@ -16,6 +16,11 @@ alpha), H_bar is the per-sample average of the weighted log-sum-exp
 Hessians, Sigma the empirical feature covariance, and Th the first K-1
 weight rows (the last row is pinned to zero).  The Hessian factor is
 normalized per sample so both sides of the comparison are sample averages.
+
+The moments are exact; with a = alpha, b = beta they are finite iff a, b > 1:
+
+    E[(1-lam)^2 / (2 lam^2)] = [b(b+1) / (a-1) + a(a+1) / (b-1)] / (2 (a+b)),
+    E[lam] = (a(a+1) + b(b+1)) / ((a+b)(a+b+1)).
 """
 
 from __future__ import annotations
@@ -97,9 +102,10 @@ def convergence_check(
 
     r0 = _norm(w_star) + max_norm
     ts = np.arange(1, T + 1)
-    bound = 4.0 * gamma * r0**2 / (alignment_c**2 * np.maximum(ts - 1, 1))
+    # the envelope times c^2 (t-1): a c^2 that underflows to 0 makes it vacuous
     late = ts > 10
-    bound_ok = bool(np.all(subopt[1:][late] <= bound[late]))
+    scaled = subopt[1:][late] * (alignment_c**2 * (ts[late] - 1))
+    bound_ok = bool(np.all(scaled <= 4.0 * gamma * r0**2))
     half = ts >= T // 2
     numerical_floor = (1e-13 * r0) ** 2
     exponent = _fit_loglog_slope(ts[half], subopt[1:][half], numerical_floor)
@@ -123,30 +129,12 @@ def _weighted_ce(logits: np.ndarray, labels: np.ndarray, w: np.ndarray) -> np.nd
     return -(w[labels] * log_softmax(logits)).sum(axis=1)
 
 
-def _lse_hessians(xi: np.ndarray) -> np.ndarray:
-    """Hessian of xi -> log(1 + sum exp(xi_i)) at each row of xi,
-    shape (N, K-1, K-1)."""
-    n, km1 = xi.shape
-    full = np.concatenate([xi, np.zeros((n, 1))], axis=1)
-    sigma = softmax(full)[:, :km1]
-    h = -sigma[:, :, None] * sigma[:, None, :]
-    idx = np.arange(km1)
-    h[:, idx, idx] += sigma
-    return h
-
-
-def reweighted_lambda_moment(
-    alpha: float, beta: float, draws: int, rng: np.random.Generator
-) -> tuple[float, float]:
-    """Monte-Carlo (E[(1-lam)^2 / (2 lam^2)], E[lam]) under the reweighted
-    Beta mixture; the second moment requires alpha > 1 to be finite."""
-    pick_first = rng.random(draws) < alpha / (alpha + beta)
-    lam = np.where(
-        pick_first,
-        rng.beta(alpha + 1.0, beta, size=draws),
-        rng.beta(beta + 1.0, alpha, size=draws),
-    )
-    return float(np.mean((1.0 - lam) ** 2 / (2.0 * lam**2))), float(lam.mean())
+def _mean_lse_hessian(logits: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_n weights[n] (diag(s_n) - s_n s_n^T) / N, the mean log-sum-exp Hessian,
+    with s_n the softmax of row n less its last logit, which must be 0."""
+    sigma = softmax(logits)[:, :-1]
+    weighted = weights[:, None] * sigma
+    return (np.diag(weighted.sum(axis=0)) - weighted.T @ sigma) / len(sigma)
 
 
 def mixup_regularization_check(
@@ -158,7 +146,6 @@ def mixup_regularization_check(
     mc_pairs: int,
     seed: int,
     w: np.ndarray | None = None,
-    moment_draws: int = 200_000,
 ) -> dict:
     """Compare Monte-Carlo mixup loss against its second-order Taylor form.
 
@@ -168,9 +155,10 @@ def mixup_regularization_check(
     with lam ~ Beta(alpha, beta).  The reported relative error shrinks as
     theta_scale does; at theta = 0 both sides equal log K exactly.  The
     random draws do not depend on theta_scale, so calls sharing a seed use
-    common random numbers across scales.
+    common random numbers across scales.  Raises :class:`SelMixError` when
+    a finite but huge ``theta_scale`` overflows the weights or the losses.
     """
-    alpha, beta = alpha_beta
+    alpha, beta = map(float, alpha_beta)
     if not (1.0 < alpha < np.inf and 1.0 < beta < np.inf):
         raise SelMixError("regularizer moment diverges: need finite alpha, beta > 1")
     if not np.isfinite(theta_scale):
@@ -185,34 +173,42 @@ def mixup_regularization_check(
     if w.shape != (K, K) or np.any(w < 0):
         raise SelMixError("gain-weight matrix must be nonnegative K x K")
 
+    # the module docstring's moments, scaled by top = max(a, b) and each
+    # term divided last, so no step overflows while the result is finite
+    top = max(alpha, beta)
+    p, q, u = alpha / top, beta / top, 1.0 / top
+    half = 0.5 / (p + q)
+    moment = q * half * (beta + 1.0) / (alpha - 1.0) + p * half * (alpha + 1.0) / (beta - 1.0)
+    lam_mean = (p * (p + u) + q * (q + u)) / ((p + q) * (p + q + u))
+
     ss = np.random.SeedSequence((seed, 0x317))
-    data_rng, pair_rng, moment_rng = (np.random.default_rng(s) for s in ss.spawn(3))
+    data_rng, pair_rng = (np.random.default_rng(s) for s in ss.spawn(2))
 
     x = data_rng.standard_normal((N, d))
     x -= x.mean(axis=0)          # Taylor form assumes centralized samples
     y = data_rng.integers(0, K, size=N)
-    theta = theta_scale * data_rng.standard_normal((K, d))
-    theta[K - 1] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = theta_scale * data_rng.standard_normal((K, d))
+        theta[K - 1] = 0.0
+        logits = x @ theta.T
+        std_loss = float(_weighted_ce(logits, y, w).mean())
 
-    std_loss = float(_weighted_ce(x @ theta.T, y, w).mean())
+        n_idx = pair_rng.integers(0, N, size=mc_pairs)
+        m_idx = pair_rng.integers(0, N, size=mc_pairs)
+        lam = pair_rng.beta(alpha, beta, size=mc_pairs)
+        mixed = lam[:, None] * x[n_idx] + (1.0 - lam)[:, None] * x[m_idx]
+        mixed_logits = mixed @ theta.T
+        loss_first = _weighted_ce(mixed_logits, y[n_idx], w)
+        loss_second = _weighted_ce(mixed_logits, y[m_idx], w)
+        mixup_mc = float(np.mean(lam * loss_first + (1.0 - lam) * loss_second))
 
-    n_idx = pair_rng.integers(0, N, size=mc_pairs)
-    m_idx = pair_rng.integers(0, N, size=mc_pairs)
-    lam = pair_rng.beta(alpha, beta, size=mc_pairs)
-    mixed = lam[:, None] * x[n_idx] + (1.0 - lam)[:, None] * x[m_idx]
-    logits = mixed @ theta.T
-    loss_first = _weighted_ce(logits, y[n_idx], w)
-    loss_second = _weighted_ce(logits, y[m_idx], w)
-    mixup_mc = float(np.mean(lam * loss_first + (1.0 - lam) * loss_second))
-
-    theta_tilde = theta[: K - 1]
-    sigma_x = x.T @ x / N
-    hess = _lse_hessians(x @ theta_tilde.T)
-    weights = w[y].sum(axis=1)
-    h_bar = np.einsum("n,nij->ij", weights, hess) / N
-    moment, lam_mean = reweighted_lambda_moment(alpha, beta, moment_draws, moment_rng)
-    regularizer = float(moment * np.trace(h_bar @ theta_tilde @ sigma_x @ theta_tilde.T))
+        theta_tilde = theta[: K - 1]
+        sigma_x = x.T @ x / N
+        h_bar = _mean_lse_hessian(logits, w[y].sum(axis=1))
+        regularizer = float(moment * np.trace(h_bar @ theta_tilde @ sigma_x @ theta_tilde.T))
     taylor = std_loss + regularizer
+    if not (math.isfinite(mixup_mc) and math.isfinite(taylor)):
+        raise SelMixError(f"theta_scale={theta_scale!r} overflows the weights or the losses")
 
     rel_error = abs(mixup_mc - taylor) / max(abs(mixup_mc), 1e-300)
     return {

@@ -371,7 +371,11 @@ class TestCheckTheory:
         (("--alpha-beta", "2", "inf"), "need finite alpha, beta > 1"),
         (("--theta-scale", "nan"), "theta_scale must be finite"),
         (("--theta-scale=-inf",), "theta_scale must be finite"),
-    ], ids=["alpha-nan", "beta-inf", "theta-nan", "theta-minus-inf"])
+        (("--theta-scale", "1e308"), "theta_scale=1e+308 overflows"),
+        # the later --mc-pairs wins: 2000 losses near 1e306 overflow their sum
+        (("--theta-scale", "1e305", "--mc-pairs", "2000"), "theta_scale=1e+305 overflows"),
+    ], ids=["alpha-nan", "beta-inf", "theta-nan", "theta-minus-inf", "theta-1e308",
+            "theta-1e305"])
     def test_non_finite_mixup_arguments_exit_1(self, capsys, args, message):
         assert run_cli("check-theory", "--which", "mixup", "--N", "20", "--mc-pairs", "10",
                        *args) == 1
