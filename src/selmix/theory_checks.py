@@ -124,9 +124,15 @@ def convergence_check(
     }
 
 
-def _weighted_ce(logits: np.ndarray, labels: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Per-sample loss -sum_i w[y, i] log softmax_i(logits)."""
-    return -(w[labels] * log_softmax(logits)).sum(axis=1)
+# pairs per block of the Monte-Carlo mixup loss; the remainder joins the last
+# block, since a shorter matrix product may take another BLAS kernel and round
+# its rows differently
+_MC_BLOCK = 4096
+
+
+def _weighted_ce(log_probs: np.ndarray, labels: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per-sample loss -sum_i w[y, i] log_probs_i, from ``log_softmax(logits)``."""
+    return -(w[labels] * log_probs).sum(axis=1)
 
 
 def _mean_lse_hessian(logits: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -157,6 +163,11 @@ def mixup_regularization_check(
     random draws do not depend on theta_scale, so calls sharing a seed use
     common random numbers across scales.  Raises :class:`SelMixError` when
     a finite but huge ``theta_scale`` overflows the weights or the losses.
+
+    The pairs are drawn whole-length, then mixed and scored ``_MC_BLOCK`` at
+    a time, so the working set is four arrays of 8 B per pair (the two
+    index arrays, lam and the per-pair losses) plus one block's mixed rows,
+    logits and log-softmax terms.
     """
     alpha, beta = map(float, alpha_beta)
     if not (1.0 < alpha < np.inf and 1.0 < beta < np.inf):
@@ -191,16 +202,22 @@ def mixup_regularization_check(
         theta = theta_scale * data_rng.standard_normal((K, d))
         theta[K - 1] = 0.0
         logits = x @ theta.T
-        std_loss = float(_weighted_ce(logits, y, w).mean())
+        std_loss = float(_weighted_ce(log_softmax(logits), y, w).mean())
 
         n_idx = pair_rng.integers(0, N, size=mc_pairs)
         m_idx = pair_rng.integers(0, N, size=mc_pairs)
         lam = pair_rng.beta(alpha, beta, size=mc_pairs)
-        mixed = lam[:, None] * x[n_idx] + (1.0 - lam)[:, None] * x[m_idx]
-        mixed_logits = mixed @ theta.T
-        loss_first = _weighted_ce(mixed_logits, y[n_idx], w)
-        loss_second = _weighted_ce(mixed_logits, y[m_idx], w)
-        mixup_mc = float(np.mean(lam * loss_first + (1.0 - lam) * loss_second))
+        losses = np.empty(mc_pairs)
+        edges = [*range(0, max(mc_pairs // _MC_BLOCK, 1) * _MC_BLOCK, _MC_BLOCK), mc_pairs]
+        for lo, hi in zip(edges, edges[1:]):
+            n, m, lm = n_idx[lo:hi], m_idx[lo:hi], lam[lo:hi]
+            log_probs = log_softmax((lm[:, None] * x[n] + (1.0 - lm)[:, None] * x[m]) @ theta.T)
+            losses[lo:hi] = (lm * _weighted_ce(log_probs, y[n], w)
+                             + (1.0 - lm) * _weighted_ce(log_probs, y[m], w))
+        mixup_mc = float(np.mean(losses))
+        if not math.isfinite(mixup_mc) and np.isfinite(losses).all():
+            # the sum of finite losses overflowed; their mean is representable
+            mixup_mc = float(np.sum(losses / mc_pairs))
 
         theta_tilde = theta[: K - 1]
         sigma_x = x.T @ x / N

@@ -372,10 +372,7 @@ class TestCheckTheory:
         (("--theta-scale", "nan"), "theta_scale must be finite"),
         (("--theta-scale=-inf",), "theta_scale must be finite"),
         (("--theta-scale", "1e308"), "theta_scale=1e+308 overflows"),
-        # the later --mc-pairs wins: 2000 losses near 1e306 overflow their sum
-        (("--theta-scale", "1e305", "--mc-pairs", "2000"), "theta_scale=1e+305 overflows"),
-    ], ids=["alpha-nan", "beta-inf", "theta-nan", "theta-minus-inf", "theta-1e308",
-            "theta-1e305"])
+    ], ids=["alpha-nan", "beta-inf", "theta-nan", "theta-minus-inf", "theta-1e308"])
     def test_non_finite_mixup_arguments_exit_1(self, capsys, args, message):
         assert run_cli("check-theory", "--which", "mixup", "--N", "20", "--mc-pairs", "10",
                        *args) == 1
@@ -383,6 +380,20 @@ class TestCheckTheory:
         assert out.out == ""
         lines = out.err.strip().splitlines()
         assert len(lines) == 1 and message in lines[0]
+
+    def test_a_representable_mean_of_huge_mixup_losses_is_reported(self, capsys):
+        # 2000 losses near 1e306 overflow their sum but not their mean; the
+        # draws do not depend on the scale, so the mean scales with it
+        reports = []
+        for scale in ("1e300", "1e305"):
+            assert run_cli("check-theory", "--which", "mixup", "--N", "20",
+                           "--mc-pairs", "2000", "--theta-scale", scale) == 0
+            out = capsys.readouterr()
+            assert out.err == ""
+            reports.append(strict_loads(out.out))
+        small, huge = reports
+        assert all(np.isfinite(v) for v in huge.values())
+        assert huge["mixup_loss_mc"] == pytest.approx(1e5 * small["mixup_loss_mc"], rel=1e-12)
 
 
 class TestEval:

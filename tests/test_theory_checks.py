@@ -1,15 +1,76 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from selmix.classifier import softmax
+from selmix import theory_checks
+from selmix.classifier import log_softmax, softmax
 from selmix.errors import SelMixError
 from selmix.theory_checks import (
+    _MC_BLOCK,
     _mean_lse_hessian,
     convergence_check,
     mixup_regularization_check,
 )
+
+
+def whole_array_check(K, d, alpha_beta, theta_scale, N, mc_pairs, seed, w=None):
+    """The mixup check with its Monte-Carlo loss over every pair at once:
+    the reference the blocked estimate must equal bit for bit."""
+    alpha, beta = map(float, alpha_beta)
+    w = np.eye(K) if w is None else np.asarray(w, dtype=np.float64)
+    top = max(alpha, beta)
+    p, q, u = alpha / top, beta / top, 1.0 / top
+    half = 0.5 / (p + q)
+    moment = q * half * (beta + 1.0) / (alpha - 1.0) + p * half * (alpha + 1.0) / (beta - 1.0)
+    lam_mean = (p * (p + u) + q * (q + u)) / ((p + q) * (p + q + u))
+
+    def weighted_ce(logits, labels):
+        return -(w[labels] * log_softmax(logits)).sum(axis=1)
+
+    data_rng, pair_rng = (np.random.default_rng(s)
+                          for s in np.random.SeedSequence((seed, 0x317)).spawn(2))
+    x = data_rng.standard_normal((N, d))
+    x -= x.mean(axis=0)
+    y = data_rng.integers(0, K, size=N)
+    theta = theta_scale * data_rng.standard_normal((K, d))
+    theta[K - 1] = 0.0
+    logits = x @ theta.T
+    std_loss = float(weighted_ce(logits, y).mean())
+
+    n_idx = pair_rng.integers(0, N, size=mc_pairs)
+    m_idx = pair_rng.integers(0, N, size=mc_pairs)
+    lam = pair_rng.beta(alpha, beta, size=mc_pairs)
+    mixed = lam[:, None] * x[n_idx] + (1.0 - lam)[:, None] * x[m_idx]
+    mixed_logits = mixed @ theta.T
+    loss_first = weighted_ce(mixed_logits, y[n_idx])
+    loss_second = weighted_ce(mixed_logits, y[m_idx])
+    mixup_mc = float(np.mean(lam * loss_first + (1.0 - lam) * loss_second))
+
+    theta_tilde = theta[: K - 1]
+    sigma_x = x.T @ x / N
+    h_bar = _mean_lse_hessian(logits, w[y].sum(axis=1))
+    regularizer = float(moment * np.trace(h_bar @ theta_tilde @ sigma_x @ theta_tilde.T))
+    taylor = std_loss + regularizer
+    return {
+        "K": K, "d": d, "alpha": alpha, "beta": beta, "theta_scale": theta_scale, "N": N,
+        "mc_pairs": mc_pairs, "seed": seed, "mixup_loss_mc": mixup_mc, "std_loss": std_loss,
+        "regularizer": regularizer, "taylor_approx": taylor,
+        "rel_error": float(abs(mixup_mc - taylor) / max(abs(mixup_mc), 1e-300)),
+        "lambda_moment": moment, "lambda_mean": lam_mean,
+    }
+
+
+def assert_same_report(args, w=None):
+    blocked = mixup_regularization_check(*args, w=w)
+    reference = whole_array_check(*args, w=w)
+    assert list(blocked) == list(reference)
+    for key, value in reference.items():
+        assert type(blocked[key]) is type(value), key
+        assert blocked[key] == value, (key, blocked[key], value)
 
 
 class TestConvergenceCheck:
@@ -118,6 +179,69 @@ class TestMixupRegularizationCheck:
     def test_alpha_at_most_one_rejected(self):
         with pytest.raises(SelMixError, match="moment diverges"):
             mixup_regularization_check(4, 6, (1.0, 2.0), 0.1, N=50, mc_pairs=100, seed=0)
+
+    @pytest.mark.parametrize("scale, mc_pairs, seed", [
+        (0.05, 50_000, 0), (0.05, 50_000, 3),           # the sims benchmark
+        (0.1, 100_000, 7), (0.025, 100_000, 19),        # C7
+        (0.0, 100_000, 0),
+        (0.05, 100_000, 0),                             # check-theory defaults
+        (0.2, 200_000, 1), (0.0, 200_000, 1),           # demo 05
+    ])
+    def test_blocked_estimate_equals_whole_array_at_fixed_settings(self, scale, mc_pairs, seed):
+        assert_same_report((5, 8, (2.0, 2.0), scale, 400, mc_pairs, seed))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        K=st.integers(2, 8),
+        d=st.integers(1, 33),
+        N=st.integers(2, 1000),
+        mc_pairs=st.sampled_from([1, _MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1,
+                                  2 * _MC_BLOCK - 1, 2 * _MC_BLOCK, 2 * _MC_BLOCK + 1])
+        | st.integers(1, 5 * _MC_BLOCK),
+        alpha_beta=st.sampled_from([(2.0, 2.0), (2.0, 3.0), (1.5, 6.0)]),
+        scale=st.sampled_from([0.0, 1e-3, 0.05, 0.5, 5.0, 100.0]),
+        seed=st.integers(0, 2**32 - 1),
+        weighted=st.booleans(),
+    )
+    def test_blocked_estimate_equals_whole_array(self, K, d, N, mc_pairs, alpha_beta,
+                                                 scale, seed, weighted):
+        w = np.random.default_rng(seed).uniform(0.0, 2.0, (K, K)) if weighted else None
+        assert_same_report((K, d, alpha_beta, scale, N, mc_pairs, seed), w=w)
+
+    @pytest.mark.parametrize("mc_pairs", [1, 7, _MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1,
+                                          2 * _MC_BLOCK - 1, 2 * _MC_BLOCK, 5 * _MC_BLOCK + 3])
+    def test_no_block_is_shorter_than_the_block_size(self, monkeypatch, mc_pairs):
+        # a short matrix product may take another BLAS kernel and round
+        # differently, so the remainder joins the last block
+        rows = []
+
+        def spy(logits):
+            rows.append(len(logits))
+            return log_softmax(logits)
+
+        monkeypatch.setattr(theory_checks, "log_softmax", spy)
+        mixup_regularization_check(3, 4, (2.0, 2.0), 0.1, N=50, mc_pairs=mc_pairs, seed=0)
+        std_rows, *blocks = rows
+        assert std_rows == 50 and sum(blocks) == mc_pairs
+        if mc_pairs < _MC_BLOCK:
+            assert blocks == [mc_pairs]
+        else:
+            assert min(blocks) >= _MC_BLOCK and max(blocks) < 2 * _MC_BLOCK
+
+    def test_monte_carlo_memory_is_linear_in_pairs_plus_one_block(self):
+        # four whole-length arrays of 8 B per pair (two index arrays, lam and
+        # the losses), plus one block of at most 2 * _MC_BLOCK - 1 pairs, each
+        # under 400 B at d=8, K=5; the whole-array estimate peaked at 52 MiB
+        pairs = 200_000
+        bound = 32 * pairs + 400 * (2 * _MC_BLOCK - 1)
+        mixup_regularization_check(5, 8, (2.0, 2.0), 0.05, N=400, mc_pairs=10, seed=0)
+        tracemalloc.start()
+        try:
+            mixup_regularization_check(5, 8, (2.0, 2.0), 0.05, N=400, mc_pairs=pairs, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     def test_diagonal_weight_matrix_path(self):
         w = np.diag([1.0, 2.0, 0.5, 1.5])
