@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -105,12 +107,10 @@ def cmd_train(args) -> int:
         init = pretrain_erm(train, steps=args.pretrain_steps, seed=cfg.trainer.seed,
                             logit_adjust=args.pretrain_la)
 
-    trainer_cfg = cfg.trainer
-    if args.policy != "selmix":
-        from dataclasses import replace
-
-        trainer_cfg = replace(trainer_cfg, policy=args.policy)
+    trainer_cfg = replace(cfg.trainer, policy=args.policy)
+    started = time.perf_counter()
     model, history = run_selmix(trainer_cfg, train, unlabeled, val, init)
+    run_ms = (time.perf_counter() - started) * 1000.0
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "history.jsonl").write_text(history.to_jsonl(), encoding="utf-8")
@@ -122,13 +122,13 @@ def cmd_train(args) -> int:
         "policy": args.policy,
         "cycles": len(history.records),
         "sgd_steps": history.sgd_steps,
-        "recalls": history.records[-1].recalls,
-        "coverages": history.records[-1].coverages,
+        "recalls": history.final_confusion.recalls().tolist(),
+        "coverages": history.final_confusion.coverages().tolist(),
         "seed": cfg.trainer.seed,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     _log(f"final psi={history.final_psi:.4f} after {history.sgd_steps} SGD steps "
-         f"({history.wall_ms_total:.0f} ms)")
+         f"({run_ms:.0f} ms)")
     return 0
 
 

@@ -29,7 +29,6 @@ per-step draws do and the run is bitwise the same for any block size.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -48,6 +47,7 @@ from .data import FeatureDataset
 from .errors import SelMixError
 from .gain import GainMatrix, gain_matrix
 from .metrics import (
+    ConfusionMatrix,
     MetricSpec,
     evaluate_metric,
     model_confusion,
@@ -132,7 +132,6 @@ class CycleRecord:
     gain_max: float
     gain_min: float
     policy_entropy: float
-    wall_ms: float
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))
@@ -147,7 +146,7 @@ class RunHistory:
     pair_resamples: int = 0
     pseudo_empty_resamples: int = 0
     final_psi: float = float("nan")
-    wall_ms_total: float = 0.0
+    final_confusion: ConfusionMatrix | None = None   # the final model's, on validation
 
     def to_jsonl(self) -> str:
         return "\n".join(r.to_json() for r in self.records) + "\n"
@@ -228,25 +227,21 @@ def run_selmix(
     validation: FeatureDataset,
     init: LinearModel,
 ) -> tuple[LinearModel, RunHistory]:
-    """Run the full fine-tuning loop and return (final model, history).
-
-    The recorded wall_ms field is kept at 0.0 so history files are byte
-    reproducible across runs; real timing goes to ``history.wall_ms_total``
-    only.
-    """
+    """Run the full fine-tuning loop and return (final model, history)."""
     k = validation.num_classes
     if np.any(validation.class_counts() == 0):
         missing = int(np.flatnonzero(validation.class_counts() == 0)[0])
         raise SelMixError(f"class {missing} absent from validation set")
     if config.mode == "ssl" and unlabeled is None:
         raise SelMixError("ssl mode requires an unlabeled set")
-    for name, ds in (("train", train), ("unlabeled", unlabeled)):
+    for name, ds in (("train", train), ("validation", validation), ("unlabeled", unlabeled)):
         if ds is not None and ds.num_classes != k:
             raise SelMixError(f"{name} set has {ds.num_classes} classes, validation has {k}")
+        if ds is not None and ds.dim != train.dim:
+            raise SelMixError(f"{name} set has {ds.dim} features, train has {train.dim}")
     if init.classes != k or init.dim != train.dim:
         raise SelMixError("init model shape does not match the data")
 
-    started = time.perf_counter()
     ss = np.random.SeedSequence(config.seed)
     pair_rng, beta_rng, elem_rng = (np.random.default_rng(s) for s in ss.spawn(3))
 
@@ -292,7 +287,6 @@ def run_selmix(
                 gain_max=float(gains.values.max()),
                 gain_min=float(gains.values.min()),
                 policy_entropy=policy.entropy(),
-                wall_ms=0.0,
             )
         )
 
@@ -318,9 +312,8 @@ def run_selmix(
             history.sgd_steps += steps
         model = LinearModel(weights)
 
-    final_conf = model_confusion(model, validation, val_carry)
+    final_conf = history.final_confusion = model_confusion(model, validation, val_carry)
     history.final_psi = float(
         evaluate_metric(spec, final_conf, update_lagrange(spec, final_conf))
     )
-    history.wall_ms_total = (time.perf_counter() - started) * 1000.0
     return model, history

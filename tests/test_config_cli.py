@@ -213,7 +213,24 @@ class TestTrain:
         for line in lines:
             record = json.loads(line)
             assert set(record) == {"t", "psi", "recalls", "coverages", "lambdas",
-                                   "gain_max", "gain_min", "policy_entropy", "wall_ms"}
+                                   "gain_max", "gain_min", "policy_entropy"}
+
+    def test_summary_recalls_and_coverages_are_the_final_models(self, tmp_path, capsys):
+        # the last cycle's SGD steps move class 1's recall after its history record
+        conf = tmp_path / "train.cfg"
+        conf.write_text("K=10\nd=16\nn1=300\nrho=20\ncycles=4\nsgd_steps=50\n"
+                        "metric=mean_recall_coverage\nseed=2\nlr=0.5\n")
+        data, out = tmp_path / "data", tmp_path / "run"
+        assert run_cli("gen-data", "--config", str(conf), "--out", str(data)) == 0
+        assert run_cli("train", "--config", str(conf), "--data", str(data), "--out", str(out),
+                       "--pretrain-steps", "100") == 0
+        capsys.readouterr()
+        assert run_cli("eval", "--model", str(out / "final_model.csv"),
+                       "--data", str(data / "val.csv")) == 0
+        evaluated = json.loads(capsys.readouterr().out)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["recalls"] == evaluated["recalls"]
+        assert summary["coverages"] == evaluated["coverages"]
 
     def test_ssl_mode_via_cli(self, tmp_path, small_data_dir):
         conf = tmp_path / "train.cfg"
@@ -523,6 +540,9 @@ _TRAIN = ("train", "--config", "{tmp}/gen.cfg", "--data", "{tmp}/data", "--out",
 # clusters 1e200 apart: the warm start's logits and the gain's products overflow
 _FAR_APART = "K=4\nd=6\nn1=80\nrho=8\nseed=5\ncluster_separation=1e200\n"
 _TRAIN_FAR = ("train", "--config", "{tmp}/far.cfg", "--data", "{tmp}/far", "--out", "{tmp}/out")
+# the 6-feature train.csv of gen.cfg beside a 5-feature val.csv
+_TRAIN_NARROW = ("train", "--config", "{tmp}/gen.cfg", "--data", "{tmp}/narrow", "--out",
+                 "{tmp}/out")
 _EVAL = ("eval", "--model", "{tmp}/m.csv", "--data")
 # s * gain overflows, so the softmax over the pairs is NaN
 _HUGE_S = "K=4\nd=6\nmetric=mean_recall_coverage\ns=1e308\ncycles=3\nsgd_steps=5\n"
@@ -561,6 +581,7 @@ def _write_eval_inputs(tmp):
     ((*_TRAIN, "--pretrain-steps", "5", "--pretrain-la", "nan"), "logit shift non-finite"),
     ((*_TRAIN, "--pretrain-steps", "-3"), "steps >= 0"),
     ((*_TRAIN, "--init", "{tmp}/m.csv"), "init model shape does not match the data"),
+    (_TRAIN_NARROW, "error: validation set has 5 features, train has 6\n"),
     (("gen-data", "--config", "{tmp}/tail.cfg", "--out", "{tmp}/out"),
      "config error: class 2 too small to appear in all requested splits"),
     (("gen-data", "--config", "{tmp}/twice.cfg", "--out", "{tmp}/out"),
@@ -579,8 +600,8 @@ def _write_eval_inputs(tmp):
 ], ids=["sim-seed", "theory-seed", "mixup-seed", "conv-K-neg", "conv-d-neg", "conv-K-0",
         "conv-d-0", "mixup-d-neg", "mixup-d-0", "sim-out-of-memory", "sim-s-overflow",
         "pretrain-la-inf", "pretrain-la-overflow", "pretrain-la-nan", "pretrain-steps-neg",
-        "init-shape-mismatch", "gen-data-tail-too-small", "gen-data-key-twice",
-        "gen-data-split-below-default", "far-apart-pretrain-overflow", "far-apart-gain-overflow",
+        "init-shape-mismatch", "narrow-validation", "gen-data-tail-too-small",
+        "gen-data-key-twice", "gen-data-split-below-default", "far-apart-pretrain-overflow", "far-apart-gain-overflow",
         "eval-bad-byte-past-1mib", "eval-blank-data-lines", "policy-s-overflow",
         "eval-logit-overflow", "init-logit-overflow"])
 def test_bad_arguments_exit_with_one_line_and_no_traceback(monkeypatch, request, tmp_path, capsys,
@@ -596,6 +617,10 @@ def test_bad_arguments_exit_with_one_line_and_no_traceback(monkeypatch, request,
         request.getfixturevalue("small_data_dir")       # gen.cfg and data/ in tmp_path
     if argv[0] == "train":
         save_weights(np.zeros((3, 5)), tmp_path / "m.csv")     # data is 6 x 4
+        (tmp_path / "narrow").mkdir()
+        shutil.copyfile(tmp_path / "data" / "train.csv", tmp_path / "narrow" / "train.csv")
+        save_dataset(FeatureDataset(np.zeros((8, 5)), np.arange(8) % 4, num_classes=4),
+                     tmp_path / "narrow" / "val.csv")
         (tmp_path / "far.cfg").write_text(_FAR_APART)
         assert run_cli("gen-data", "--config", str(tmp_path / "far.cfg"),
                        "--out", str(tmp_path / "far")) == 0

@@ -175,6 +175,17 @@ class TestRunSelmix:
         with pytest.raises(SelMixError, match=f"^{name} set has 6 classes, validation has 5$"):
             run_selmix(cfg, **data, init=init)
 
+    @pytest.mark.parametrize("name", ["validation", "unlabeled"])
+    def test_a_feature_width_other_than_train_is_named(self, name):
+        data = dict(zip(["train", "validation", "unlabeled"], small_benchmark()))
+        init = biased_init(data["train"])
+        wide = data[name]
+        data[name] = FeatureDataset(wide.features[:, :5], wide.labels, wide.num_classes)
+        cfg = TrainerConfig(metric=MetricSpec(MEAN_RECALL), cycles=1, sgd_steps_per_cycle=2,
+                            batch_size=4, mode="ssl", seed=0)
+        with pytest.raises(SelMixError, match=f"^{name} set has 5 features, train has 8$"):
+            run_selmix(cfg, **data, init=init)
+
     def test_uniform_and_greedy_policies_run(self):
         train, val, _ = small_benchmark()
         init = biased_init(train)
@@ -298,7 +309,7 @@ def per_step_run(config, train, unlabeled, validation, init):
             t=t, psi=float(psi), recalls=[float(r) for r in confusion.recalls()],
             coverages=[float(c) for c in confusion.coverages()],
             lambdas=[float(v) for v in lam], gain_max=float(gains.values.max()),
-            gain_min=float(gains.values.min()), policy_entropy=policy.entropy(), wall_ms=0.0,
+            gain_min=float(gains.values.min()), policy_entropy=policy.entropy(),
         ))
         for _ in range(config.sgd_steps_per_cycle):
             y1, y2 = sample_pairs(policy, pair_rng, config.batch_size)
