@@ -140,12 +140,12 @@ class LTSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.K < 2:
-            raise DataError("K must be >= 2")
+        if not 2 <= self.K <= LABEL_BOUND:
+            raise DataError(f"K must lie in [2, {LABEL_BOUND}]")
         if self.d < 1:
             raise DataError("d must be >= 1")
-        if self.N1 < 1:
-            raise DataError("N1 must be >= 1")
+        if not 1 <= self.N1 <= LABEL_BOUND:
+            raise DataError(f"N1 must lie in [1, {LABEL_BOUND}]")
         if not self.rho >= 1.0:
             raise DataError("rho must be >= 1")
         if not (0 < self.within_std < np.inf and 0 < self.cluster_separation < np.inf):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import CSV_MUTATIONS, mutate_csv
 from selmix.cli import main
 from selmix.config import DEFAULTS, parse_config_text
-from selmix.data import FeatureDataset, LTSpec, save_dataset, save_weights
+from selmix.data import LABEL_BOUND, FeatureDataset, LTSpec, save_dataset, save_weights
 from selmix.errors import ConfigError
 from selmix.metrics import METRIC_KINDS
 from selmix.trainer import TrainerConfig
@@ -584,6 +584,14 @@ def _write_eval_inputs(tmp):
     (_TRAIN_NARROW, "error: validation set has 5 features, train has 6\n"),
     (("gen-data", "--config", "{tmp}/tail.cfg", "--out", "{tmp}/out"),
      "config error: class 2 too small to appear in all requested splits"),
+    (("gen-data", "--config", "{tmp}/huge_k.cfg", "--out", "{tmp}/out"),
+     f"config error: K must lie in [2, {LABEL_BOUND}]"),
+    (("train", "--config", "{tmp}/huge_k.cfg", "--data", "{tmp}/data", "--out", "{tmp}/out"),
+     f"config error: K must lie in [2, {LABEL_BOUND}]"),
+    (("gen-data", "--config", "{tmp}/huge_n1.cfg", "--out", "{tmp}/out"),
+     f"config error: N1 must lie in [1, {LABEL_BOUND}]"),
+    (("gen-data", "--config", "{tmp}/int64_n1.cfg", "--out", "{tmp}/out"),
+     f"config error: N1 must lie in [1, {LABEL_BOUND}]"),
     (("gen-data", "--config", "{tmp}/twice.cfg", "--out", "{tmp}/out"),
      "config error: line 2: key 'K' already set on line 1"),
     (("gen-data", "--config", "{tmp}/split.cfg", "--out", "{tmp}/out"),
@@ -601,6 +609,8 @@ def _write_eval_inputs(tmp):
         "conv-d-0", "mixup-d-neg", "mixup-d-0", "sim-out-of-memory", "sim-s-overflow",
         "pretrain-la-inf", "pretrain-la-overflow", "pretrain-la-nan", "pretrain-steps-neg",
         "init-shape-mismatch", "narrow-validation", "gen-data-tail-too-small",
+        "gen-data-K-past-label-bound", "train-K-past-label-bound",
+        "gen-data-n1-past-label-bound", "gen-data-n1-int64-max",
         "gen-data-key-twice", "gen-data-split-below-default", "far-apart-pretrain-overflow", "far-apart-gain-overflow",
         "eval-bad-byte-past-1mib", "eval-blank-data-lines", "policy-s-overflow",
         "eval-logit-overflow", "init-logit-overflow"])
@@ -610,6 +620,9 @@ def test_bad_arguments_exit_with_one_line_and_no_traceback(monkeypatch, request,
     monkeypatch.setattr("selmix.cli.run_online_game", _out_of_memory)
     (tmp_path / "tail.cfg").write_text(_TAIL_OF_ONE)
     (tmp_path / "twice.cfg").write_text("K = 3\nK = 4\n")
+    (tmp_path / "huge_k.cfg").write_text(f"K = {10 ** 30}\n")
+    (tmp_path / "huge_n1.cfg").write_text(f"n1 = {10 ** 30}\n")
+    (tmp_path / "int64_n1.cfg").write_text(f"n1 = {2 ** 63 - 1}\n")
     (tmp_path / "split.cfg").write_text("head_tail_split=-5\n")
     (tmp_path / "huge_s.cfg").write_text(_HUGE_S)
     save_weights(_HUGE_MODEL, tmp_path / "huge.csv")

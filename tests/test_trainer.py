@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -6,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selmix import trainer
-from selmix.classifier import (LinearModel, class_centroids, sgd_mixup_block, sgd_mixup_step,
-                               softmax)
+from selmix.classifier import LinearModel, class_centroids, sgd_mixup_block, sgd_mixup_step
 from selmix.data import FeatureDataset, LTSpec, generate_longtail, split
 from selmix.errors import SelMixError
 from selmix.gain import gain_matrix
@@ -262,13 +262,19 @@ class TestClassLayout:
 
 def reference_step_weights(weights, mixed, labels, lr):
     """One mixup SGD step written out with fresh arrays: the batch-mean
-    cross-entropy gradient of the mixed rows, row-indexed label cells."""
-    shifted = mixed @ weights
-    shifted = shifted - shifted.max(axis=1, keepdims=True)
+    cross-entropy gradient of the mixed rows, with the logits held
+    class-major (one column per row) and the gradient scaled once by lr/n."""
+    grad = mixed.T @ class_major_residual(weights.T @ mixed.T, labels).T
+    return weights - grad * (lr / mixed.shape[0])
+
+
+def class_major_residual(logits, labels):
+    """softmax(logits) - onehot(labels) over axis 0 of the (K, n) ``logits``."""
+    shifted = logits - logits.max(axis=0, keepdims=True)
     e = np.exp(shifted)
-    p = e / e.sum(axis=1, keepdims=True)
-    p[np.arange(mixed.shape[0]), labels] -= 1.0
-    return weights - lr * (mixed.T @ p / mixed.shape[0])
+    p = e / e.sum(axis=0, keepdims=True)
+    p[labels, np.arange(logits.shape[1])] -= 1.0
+    return p
 
 
 def reference_sgd_step(model, mixed, labels, lr):
@@ -425,6 +431,50 @@ class TestSgdMixupBlock:
         sgd_mixup_block(got, mixed, labels, lrs)
         assert got.tobytes() == want.tobytes()
 
+    # the benchmark workloads' shapes, past the hypothesis draws' K <= 12
+    @pytest.mark.parametrize("k, d, n, steps", [(10, 16, 64, 100), (100, 128, 64, 16),
+                                                (1000, 64, 64, 8)])
+    def test_byte_equal_to_the_reference_chain_at_benchmark_shapes(self, k, d, n, steps):
+        rng = np.random.default_rng(k)
+        weights = rng.normal(size=(d, k)) * 0.1
+        mixed = rng.normal(size=(steps, n, d))
+        labels = rng.integers(k, size=(steps, n))
+        lrs = cosine_lr(0.2, np.arange(steps), 5000)
+        want = reference_chain(weights, mixed, labels, lrs)
+        got = weights.copy()
+        sgd_mixup_block(got, mixed, labels, lrs)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("lrs, width, message", [
+        ([0.1], 3, "need one rate per step, got 1 for 3 steps"),
+        ([0.1] * 4, 3, "need one rate per step, got 4 for 3 steps"),
+        ([0.1] * 3, 5, "mixed rows have 5 features, weights 3"),
+    ])
+    def test_rates_and_width_must_match_the_block(self, lrs, width, message):
+        rng = np.random.default_rng(5)
+        weights = rng.normal(size=(3, 4))
+        mixed, labels = rng.normal(size=(3, 6, width)), rng.integers(4, size=(3, 6))
+        got = weights.copy()
+        with pytest.raises(SelMixError, match=re.escape(message)):
+            sgd_mixup_block(got, mixed, labels, lrs)
+        assert got.tobytes() == weights.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                      max_size=32),
+           log_b=st.integers(0, 12), lr=st.floats(1e-6, 1e3))
+    def test_one_scale_equals_average_then_scale_at_a_power_of_two_batch(self, m, log_b, lr):
+        # lr / B and M / B are exact for B = 2^j unless subnormal, so both orders
+        # round the same real M * lr / B; at batch 64 the one scale moves nothing
+        m, b = np.array(m), 2 ** log_b
+        normal = (m == 0) | (np.abs(m) >= b * np.finfo(np.float64).tiny)
+        with np.errstate(over="ignore"):
+            assert (m * (lr / b))[normal].tobytes() == (m / b * lr)[normal].tobytes()
+
+    def test_one_scale_and_average_then_scale_differ_at_batch_7(self):
+        m = np.random.default_rng(6).normal(size=1000)
+        assert (m * (0.3 / 7)).tobytes() != (m / 7 * 0.3).tobytes()
+
     @pytest.mark.parametrize("bad", [-1, 4])
     def test_label_outside_classes_rejected(self, bad):
         rng = np.random.default_rng(1)
@@ -542,17 +592,18 @@ class TestSgdMixupBlock:
         assert model.weights.tobytes() != before
 
 
-def per_step_pretrain(train, steps, batch_size, logit_adjust, lr=0.5, seed=0):
-    """The warm start drawn, gathered and stepped one batch at a time."""
+def per_step_pretrain(train, steps, batch_size, logit_adjust, lr=0.5, seed=0,
+                      scale=lambda grad, lr, batch_size: grad * (lr / batch_size)):
+    """The warm start drawn, gathered and stepped one batch at a time;
+    ``scale`` turns the summed gradient into the step."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5E1F)))
     w = np.zeros((train.dim, train.num_classes))
-    shift = logit_adjust * np.log(train.priors()) if logit_adjust else 0.0
+    shift = logit_adjust * np.log(train.priors())[:, None] if logit_adjust else 0.0
     for _ in range(steps):
         idx = rng.integers(0, train.n, size=batch_size)
         x = train.features[idx]
-        p = softmax(x @ w + shift)
-        p[np.arange(batch_size), train.labels[idx]] -= 1.0
-        w -= lr * (x.T @ p) / batch_size
+        p = class_major_residual(w.T @ x.T + shift, train.labels[idx])
+        w = w - scale(x.T @ p.T, lr, batch_size)
     return w
 
 
@@ -572,22 +623,16 @@ class TestBlockDrawnPretrain:
         assert got.weights.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("lr", [0.3, 0.7])
-    def test_keeps_the_average_then_scale_order(self, lr):
-        # lr 0.5 scales exactly, so only an lr that rounds tells M / B * lr from lr * M / B:
-        # the warm start steps through sgd_mixup_block, which averages first
+    def test_scales_the_summed_gradient_once_by_lr_over_batch(self, lr):
+        # lr 0.5 and batch 8 scale exactly, so only an lr and a batch that round tell
+        # M * (lr / B) from M / B * lr: the warm start steps through sgd_mixup_block
         train, _, _ = small_benchmark()
         got = pretrain_erm(train, steps=23, batch_size=7, lr=lr, logit_adjust=1.0)
-        rng = np.random.default_rng(np.random.SeedSequence((0, 0x5E1F)))
-        shift = np.log(train.priors())
-        w = np.zeros((train.dim, train.num_classes))
-        for _ in range(23):
-            idx = rng.integers(0, train.n, size=7)
-            x = train.features[idx]
-            p = softmax(x @ w + shift)
-            p[np.arange(7), train.labels[idx]] -= 1.0
-            w -= (x.T @ p) / 7 * lr
-        assert got.weights.tobytes() == w.tobytes()
-        assert got.weights.tobytes() != per_step_pretrain(train, 23, 7, 1.0, lr=lr).tobytes()
+        want = per_step_pretrain(train, 23, 7, 1.0, lr=lr)
+        assert got.weights.tobytes() == want.tobytes()
+        average_then_scale = per_step_pretrain(train, 23, 7, 1.0, lr=lr,
+                                               scale=lambda grad, lr, b: grad / b * lr)
+        assert got.weights.tobytes() != average_then_scale.tobytes()
 
 
 class TestPretrainAbsentClass:
