@@ -309,12 +309,18 @@ def label_cells(labels: np.ndarray, k: int, class_major: bool = False) -> np.nda
 
 def softmax_rows_inplace(p: np.ndarray, col: np.ndarray, axis: int = -1) -> None:
     """Softmax of the logits ``p`` over ``axis``, in place; ``col`` is a
-    scratch buffer of ``p``'s shape with 1 on that axis."""
-    np.maximum.reduce(p, axis=axis, keepdims=True, out=col)
+    scratch buffer of ``p``'s shape with 1 on that axis.  The reductions take
+    axis, dtype, out and keepdims positionally, which numpy parses faster
+    than keywords."""
+    np.maximum.reduce(p, axis, None, col, True)
     p -= col
     np.exp(p, out=p)
-    np.add.reduce(p, axis=axis, keepdims=True, out=col)
+    np.add.reduce(p, axis, None, col, True)
     p /= col
+
+
+# the largest product output that sgd_mixup_block forms with np.dot, not matmul
+_DOT_MAX = 4096
 
 
 def sgd_mixup_block(weights: np.ndarray, mixed: np.ndarray, labels: np.ndarray, lrs,
@@ -327,9 +333,17 @@ def sgd_mixup_block(weights: np.ndarray, mixed: np.ndarray, labels: np.ndarray, 
     probability).  A step holds its logits class-major, Wᵀxᵀ of shape (K, n),
     as numpy reduces across a leading axis in length-n vector passes but
     along a short last axis row by row, and scales the gradient xᵀpᵀ once,
-    by lr/n.  At batch 64 (min of 40 blocks, 2 cores, numpy 2.4.6, one BLAS
-    thread) a step took 14.8 µs at d×K = 16×10 and 102 µs at 128×100,
-    against 20.3 and 108 µs row-major with two scalings.
+    by lr/n.  Each product is written into a preallocated buffer by
+    ``np.dot`` if the buffer holds at most ``_DOT_MAX`` entries, else by
+    ``matmul``: both reach the same dgemm, so the bits are the same, but
+    ``np.dot`` costs 0.3–0.5 µs less per call and then more as its output
+    grows (crossing over between 4096 and 6400 entries).  At batch 64 (min
+    of 40 alternating blocks, 2 cores, numpy 2.4.6, OpenBLAS 0.3.31, one
+    BLAS thread) a step took 11.3 µs at d×K = 16×10 against 12.7 µs with
+    ``matmul`` alone; at 128×100 and 64×1000 both products take ``matmul``.
+
+    ``mixed`` is converted to a C-contiguous float64 array once per block if
+    it is not one, and refused if its dtype does not cast safely to float64.
 
     The block is atomic.  Its steps run with every floating-point event
     ignored, so the caller's errstate and warning filters change nothing and
@@ -340,6 +354,9 @@ def sgd_mixup_block(weights: np.ndarray, mixed: np.ndarray, labels: np.ndarray, 
     per block, where it cost 1.6 µs at d×K = 16×10 and 4.7 µs at 128×100
     (timeit, 2 cores, numpy 2.4.6).
     """
+    if not np.can_cast(mixed.dtype, np.float64):
+        raise SelMixError(f"mixed rows of dtype {mixed.dtype} do not cast safely to float64")
+    mixed = np.ascontiguousarray(mixed, dtype=np.float64)
     n = mixed.shape[1]
     if n == 0:
         raise SelMixError("mixup needs a nonempty batch")
@@ -350,19 +367,21 @@ def sgd_mixup_block(weights: np.ndarray, mixed: np.ndarray, labels: np.ndarray, 
     if len(lrs) != mixed.shape[0]:
         raise SelMixError(f"need one rate per step, got {len(lrs)} for {mixed.shape[0]} steps")
     cells = label_cells(labels, weights.shape[1], class_major=True)
+    scales = [float(lr) / n for lr in lrs]
     start = weights.copy()
     p, col, grad = np.empty((weights.shape[1], n)), np.empty((1, n)), np.empty_like(weights)
-    flat, wt = p.reshape(-1), weights.T
+    flat, pt, wt = p.reshape(-1), p.T, weights.T
+    mul_p, mul_grad = (np.dot if out.size <= _DOT_MAX else np.matmul for out in (p, grad))
     shift = None if shift is None else shift[:, None]     # one column: the logits are (K, n)
     with np.errstate(all="ignore"):
-        for x, c, lr in zip(mixed, cells, lrs):
-            np.matmul(wt, x.T, out=p)
+        for xt, c, scale in zip(mixed.transpose(0, 2, 1), cells, scales):
+            mul_p(wt, xt, p)
             if shift is not None:
                 p += shift
-            softmax_rows_inplace(p, col, axis=0)
+            softmax_rows_inplace(p, col, 0)
             flat[c] -= 1.0
-            np.matmul(x.T, p.T, out=grad)
-            grad *= lr / n
+            mul_grad(xt, pt, grad)
+            grad *= scale
             weights -= grad
     if np.isfinite(weights).all():
         return
@@ -379,6 +398,5 @@ def sgd_mixup_step(
     """One :func:`sgd_mixup_block` step on the (n, d) mixed rows; returns a
     new model and leaves ``model`` as it was."""
     weights = model.weights.copy()
-    sgd_mixup_block(weights, np.asarray(mixed, dtype=np.float64)[None],
-                    np.asarray(labels)[None], [lr])
+    sgd_mixup_block(weights, np.asarray(mixed)[None], np.asarray(labels)[None], [lr])
     return LinearModel(weights)

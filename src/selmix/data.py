@@ -142,8 +142,6 @@ class LTSpec:
     def __post_init__(self):
         if not 2 <= self.K <= LABEL_BOUND:
             raise DataError(f"K must lie in [2, {LABEL_BOUND}]")
-        if self.d < 1:
-            raise DataError("d must be >= 1")
         if not 1 <= self.N1 <= LABEL_BOUND:
             raise DataError(f"N1 must lie in [1, {LABEL_BOUND}]")
         if not self.rho >= 1.0:
@@ -152,8 +150,16 @@ class LTSpec:
             raise DataError("within_std and cluster_separation must be positive and finite")
         if self.seed < 0:
             raise DataError("seed must be >= 0")
-        if self.class_counts()[-1] < 1:
+        counts = self.class_counts()
+        if counts[-1] < 1:
             raise DataError("tail class count rounds to zero; increase N1 or lower rho")
+        # the pool, (sum of counts) x d float64, is the largest array drawn
+        rows = sum(counts.tolist())
+        limit = np.iinfo(np.intp).max // (8 * rows)
+        if limit < 1:
+            raise DataError(f"a pool of {rows} rows is too large to store")
+        if not 1 <= self.d <= limit:
+            raise DataError(f"d must lie in [1, {limit}]")
 
     def class_counts(self) -> np.ndarray:
         k = np.arange(self.K)

@@ -293,8 +293,8 @@ def run_selmix(
         weights = model.weights.copy()
         for done in range(0, config.sgd_steps_per_cycle, block):
             steps = min(block, config.sgd_steps_per_cycle - done)
-            pairs = sample_pairs(policy, pair_rng, steps * config.batch_size)
-            y1, y2 = np.reshape(pairs, (2, steps, config.batch_size))
+            y1, y2 = (y.reshape(steps, config.batch_size)
+                      for y in sample_pairs(policy, pair_rng, steps * config.batch_size))
             u = elem_rng.random((steps, 2, config.batch_size))
             betas = beta_rng.uniform(config.beta_min, 1.0, size=(steps, config.batch_size))
             mixed = mix_rows_inplace(

@@ -533,6 +533,11 @@ def _out_of_memory(cfg):
     raise MemoryError(_NO_MEMORY)
 
 
+# the widest pool numpy can hold at the default K, n1 and rho: d = 10**30
+# exceeds numpy's largest dimension and d = 2**60 its largest array size, so
+# numpy would refuse either before allocating anything
+_D_LIMIT = np.iinfo(np.intp).max // (8 * int(LTSpec().class_counts().sum()))
+
 # rho=100 leaves the tail class one row: too few for both the labeled and
 # the unlabeled split gen-data makes
 _TAIL_OF_ONE = "K=3\nn1=60\n"
@@ -588,6 +593,14 @@ def _write_eval_inputs(tmp):
      f"config error: K must lie in [2, {LABEL_BOUND}]"),
     (("train", "--config", "{tmp}/huge_k.cfg", "--data", "{tmp}/data", "--out", "{tmp}/out"),
      f"config error: K must lie in [2, {LABEL_BOUND}]"),
+    (("gen-data", "--config", "{tmp}/huge_d.cfg", "--out", "{tmp}/out"),
+     f"config error: d must lie in [1, {_D_LIMIT}]\n"),
+    (("train", "--config", "{tmp}/huge_d.cfg", "--data", "{tmp}/data", "--out", "{tmp}/out"),
+     f"config error: d must lie in [1, {_D_LIMIT}]\n"),
+    (("gen-data", "--config", "{tmp}/too_big_d.cfg", "--out", "{tmp}/out"),
+     f"config error: d must lie in [1, {_D_LIMIT}]\n"),
+    (("gen-data", "--config", "{tmp}/huge_pool.cfg", "--out", "{tmp}/out"),
+     f"config error: a pool of {2 ** 60} rows is too large to store\n"),
     (("gen-data", "--config", "{tmp}/huge_n1.cfg", "--out", "{tmp}/out"),
      f"config error: N1 must lie in [1, {LABEL_BOUND}]"),
     (("gen-data", "--config", "{tmp}/int64_n1.cfg", "--out", "{tmp}/out"),
@@ -610,6 +623,8 @@ def _write_eval_inputs(tmp):
         "pretrain-la-inf", "pretrain-la-overflow", "pretrain-la-nan", "pretrain-steps-neg",
         "init-shape-mismatch", "narrow-validation", "gen-data-tail-too-small",
         "gen-data-K-past-label-bound", "train-K-past-label-bound",
+        "gen-data-d-past-numpy-dimension", "train-d-past-numpy-dimension",
+        "gen-data-d-past-numpy-size", "gen-data-pool-past-numpy-size",
         "gen-data-n1-past-label-bound", "gen-data-n1-int64-max",
         "gen-data-key-twice", "gen-data-split-below-default", "far-apart-pretrain-overflow", "far-apart-gain-overflow",
         "eval-bad-byte-past-1mib", "eval-blank-data-lines", "policy-s-overflow",
@@ -621,6 +636,10 @@ def test_bad_arguments_exit_with_one_line_and_no_traceback(monkeypatch, request,
     (tmp_path / "tail.cfg").write_text(_TAIL_OF_ONE)
     (tmp_path / "twice.cfg").write_text("K = 3\nK = 4\n")
     (tmp_path / "huge_k.cfg").write_text(f"K = {10 ** 30}\n")
+    (tmp_path / "huge_d.cfg").write_text(f"d = {10 ** 30}\n")
+    (tmp_path / "too_big_d.cfg").write_text(f"d = {2 ** 60}\n")
+    # 128 classes of 2**53 rows: 2**60 rows of 8 B pass numpy's size at any d
+    (tmp_path / "huge_pool.cfg").write_text(f"K = 128\nn1 = {2 ** 53}\nrho = 1\n")
     (tmp_path / "huge_n1.cfg").write_text(f"n1 = {10 ** 30}\n")
     (tmp_path / "int64_n1.cfg").write_text(f"n1 = {2 ** 63 - 1}\n")
     (tmp_path / "split.cfg").write_text("head_tail_split=-5\n")

@@ -445,6 +445,56 @@ class TestSgdMixupBlock:
         sgd_mixup_block(got, mixed, labels, lrs)
         assert got.tobytes() == want.tobytes()
 
+    # one row of one feature at K=2, warm-start shifts whose -inf entry
+    # leaves a class without rows or probability, and a block whose logits
+    # fill np.dot's largest output while its gradient takes matmul: a BLAS
+    # build whose dot rounds these products differently from @ fails here
+    @pytest.mark.parametrize("k, d, n, absent", [(2, 1, 1, None), (3, 1, 1, 2),
+                                                 (10, 16, 64, 9), (64, 65, 64, None)])
+    def test_byte_equal_to_the_reference_chain_at_edge_shapes(self, k, d, n, absent):
+        rng = np.random.default_rng(k + d)
+        weights = rng.normal(size=(d, k))
+        mixed = rng.normal(size=(30, n, d))
+        labels = rng.integers(k, size=(30, n))
+        lrs = cosine_lr(0.5, np.arange(30), 100)
+        if absent is None:
+            shift, want = None, reference_chain(weights, mixed, labels, lrs)
+        else:
+            shift = np.log(rng.dirichlet(np.ones(k)))
+            shift[absent] = -np.inf
+            labels[labels == absent] = 0
+            want = weights
+            for x, y, lr in zip(mixed, labels, lrs):
+                grad = x.T @ class_major_residual(want.T @ x.T + shift[:, None], y).T
+                want = want - grad * (lr / n)
+        got = weights.copy()
+        sgd_mixup_block(got, mixed, labels, lrs, shift)
+        assert np.isfinite(got).all() and got.tobytes() == want.tobytes()
+
+    def test_mixed_rows_are_converted_to_contiguous_float64_once(self):
+        rng = np.random.default_rng(8)
+        weights = rng.normal(size=(3, 4))
+        mixed = rng.normal(size=(2, 6, 6)).astype(np.float32)[:, :, ::2]
+        labels = rng.integers(4, size=(2, 6))
+        want = weights.copy()
+        sgd_mixup_block(want, np.ascontiguousarray(mixed, dtype=np.float64), labels, [0.1, 0.2])
+        got = weights.copy()
+        sgd_mixup_block(got, mixed, labels, [0.1, 0.2])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("mixed_dtype, message", [
+        (np.complex128, "mixed rows of dtype complex128 do not cast safely"),
+        (object, "mixed rows of dtype object do not cast safely"),
+    ], ids=["mixed-complex", "mixed-object"])
+    def test_mixed_rows_outside_the_contract_are_refused(self, mixed_dtype, message):
+        rng = np.random.default_rng(9)
+        weights = rng.normal(size=(3, 4))
+        before = weights.copy()
+        mixed = rng.normal(size=(2, 6, 3)).astype(mixed_dtype)
+        with pytest.raises(SelMixError, match=re.escape(message)):
+            sgd_mixup_block(weights, mixed, rng.integers(4, size=(2, 6)), [0.1, 0.2])
+        np.testing.assert_array_equal(weights, before)
+
     @pytest.mark.parametrize("lrs, width, message", [
         ([0.1], 3, "need one rate per step, got 1 for 3 steps"),
         ([0.1] * 4, 3, "need one rate per step, got 4 for 3 steps"),
