@@ -89,13 +89,20 @@ def predict(model: LinearModel, data: FeatureDataset,
     non-finite logit (the weights are finite)."""
     labels = _screened_argmax(model, data, carry)
     if labels is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            logits = batch_logits(model, data.features)
-        if not _all_finite(logits) and _all_finite(data.features):
-            raise SelMixError("logits overflow: the model's products with the features are "
-                              "not finite")
-        labels = np.argmax(logits, axis=1)
+        labels = np.argmax(checked_logits(model, data), axis=1)
     return labels
+
+
+def checked_logits(model: LinearModel, data: FeatureDataset) -> np.ndarray:
+    """The logits of ``data``'s rows; raises :class:`SelMixError` when the
+    product overflows: finite features give a non-finite logit (the weights
+    are finite)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = batch_logits(model, data.features)
+    if not _all_finite(logits) and _all_finite(data.features):
+        raise SelMixError("logits overflow: the model's products with the features are "
+                          "not finite")
+    return logits
 
 
 # The float32 screen pays where each row holds enough logit work d*K for the
@@ -157,13 +164,18 @@ def _drift_bounds(delta: np.ndarray) -> np.ndarray:
 
 def _top2(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(argmax per row, the row's max minus its runner-up); overwrites
-    each row's max with -inf."""
+    each row's max with -inf.  The runner-up is read at a second argmax,
+    not reduced with ``max``: numpy reduces a short last axis row by row.
+    It is the same value, and a row holding a NaN still gives a NaN
+    margin, as argmax stops at the first NaN."""
+    n, k = logits.shape
+    rows = np.arange(0, n * k, k)
     labels = logits.argmax(axis=1)
-    cells = label_cells(labels, logits.shape[1])
+    cells = labels + rows
     flat = logits.reshape(-1)
     top = flat[cells]
     flat[cells] = -np.inf
-    return labels, top - logits.max(axis=1)
+    return labels, top - flat[logits.argmax(axis=1) + rows]
 
 
 def _screened_argmax(model: LinearModel, data: FeatureDataset,
@@ -219,11 +231,16 @@ def _screened_argmax(model: LinearModel, data: FeatureDataset,
     if rows.size:
         step = min(rows.size, max(1, _SCREEN_BLOCK // model.classes))
         w32, margin = w.astype(np.float32), np.empty(rows.size, dtype=np.float32)
-        xb, logits = np.empty((step, d), np.float32), np.empty((step, model.classes), np.float32)
+        whole = rows.size == n              # every row, in order: x32 is read in place
+        xb = None if whole else np.empty((step, d), np.float32)
+        logits = np.empty((step, model.classes), np.float32)
         for start in range(0, rows.size, step):
             part = rows[start:start + step]
-            xs, ls = xb[:part.size], logits[:part.size]
-            np.take(x32, part, axis=0, out=xs, mode="clip")
+            ls = logits[:part.size]
+            if whole:
+                xs = x32[start:start + part.size]
+            else:
+                xs = np.take(x32, part, axis=0, out=xb[:part.size], mode="clip")
             np.matmul(xs, w32, out=ls)
             labels[part], margin[start:start + part.size] = _top2(ls)
         e32 = _rounding_error(norms[rows], wnorm, d, np.float32)
@@ -252,8 +269,9 @@ def mix_rows_inplace(feat_a: np.ndarray, feat_b: np.ndarray, betas: np.ndarray) 
     betas = np.asarray(betas, dtype=np.float64)
     if betas.size == 0:
         raise SelMixError("mixup needs a nonempty batch")
-    valid = (betas >= 0.0) & (betas <= 1.0)
-    if not valid.all():
+    # positive comparisons, so a NaN beta fails them
+    if not (betas.min() >= 0.0 and betas.max() <= 1.0):
+        valid = (betas >= 0.0) & (betas <= 1.0)
         raise SelMixError(f"beta must lie in [0, 1], got {betas[~valid][0]}")
     beta = betas[..., None]
     feat_a *= beta
@@ -367,7 +385,7 @@ def sgd_mixup_block(weights: np.ndarray, mixed: np.ndarray, labels: np.ndarray, 
     if len(lrs) != mixed.shape[0]:
         raise SelMixError(f"need one rate per step, got {len(lrs)} for {mixed.shape[0]} steps")
     cells = label_cells(labels, weights.shape[1], class_major=True)
-    scales = [float(lr) / n for lr in lrs]
+    scales = (np.asarray(lrs, dtype=np.float64) / n).tolist()
     start = weights.copy()
     p, col, grad = np.empty((weights.shape[1], n)), np.empty((1, n)), np.empty_like(weights)
     flat, pt, wt = p.reshape(-1), p.T, weights.T

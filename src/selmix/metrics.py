@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classifier import ArgmaxCarry, LinearModel, batch_logits, predict, softmax
+from .classifier import ArgmaxCarry, LinearModel, checked_logits, predict, softmax
 from .data import FeatureDataset
 from .errors import DataError, SelMixError
 
@@ -84,13 +84,14 @@ class ConfusionMatrix:
         k = pi.shape[0]
         if c.shape != (k, k):
             raise SelMixError("entries must be K x K matching priors")
-        if np.any(c < -1e-12) or np.any(pi <= 0):
+        # positive comparisons on reductions, so a NaN entry or prior fails them
+        if not (k and c.min() >= -1e-12 and pi.min() > 0):
             raise SelMixError("entries must be nonnegative and priors positive")
-        if abs(c.sum() - 1.0) > 1e-9:
+        if not abs(c.sum() - 1.0) <= 1e-9:
             raise SelMixError("confusion entries must sum to 1")
-        if np.max(np.abs(c.sum(axis=1) - pi)) > 1e-9:
+        if not np.abs(c.sum(axis=1) - pi).max() <= 1e-9:
             raise SelMixError("row sums must equal priors")
-        if abs(pi.sum() - 1.0) > 1e-9:
+        if not abs(pi.sum() - 1.0) <= 1e-9:
             raise SelMixError("priors must sum to 1")
 
     @property
@@ -214,9 +215,8 @@ def confusion_from_predictions(labels, predictions, num_classes: int) -> Confusi
     counts = np.bincount(labels * num_classes + predictions, minlength=num_classes**2)
     entries = counts.reshape(num_classes, num_classes) / labels.size
     priors = entries.sum(axis=1)
-    for i in range(num_classes):
-        if priors[i] == 0:
-            raise DataError(f"class {i} absent from evaluation set")
+    if not priors.all():                 # the first zero prior is the first minimum
+        raise DataError(f"class {int(priors.argmin())} absent from evaluation set")
     return ConfusionMatrix(entries, priors)
 
 
@@ -234,7 +234,7 @@ def soft_confusion(model: LinearModel, features: FeatureDataset) -> ConfusionMat
     indicator; smooth in W, used by the finite-difference gain oracle."""
     if features.n == 0:
         raise DataError("empty evaluation set")
-    probs = softmax(batch_logits(model, features.features))
+    probs = softmax(checked_logits(model, features))
     k = features.num_classes
     entries = np.zeros((k, k))
     for i, idx in enumerate(features.class_layout().indices()):

@@ -190,6 +190,8 @@ def pretrain_erm(
     """
     if steps < 0 or batch_size < 1:
         raise SelMixError("pretrain needs steps >= 0 and batch_size >= 1")
+    if steps and train.n == 0:
+        raise SelMixError("pretrain needs a training set with at least one row")
     if not 0 <= lr < np.inf:
         raise SelMixError("pretrain lr must be nonnegative and finite")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5E1F)))
@@ -252,6 +254,7 @@ def run_selmix(
     history = RunHistory()
     first = train.class_layout()
     second_pool, second = train, first
+    formable = np.outer(first.count > 0, first.count > 0)   # ssl mode rebuilds it per cycle
     total_steps = max(config.cycles * config.sgd_steps_per_cycle, 1)
     spec = config.metric
     block = max(1, min(_BLOCK_ELEMENTS // (config.batch_size * train.dim),
@@ -271,19 +274,20 @@ def run_selmix(
         if config.mode == "ssl":
             second_pool = refresh_pseudo_labels(model, unlabeled, pool_carry)
             second = second_pool.class_layout()
+            formable = np.outer(first.count > 0, second.count > 0)
         confusion = model_confusion(model, validation, val_carry)
         lam = update_lagrange(spec, confusion)
         psi = evaluate_metric(spec, confusion, lam)
         grad_input = confusion.with_floor(grad_floor)
         gains = gain_matrix(model, centroids, grad_input, spec, lam, config.beta_bar)
-        policy = _cycle_policy(config, gains, np.outer(first.count > 0, second.count > 0))
+        policy = _cycle_policy(config, gains, formable)
         history.records.append(
             CycleRecord(
                 t=t,
                 psi=float(psi),
-                recalls=[float(r) for r in confusion.recalls()],
-                coverages=[float(c) for c in confusion.coverages()],
-                lambdas=[float(v) for v in lam],
+                recalls=confusion.recalls().tolist(),
+                coverages=confusion.coverages().tolist(),
+                lambdas=lam.tolist(),
                 gain_max=float(gains.values.max()),
                 gain_min=float(gains.values.min()),
                 policy_entropy=policy.entropy(),

@@ -101,6 +101,15 @@ class TestMixupLoss:
         with pytest.raises(SelMixError, match="beta must lie in"):
             sgd_mixup_step(model, mix_features(a, a, [1.2, 0.5]), [0, 1], lr=0.1)
 
+    @pytest.mark.parametrize("betas, shown", [
+        ([0.5, np.nan, -1.0], "nan"), ([1.0, 2.0, np.nan], "2.0"),
+        ([np.nan, np.nan, 0.5], "nan"), ([0.0, -0.0, -1e-300], "-1e-300"),
+    ])
+    def test_the_first_beta_outside_the_range_is_named(self, betas, shown):
+        a = np.ones((3, 2))
+        with pytest.raises(SelMixError, match=rf"^beta must lie in \[0, 1\], got {shown}$"):
+            mix_rows_inplace(a.copy(), a.copy(), betas)
+
 
 class TestClassCentroids:
     def test_single_sample_per_class(self):

@@ -56,6 +56,12 @@ class TestConfusionFromPredictions:
         with pytest.raises(DataError, match="class 1 absent"):
             confusion_from_predictions([0, 0], [0, 1], 2)
 
+    @pytest.mark.parametrize("labels, first", [([1, 3], 0), ([0, 3, 0], 1), ([0, 1, 2], 3),
+                                               ([2, 2], 0)])
+    def test_the_first_absent_class_is_named(self, labels, first):
+        with pytest.raises(DataError, match=f"^class {first} absent from evaluation set$"):
+            confusion_from_predictions(labels, labels, 4)
+
 
 class TestSoftConfusion:
     def test_zero_weights_spread_rows_uniformly(self):
@@ -79,6 +85,16 @@ class TestSoftConfusion:
         z = np.array([2.0, -2.0])
         expected = 0.5 * np.exp(z) / np.exp(z).sum()
         np.testing.assert_allclose(c.entries[0], expected, rtol=1e-12)
+
+    def test_overflowing_logits_are_refused(self):
+        # finite weights and features whose products overflow: the softmax
+        # of the inf - inf logits was an all-NaN matrix that passed
+        ds = FeatureDataset(np.array([[1e200], [-1e200]]), np.array([0, 1]), num_classes=2)
+        model = LinearModel(np.array([[1e200, -1e200]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SelMixError, match="^logits overflow"):
+                soft_confusion(model, ds)
 
 
 class TestUnconstrainedMap:
@@ -288,6 +304,18 @@ class TestSpecValidation:
     def test_confusion_invariants_enforced(self):
         with pytest.raises(SelMixError):
             ConfusionMatrix(np.array([[0.6, 0.1], [0.1, 0.3]]), np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("entries, priors", [
+        (np.full((2, 2), np.nan), [0.5, 0.5]),
+        ([[0.5, np.nan], [0.0, 0.5]], [0.5, 0.5]),
+        ([[0.5, 0.0], [0.0, 0.5]], [np.nan, 0.5]),
+        ([[0.5, 0.0], [0.0, 0.5]], [np.nan, np.nan]),
+        ([[np.inf, 0.0], [0.0, 0.5]], [0.5, 0.5]),
+        ([[0.5, 0.0], [0.0, 0.5]], [0.5, np.inf]),
+    ])
+    def test_non_finite_entries_and_priors_are_refused(self, entries, priors):
+        with pytest.raises(SelMixError):
+            ConfusionMatrix(np.array(entries), np.array(priors))
 
 
 # recalls (0.8, 0.6, 0.6, 0.4) and coverages (0.4, 0.3, 0.2, 0.1) under equal priors

@@ -205,7 +205,7 @@ class TestSamplePair:
         # a CDF value at a bucket edge b/m, or an ulp from it, with draws an
         # ulp either side: a draw reads its bucket through u·m and floor, so
         # the table needs u·m and b/m exact, which a power-of-two m makes them
-        m = MixPolicy(np.full((k, k), 1.0 / k ** 2)).guide.size
+        m = 1 << (32 * k * k - 1).bit_length()      # the guide table's buckets
         edges = np.arange(m + 1) / m
         near = np.concatenate([np.nextafter(edges, 0.0), edges, np.nextafter(edges, 1.0)])
         near = near[(near >= 0.0) & (near < 1.0)]
@@ -221,7 +221,7 @@ class TestSamplePair:
             probs[0] = c
             probs[-1] += 1.0 - c
             policy = MixPolicy(probs.reshape(k, k))
-            assert policy.cdf[0] == c and policy.guide.size == m
+            assert policy.cdf[0] == c and policy.guide(near.size).size == m
             i, j = sample_pairs(policy, FixedUniforms(), near.size)
             np.testing.assert_array_equal(k * i + j,
                                           np.searchsorted(policy.cdf, near, side="right"))
@@ -229,6 +229,91 @@ class TestSamplePair:
     def test_policy_validation(self):
         with pytest.raises(SelMixError):
             MixPolicy(np.array([[0.5, 0.2], [0.0, 0.0]]))
+
+    def test_a_negative_count_is_refused(self):
+        with pytest.raises(SelMixError, match="^cannot draw -1 pairs: the count must be >= 0$"):
+            sample_pairs(uniform_distribution(2), np.random.default_rng(0), -1)
+
+    def test_cdf_never_decreases_when_a_partial_sum_rounds_above_one(self):
+        # the sum is within MixPolicy's 1e-9 of 1, but the partial sum
+        # before the last cell with mass on passes 1
+        probs = np.array([[0.6, 0.4 + 5e-10], [1e-12, 0.0]])
+        policy = MixPolicy(probs)
+        cdf = policy.cdf
+        assert np.cumsum(probs)[1] > 1.0
+        np.testing.assert_array_equal(cdf, [0.6, 1.0, 1.0, 1.0])
+        u = np.concatenate([np.linspace(0.0, 1.0, 64, endpoint=False), [np.nextafter(1.0, 0.0)]])
+
+        class FixedUniforms:
+            def random(self, count):
+                return u.copy()
+
+        i, j = sample_pairs(policy, FixedUniforms(), u.size)
+        np.testing.assert_array_equal(2 * i + j, np.searchsorted(cdf, u, side="right"))
+
+
+def searched_guide(cdf: np.ndarray, m: int) -> np.ndarray:
+    """The guide table built as it used to be, by searching the CDF for
+    every bucket edge b/m: the reference for the counting build."""
+    edges = np.searchsorted(cdf, np.arange(m + 1) / m, side="right")
+    return np.where(edges[:-1] == edges[1:], edges[:-1], -1)
+
+
+class TestGuideTable:
+    @settings(max_examples=80, deadline=None)
+    @given(k=st.sampled_from([1, 2, 3, 10, 100]),
+           mass=st.sampled_from(["random", "sparse", "one", "edges"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_counting_build_equals_the_searched_table(self, k, mass, seed):
+        rng = np.random.default_rng(seed)
+        cells = k * k
+        probs = rng.random(cells)
+        if mass == "sparse":                      # runs of zero-mass cells
+            probs *= rng.random(cells) < 0.3
+            probs[rng.integers(cells)] = 1.0
+        elif mass == "one":
+            probs = np.zeros(cells)
+            probs[rng.integers(cells)] = 1.0
+        elif mass == "edges":                     # CDF values on bucket edges, and an ulp off
+            m = 1 << (32 * cells - 1).bit_length()
+            cuts = np.sort(rng.integers(0, m + 1, size=cells - 1)) / m
+            cuts = np.where(rng.random(cells - 1) < 0.3, np.nextafter(cuts, 0.0), cuts)
+            cuts = np.where(rng.random(cells - 1) < 0.3, np.nextafter(cuts, 1.0), cuts)
+            probs = np.diff(np.concatenate([[0.0], np.clip(np.sort(cuts), 0.0, 1.0), [1.0]]))
+        policy = MixPolicy((probs / probs.sum()).reshape(k, k))
+        for count in (4 * cells, 5 * cells, 6400, 1 << 20):
+            if count >= 4 * cells:
+                table = policy.guide(count)
+                assert table.dtype == np.intp
+                assert table.tobytes() == searched_guide(policy.cdf, table.size).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10, 100, 1000])
+    def test_table_size_is_bounded_by_the_draws(self, k):
+        cells = k * k
+        policy = MixPolicy(np.full((k, k), 1.0 / cells))
+        assert policy.guide(4 * cells - 1) is None           # too few draws: the CDF is searched
+        counts = (4 * cells, 1 << 23) if k == 1000 else (4 * cells, 4 * cells + 1, 6 * cells,
+                                                         16 * cells, 32 * cells, 1 << 23)
+        for count in counts:
+            m = policy.guide(count).size
+            assert policy.guide(np.int64(count)).size == m     # numpy counts too
+            assert m & (m - 1) == 0                            # a power of two
+            # at most twice the call's draws, 32·K² rounded up and 2²²; at
+            # least the draws, 32·K² or 2²², whichever is least
+            assert m <= min(2 * count, 1 << (32 * cells - 1).bit_length(), 1 << 22)
+            assert m >= min(count + 1, 32 * cells, 1 << 22)
+        # the reference run's 6400 draws at K=10 read 4096 buckets, a 1280-draw block 2048
+        assert uniform_distribution(10).guide(6400).size == 4096
+        assert uniform_distribution(10).guide(1280).size == 2048
+
+    def test_each_size_is_built_once(self, monkeypatch):
+        policy = uniform_distribution(10)
+        built = []
+        bincount = np.bincount
+        monkeypatch.setattr(np, "bincount", lambda *a, **kw: built.append(1) or bincount(*a, **kw))
+        first = policy.guide(6400)
+        assert policy.guide(10_000) is first and policy.guide(1280) is not first
+        assert len(built) == 2
 
     @settings(max_examples=60, deadline=None)
     @given(k=st.sampled_from([1, 2, 10, 100]), mass=st.sampled_from(["spread", "sparse", "one"]),
@@ -247,7 +332,7 @@ class TestSamplePair:
         policy = MixPolicy((probs / probs.sum()).reshape(k, k))
         cdf = policy.cdf
         inner = cdf[cdf < 1.0]
-        m = 1 << (4 * k * k - 1).bit_length()     # the guide table's buckets
+        m = 1 << (32 * k * k - 1).bit_length()    # the largest guide table's buckets
         special = np.concatenate([inner, np.nextafter(inner, 0.0), np.arange(m) / m,
                                   [np.nextafter(1.0, 0.0)]])
         for count in counts:

@@ -382,6 +382,29 @@ class TestScreenPaths:
             predict(LinearModel(np.zeros((32, 100))), ds)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40), k=st.integers(2, 12),
+       dtype=st.sampled_from([np.float32, np.float64]))
+def test_top2_margins_equal_max_minus_runner_up(seed, n, k, dtype):
+    # ties, -inf and NaN entries included: the margin is the row's max
+    # minus its max once the argmax cell is -inf, bit for bit
+    rng = np.random.default_rng(seed)
+    logits = rng.integers(-3, 3, size=(n, k)).astype(dtype)
+    special = rng.random((n, k))
+    logits[special < 0.05] = np.nan
+    logits[(special >= 0.05) & (special < 0.15)] = -np.inf
+    want = logits.copy()
+    labels = want.argmax(axis=1)
+    top = want[np.arange(n), labels].copy()
+    want[np.arange(n), labels] = -np.inf
+    with np.errstate(invalid="ignore"):             # a row of -inf gives -inf - -inf
+        got_labels, margin = classifier._top2(logits)
+        want_margin = top - want.max(axis=1)
+    np.testing.assert_array_equal(got_labels, labels)
+    assert margin.dtype == dtype and want_margin.tobytes() == margin.tobytes()
+    np.testing.assert_array_equal(logits, want)
+
+
 class TestScreenArrays:
     def test_built_once_per_dataset(self):
         ds, model = clusters(np.random.default_rng(7), 50, 8, 4)

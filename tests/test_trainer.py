@@ -717,6 +717,12 @@ class TestPretrainRejectsBadInputs:
             with pytest.raises(SelMixError, match=message):
                 pretrain_erm(train, **{"steps": 5, **kwargs})
 
+    def test_a_training_set_without_rows_is_refused(self):
+        empty = FeatureDataset(np.empty((0, 3)), np.empty(0, dtype=np.int64), 4)
+        with pytest.raises(SelMixError, match="^pretrain needs a training set with at least one "):
+            pretrain_erm(empty, steps=5)
+        np.testing.assert_array_equal(pretrain_erm(empty, steps=0).weights, np.zeros((3, 4)))
+
     def test_only_present_classes_need_a_finite_shift(self):
         train, _, _ = small_benchmark()
         keep = train.labels == 0                        # one class: log prior 0, inf * 0 is nan
