@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from .classifier import LinearModel
 # generate_longtail stays importable here: perfbench/tracing.py wraps it by this name
-from .data import (POOL_FRACTIONS, FeatureDataset, LTSpec, balanced_validation,  # noqa: F401
-                   generate_longtail, split)
+from .data import (POOL_FRACTIONS, FeatureDataset, LTSpec, balanced_validation,
+                   generate_longtail, split)  # noqa: F401
 from .metrics import MetricSpec
 from .trainer import TrainerConfig, pretrain_erm
 
@@ -31,7 +31,6 @@ class BenchmarkSetting:
     cluster_separation: float = 1.0
     val_per_class: int = 150
     pretrain_steps: int = 2000
-    pretrain_lr: float = 0.5
     logit_adjust: float = 1.0
 
 
@@ -53,7 +52,6 @@ def make_benchmark(
     init = pretrain_erm(
         train,
         steps=setting.pretrain_steps,
-        lr=setting.pretrain_lr,
         seed=seed,
         logit_adjust=setting.logit_adjust,
     )
@@ -64,7 +62,6 @@ def benchmark_config(
     metric: MetricSpec,
     seed: int,
     policy: str = "selmix",
-    lr: float = 0.2,
     cycles: int = 50,
     sgd_steps_per_cycle: int = 100,
 ) -> TrainerConfig:
@@ -75,7 +72,6 @@ def benchmark_config(
         metric=metric,
         cycles=cycles,
         sgd_steps_per_cycle=sgd_steps_per_cycle,
-        lr=lr,
         seed=seed,
         policy=policy,
     )

@@ -314,15 +314,14 @@ def direction_matrix(
     return np.outer(zeta, e_i - p)
 
 
-def label_cells(labels: np.ndarray, k: int, class_major: bool = False) -> np.ndarray:
-    """Flat index of each row's label cell in a row-major (n, k) array, or
-    with ``class_major`` in a (k, n) array, n = ``labels.shape[-1]``; raises
-    :class:`SelMixError` for a label outside [0, k), whose index would land
-    on another row's cell."""
+def label_cells(labels: np.ndarray, k: int) -> np.ndarray:
+    """Flat index of each row's label cell in a class-major (k, n) array,
+    n = ``labels.shape[-1]``; raises :class:`SelMixError` for a label
+    outside [0, k), whose index would land on another row's cell."""
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise SelMixError(f"labels must lie in [0, {k})")
     n = labels.shape[-1]
-    return labels * n + np.arange(n) if class_major else labels + np.arange(0, n * k, k)
+    return labels * n + np.arange(n)
 
 
 def softmax_rows_inplace(p: np.ndarray, col: np.ndarray, axis: int = -1) -> None:
@@ -384,7 +383,7 @@ def sgd_mixup_block(weights: np.ndarray, mixed: np.ndarray, labels: np.ndarray, 
         raise SelMixError(f"mixed rows have {mixed.shape[2]} features, weights {weights.shape[0]}")
     if len(lrs) != mixed.shape[0]:
         raise SelMixError(f"need one rate per step, got {len(lrs)} for {mixed.shape[0]} steps")
-    cells = label_cells(labels, weights.shape[1], class_major=True)
+    cells = label_cells(labels, weights.shape[1])
     scales = (np.asarray(lrs, dtype=np.float64) / n).tolist()
     start = weights.copy()
     p, col, grad = np.empty((weights.shape[1], n)), np.empty((1, n)), np.empty_like(weights)

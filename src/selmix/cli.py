@@ -20,9 +20,9 @@ from . import __version__
 from .classifier import LinearModel
 from .config import load_config
 # generate_longtail stays importable here: perfbench/tracing.py wraps it by this name
-from .data import (POOL_FRACTIONS, balanced_validation, check_split_sizes,  # noqa: F401
-                   generate_longtail, load_dataset, load_weights, save_dataset, save_weights,
-                   split)
+from .data import (POOL_FRACTIONS, balanced_validation, check_split_sizes,
+                   generate_longtail,  # noqa: F401
+                   load_dataset, load_weights, save_dataset, save_weights, split)
 from .errors import ConfigError, SelMixError
 from .gain import gain_oracle_median_error
 from .metrics import (

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_integers
 
 CSV_HEADER_PREFIX = "label"
 LABEL_BOUND = 2 ** 53    # most classes a dataset CSV may hold: every label is exact in float64
@@ -140,16 +141,15 @@ class LTSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 2 <= self.K <= LABEL_BOUND:
+        check_integers(self, DataError, K=2, d=1, N1=1, seed=0)
+        if self.K > LABEL_BOUND:
             raise DataError(f"K must lie in [2, {LABEL_BOUND}]")
-        if not 1 <= self.N1 <= LABEL_BOUND:
+        if self.N1 > LABEL_BOUND:
             raise DataError(f"N1 must lie in [1, {LABEL_BOUND}]")
         if not self.rho >= 1.0:
             raise DataError("rho must be >= 1")
         if not (0 < self.within_std < np.inf and 0 < self.cluster_separation < np.inf):
             raise DataError("within_std and cluster_separation must be positive and finite")
-        if self.seed < 0:
-            raise DataError("seed must be >= 0")
         counts = self.class_counts()
         if counts[-1] < 1:
             raise DataError("tail class count rounds to zero; increase N1 or lower rho")
@@ -158,7 +158,7 @@ class LTSpec:
         limit = np.iinfo(np.intp).max // (8 * rows)
         if limit < 1:
             raise DataError(f"a pool of {rows} rows is too large to store")
-        if not 1 <= self.d <= limit:
+        if self.d > limit:
             raise DataError(f"d must lie in [1, {limit}]")
 
     def class_counts(self) -> np.ndarray:
@@ -408,6 +408,8 @@ def stratified_rows(counts, fractions, seed: int) -> list[list[np.ndarray]]:
     fr = np.asarray(fractions, dtype=np.float64)
     if fr.shape != (3,) or np.any(fr < 0) or abs(fr.sum() - 1.0) > 1e-9:
         raise DataError("fractions must be three nonnegative values summing to 1")
+    if not isinstance(seed, Integral) or seed < 0:
+        raise DataError(f"seed must be an integer >= 0, got {seed!r}")
     check_split_sizes(counts, fr)
     active = [s for s in range(3) if fr[s] > 0]
     rng = np.random.default_rng(seed)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer field check."""
+
+from numbers import Integral
 
 
 class SelMixError(Exception):
@@ -11,3 +13,14 @@ class DataError(SelMixError):
 
 class ConfigError(SelMixError):
     """Invalid configuration file or option value."""
+
+
+def check_integers(obj, error: type[SelMixError] = SelMixError, **lows: int) -> None:
+    """Raise ``error`` unless each field of ``obj`` named in ``lows`` is an
+    integer (numpy integers count) at least its low bound."""
+    for name, low in lows.items():
+        value = getattr(obj, name)
+        if not isinstance(value, Integral):
+            raise error(f"{name} must be an integer, got {value!r}")
+        if value < low:
+            raise error(f"{name} must be >= {low}")

@@ -12,20 +12,18 @@ rounds (its temperature is then log(1 + 2 sqrt(log K / T))).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
 from .classifier import softmax, softmax_rows_inplace
-from .errors import SelMixError
+from .errors import SelMixError, check_integers
 from .gain import GainMatrix
 
 POLICY_KINDS = ("selmix_hedge", "selmix_hedge_variant", "uniform", "fixed", "greedy")
 GAIN_GENERATORS = ("constant", "iid_uniform", "alternating", "anticorrelated", "spiky")
-# The most buckets a guide table holds (32 MiB of cell indices): the 4·K²
-# a call needs at K=1000.
-_GUIDE_MAX = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -33,8 +31,6 @@ class MixPolicy:
     """Probability distribution over the K x K class pairs."""
 
     probs: np.ndarray
-    # guide tables by bucket count (see guide)
-    _guides: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=np.float64)
@@ -55,28 +51,6 @@ class MixPolicy:
         cdf = np.minimum(np.cumsum(flat), 1.0)
         cdf[np.flatnonzero(flat)[-1]:] = 1.0
         return cdf
-
-    def guide(self, count: int) -> np.ndarray | None:
-        """The guide table (Chen & Asau 1974) :func:`sample_pairs` reads for
-        ``count`` draws, or None below 4·K² draws, too few to pay for one.
-        Its m buckets, the least power of two at least 32·K² or, where
-        smaller, the greatest at most 2·``count`` or 2²², hold in entry b the
-        cell ``searchsorted(cdf, u, "right")`` gives for every u in [b/m,
-        (b+1)/m), or -1 where a CDF value splits the bucket.  As m is a
-        power of two, cdf·m, u·m and b/m are exact, so each u falls in
-        exactly its bucket, and the number of CDF values at or below b/m is
-        the number whose ceil(cdf·m) is at most b: the table is built by
-        counting them.  Each size is built once."""
-        cells = self.cdf.size
-        if count < 4 * cells:
-            return None
-        m = min(1 << (32 * cells - 1).bit_length(), 1 << (2 * int(count)).bit_length() - 1,
-                _GUIDE_MAX)
-        table = self._guides.get(m)
-        if table is None:
-            edges = np.bincount(np.ceil(self.cdf * m).astype(np.intp), minlength=m + 1).cumsum()
-            table = self._guides[m] = np.where(edges[:-1] == edges[1:], edges[:-1], -1)
-        return table
 
     def entropy(self) -> float:
         p = self.probs[self.probs > 0]
@@ -133,26 +107,41 @@ def uniform_distribution(k: int, formable: np.ndarray | None = None) -> MixPolic
     return MixPolicy(keep / keep.sum())
 
 
+def _guide_table(cdf: np.ndarray, m: int) -> np.ndarray:
+    """The guide table (Chen & Asau 1974) of ``cdf`` with m buckets, m a
+    power of two: entry b holds the cell ``searchsorted(cdf, u, "right")``
+    gives for every u in [b/m, (b+1)/m), or -1 where a CDF value splits the
+    bucket.  As m is a power of two, cdf·m, u·m and b/m are exact, so each u
+    falls in exactly its bucket, and the number of CDF values at or below
+    b/m is the number whose ceil(cdf·m) is at most b: the table is built by
+    counting them."""
+    edges = np.bincount(np.ceil(cdf * m).astype(np.intp), minlength=m + 1).cumsum()
+    return np.where(edges[:-1] == edges[1:], edges[:-1], -1)
+
+
 def sample_pairs(
     policy: MixPolicy, rng: np.random.Generator, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """``count`` inverse-CDF draws over the row-major cells, one uniform
     each; returns the (i, j) index arrays.  Each cell is exactly
-    ``np.searchsorted(policy.cdf, u, side="right")``, read from
-    :meth:`MixPolicy.guide` where the draw's bucket is not split.  On the
-    reference run's min-recall policies (K=10, 6400 draws, 4096 buckets)
-    2.0–2.3% of the draws search the CDF, against 15.8–18.5% with 4·K²
-    buckets, and a call, its CDF and table included, took 94 µs against
-    134 µs (358 µs searching every draw; 2 cores, numpy 2.4.6).  Below
-    4·K² draws the CDF is searched outright: 1024 draws at K=100 took
-    131 µs through a 1024-bucket table against 121 µs without (timeit)."""
+    ``np.searchsorted(policy.cdf, u, side="right")``.  From 4·K² draws up
+    it is read from a :func:`_guide_table` of m buckets, the greatest power
+    of two at most ``count``, where the draw's bucket is not split, so the
+    table is never larger than the call's uniforms.  On the reference run's
+    min-recall policies (K=10, 6400 draws, 4096 buckets) 2.0–2.3% of the
+    draws search the CDF, against 15.8–18.5% with 4·K² buckets, and a
+    call, its CDF and table included, took 94 µs against 134 µs (358 µs
+    searching every draw; 2 cores, numpy 2.4.6).  Below 4·K² draws the CDF
+    is searched outright: 1024 draws at K=100 took 131 µs through a
+    1024-bucket table against 121 µs without (timeit)."""
     if count < 0:
         raise SelMixError(f"cannot draw {count} pairs: the count must be >= 0")
-    u, cdf, guide = rng.random(count), policy.cdf, policy.guide(count)
-    if guide is None:
+    u, cdf = rng.random(count), policy.cdf
+    if count < 4 * cdf.size:
         flat = np.searchsorted(cdf, u, side="right")
     else:
-        flat = guide[(u * guide.size).astype(np.intp)]
+        m = 1 << int(count).bit_length() - 1
+        flat = _guide_table(cdf, m)[(u * m).astype(np.intp)]
         split = np.flatnonzero(flat < 0)
         flat[split] = np.searchsorted(cdf, u[split], side="right")
     return np.divmod(flat, policy.probs.shape[1])
@@ -171,10 +160,10 @@ class OnlineGameConfig:
     fixed_pair: tuple[int, int] = (0, 0)
 
     def __post_init__(self):
-        if self.K < 1 or self.T < 1:
-            raise SelMixError("K and T must be >= 1")
-        if self.seed < 0:
-            raise SelMixError("seed must be >= 0")
+        check_integers(self, K=1, T=1, seed=0)
+        if not (isinstance(self.fixed_pair, tuple) and len(self.fixed_pair) == 2
+                and all(isinstance(v, Integral) for v in self.fixed_pair)):
+            raise SelMixError(f"fixed_pair must be two integers, got {self.fixed_pair!r}")
         if self.policy_kind not in POLICY_KINDS:
             raise SelMixError(f"unknown policy kind {self.policy_kind!r}")
         if self.gain_generator not in GAIN_GENERATORS:

@@ -44,7 +44,7 @@ from .classifier import (
     sgd_mixup_step,  # noqa: F401  (the benchmark's tracer wraps it here)
 )
 from .data import FeatureDataset
-from .errors import SelMixError
+from .errors import SelMixError, check_integers
 from .gain import GainMatrix, gain_matrix
 from .metrics import (
     ConfusionMatrix,
@@ -94,13 +94,8 @@ class TrainerConfig:
     policy: str = "selmix"
 
     def __post_init__(self):
-        if self.cycles < 1:
-            raise SelMixError("cycles must be >= 1")
-        # n = 0 is allowed: a pure evaluation pass that leaves the model alone
-        if self.sgd_steps_per_cycle < 0:
-            raise SelMixError("sgd_steps_per_cycle must be >= 0")
-        if self.batch_size < 1:
-            raise SelMixError("batch_size must be >= 1")
+        # n = 0 SGD steps is allowed: a pure evaluation pass that leaves the model alone
+        check_integers(self, cycles=1, sgd_steps_per_cycle=0, batch_size=1, seed=0)
         if not 0 <= self.lr < np.inf:
             raise SelMixError("lr must be nonnegative and finite")
         if self.lr_schedule not in ("constant", "cosine"):
@@ -113,8 +108,6 @@ class TrainerConfig:
             raise SelMixError("policy must be 'selmix', 'uniform', or 'greedy'")
         if not 0 < self.s < np.inf:
             raise SelMixError("s must be positive and finite")
-        if self.seed < 0:
-            raise SelMixError("seed must be >= 0")
 
     @property
     def beta_bar(self) -> float:

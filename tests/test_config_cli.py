@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from conftest import CSV_MUTATIONS, mutate_csv
 from selmix.cli import main
 from selmix.config import DEFAULTS, parse_config_text
-from selmix.data import LABEL_BOUND, FeatureDataset, LTSpec, save_dataset, save_weights
-from selmix.errors import ConfigError
-from selmix.metrics import METRIC_KINDS
+from selmix.data import (LABEL_BOUND, POOL_FRACTIONS, FeatureDataset, LTSpec, save_dataset,
+                         save_weights, split)
+from selmix.errors import ConfigError, SelMixError
+from selmix.metrics import METRIC_KINDS, MetricSpec
+from selmix.policy import OnlineGameConfig, run_online_game
 from selmix.trainer import TrainerConfig
 
 
@@ -106,6 +108,40 @@ class TestConfigParsing:
     def test_out_of_range_value_is_a_config_error(self, text):
         with pytest.raises(ConfigError):
             parse_config_text(text)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: LTSpec(K=3.5), "K must be an integer, got 3.5"),
+        (lambda: LTSpec(d=16.0), "d must be an integer, got 16.0"),
+        (lambda: LTSpec(N1="1500"), "N1 must be an integer, got '1500'"),
+        (lambda: LTSpec(seed=0.5), "seed must be an integer, got 0.5"),
+        (lambda: TrainerConfig(MetricSpec("min_recall"), cycles=2.5),
+         "cycles must be an integer, got 2.5"),
+        (lambda: TrainerConfig(MetricSpec("min_recall"), sgd_steps_per_cycle=10.0),
+         "sgd_steps_per_cycle must be an integer, got 10.0"),
+        (lambda: TrainerConfig(MetricSpec("min_recall"), batch_size=None),
+         "batch_size must be an integer, got None"),
+        (lambda: TrainerConfig(MetricSpec("min_recall"), seed=1.5),
+         "seed must be an integer, got 1.5"),
+        (lambda: OnlineGameConfig(K=3.0, T=5), "K must be an integer, got 3.0"),
+        (lambda: OnlineGameConfig(K=3, T=5.5), "T must be an integer, got 5.5"),
+        (lambda: OnlineGameConfig(K=3, T=5, seed=0.5), "seed must be an integer, got 0.5"),
+        (lambda: OnlineGameConfig(K=3, T=5, policy_kind="fixed", fixed_pair=(0.5, 0)),
+         r"fixed_pair must be two integers, got \(0.5, 0\)"),
+        (lambda: split(LTSpec(), POOL_FRACTIONS, seed=-1), "seed must be an integer >= 0, got -1"),
+    ])
+    def test_a_non_integer_field_is_refused_at_construction(self, build, message):
+        with pytest.raises(SelMixError, match=f"^{message}$"):
+            build()
+
+    def test_numpy_integers_are_integers(self):
+        spec = LTSpec(K=np.int64(3), d=np.int32(4), N1=np.int64(200), seed=np.uint8(1))
+        assert spec.class_counts().size == 3
+        assert len(split(spec, POOL_FRACTIONS, seed=np.int64(2))) == 3
+        TrainerConfig(MetricSpec("min_recall"), cycles=np.int64(2), sgd_steps_per_cycle=np.int32(0),
+                      batch_size=np.int64(8), seed=np.uint16(3))
+        game = OnlineGameConfig(K=np.int64(3), T=np.int64(5), seed=np.int8(1), policy_kind="fixed",
+                                fixed_pair=(np.int64(2), np.int64(0)))
+        assert run_online_game(game)["T"] == 5
 
     @settings(max_examples=300, deadline=None)
     @given(CONFIG_TEXTS)

@@ -201,15 +201,19 @@ class TestSamplePair:
         np.testing.assert_array_equal(4 * i + j, [9, 9, 9])
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_cdf_values_on_the_bucket_edges_draw_as_searchsorted(self, k):
-        # a CDF value at a bucket edge b/m, or an ulp from it, with draws an
+    def test_cdf_values_on_the_bucket_edges_draw_as_searchsorted(self, k, monkeypatch):
+        # a CDF value at a bucket edge b/g, or an ulp from it, with draws an
         # ulp either side: a draw reads its bucket through u·m and floor, so
-        # the table needs u·m and b/m exact, which a power-of-two m makes them
-        m = 1 << (32 * k * k - 1).bit_length()      # the guide table's buckets
-        edges = np.arange(m + 1) / m
+        # the table needs u·m and b/m exact, which a power-of-two m makes
+        # them; the table's m buckets split each of the g here in two
+        g = 1 << (32 * k * k - 1).bit_length()
+        edges = np.arange(g + 1) / g
         near = np.concatenate([np.nextafter(edges, 0.0), edges, np.nextafter(edges, 1.0)])
         near = near[(near >= 0.0) & (near < 1.0)]
-        assert near.size >= 4 * k * k               # enough draws to read the table
+        assert near.size >= 4 * k * k               # enough draws to read a table
+        m = table_buckets(near.size)
+        assert m == 2 * g
+        built = record_tables(monkeypatch)
 
         class FixedUniforms:
             def random(self, count):
@@ -221,10 +225,11 @@ class TestSamplePair:
             probs[0] = c
             probs[-1] += 1.0 - c
             policy = MixPolicy(probs.reshape(k, k))
-            assert policy.cdf[0] == c and policy.guide(near.size).size == m
+            assert policy.cdf[0] == c
             i, j = sample_pairs(policy, FixedUniforms(), near.size)
             np.testing.assert_array_equal(k * i + j,
                                           np.searchsorted(policy.cdf, near, side="right"))
+            assert built.pop() == m and not built
 
     def test_policy_validation(self):
         with pytest.raises(SelMixError):
@@ -259,6 +264,21 @@ def searched_guide(cdf: np.ndarray, m: int) -> np.ndarray:
     return np.where(edges[:-1] == edges[1:], edges[:-1], -1)
 
 
+def table_buckets(count) -> int:
+    """Buckets of the guide table a draw of ``count`` pairs reads from 4·K²
+    draws up: the greatest power of two at most ``count``."""
+    return 1 << int(count).bit_length() - 1
+
+
+def record_tables(monkeypatch) -> list:
+    """The bucket counts of the guide tables :func:`sample_pairs` builds
+    from here on, one per table, in build order."""
+    built = []
+    build = policy._guide_table
+    monkeypatch.setattr(policy, "_guide_table", lambda cdf, m: built.append(m) or build(cdf, m))
+    return built
+
+
 class TestGuideTable:
     @settings(max_examples=80, deadline=None)
     @given(k=st.sampled_from([1, 2, 3, 10, 100]),
@@ -267,6 +287,8 @@ class TestGuideTable:
     def test_counting_build_equals_the_searched_table(self, k, mass, seed):
         rng = np.random.default_rng(seed)
         cells = k * k
+        sizes = [table_buckets(count) for count in (4 * cells, 5 * cells, 6400, 1 << 20)
+                 if count >= 4 * cells]
         probs = rng.random(cells)
         if mass == "sparse":                      # runs of zero-mass cells
             probs *= rng.random(cells) < 0.3
@@ -275,52 +297,40 @@ class TestGuideTable:
             probs = np.zeros(cells)
             probs[rng.integers(cells)] = 1.0
         elif mass == "edges":                     # CDF values on bucket edges, and an ulp off
-            m = 1 << (32 * cells - 1).bit_length()
+            m = sizes[rng.integers(len(sizes))]
             cuts = np.sort(rng.integers(0, m + 1, size=cells - 1)) / m
             cuts = np.where(rng.random(cells - 1) < 0.3, np.nextafter(cuts, 0.0), cuts)
             cuts = np.where(rng.random(cells - 1) < 0.3, np.nextafter(cuts, 1.0), cuts)
             probs = np.diff(np.concatenate([[0.0], np.clip(np.sort(cuts), 0.0, 1.0), [1.0]]))
-        policy = MixPolicy((probs / probs.sum()).reshape(k, k))
-        for count in (4 * cells, 5 * cells, 6400, 1 << 20):
-            if count >= 4 * cells:
-                table = policy.guide(count)
-                assert table.dtype == np.intp
-                assert table.tobytes() == searched_guide(policy.cdf, table.size).tobytes()
+        cdf = MixPolicy((probs / probs.sum()).reshape(k, k)).cdf
+        for m in sizes:
+            table = policy._guide_table(cdf, m)
+            assert table.dtype == np.intp
+            assert table.tobytes() == searched_guide(cdf, m).tobytes()
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 10, 100, 1000])
-    def test_table_size_is_bounded_by_the_draws(self, k):
-        cells = k * k
-        policy = MixPolicy(np.full((k, k), 1.0 / cells))
-        assert policy.guide(4 * cells - 1) is None           # too few draws: the CDF is searched
-        counts = (4 * cells, 1 << 23) if k == 1000 else (4 * cells, 4 * cells + 1, 6 * cells,
-                                                         16 * cells, 32 * cells, 1 << 23)
-        for count in counts:
-            m = policy.guide(count).size
-            assert policy.guide(np.int64(count)).size == m     # numpy counts too
-            assert m & (m - 1) == 0                            # a power of two
-            # at most twice the call's draws, 32·K² rounded up and 2²²; at
-            # least the draws, 32·K² or 2²², whichever is least
-            assert m <= min(2 * count, 1 << (32 * cells - 1).bit_length(), 1 << 22)
-            assert m >= min(count + 1, 32 * cells, 1 << 22)
-        # the reference run's 6400 draws at K=10 read 4096 buckets, a 1280-draw block 2048
-        assert uniform_distribution(10).guide(6400).size == 4096
-        assert uniform_distribution(10).guide(1280).size == 2048
-
-    def test_each_size_is_built_once(self, monkeypatch):
-        policy = uniform_distribution(10)
-        built = []
-        bincount = np.bincount
-        monkeypatch.setattr(np, "bincount", lambda *a, **kw: built.append(1) or bincount(*a, **kw))
-        first = policy.guide(6400)
-        assert policy.guide(10_000) is first and policy.guide(1280) is not first
-        assert len(built) == 2
+    @pytest.mark.parametrize("k, count, m", [
+        (1, 3, None), (1, 4, 4), (2, 15, None), (2, 16, 16), (2, 31, 16),
+        (10, 399, None), (10, 400, 256), (10, 1280, 1024), (10, 6400, 4096),
+        (10, np.int64(6400), 4096), (100, 39_999, None), (100, 40_000, 32_768),
+        (1000, 4_000_000, 1 << 21),
+    ])
+    def test_table_is_the_greatest_power_of_two_at_most_the_draws(self, k, count, m,
+                                                                   monkeypatch):
+        # below 4·K² draws the CDF is searched outright; from there the
+        # table never holds more buckets than the call has uniforms: the
+        # reference run's 6400 draws at K=10 read 4096, a 1280-draw block 1024
+        built = record_tables(monkeypatch)
+        i, j = sample_pairs(uniform_distribution(k), np.random.default_rng(0), count)
+        assert i.size == count
+        assert built == ([] if m is None else [m])
+        assert all(type(size) is int for size in built)
 
     @settings(max_examples=60, deadline=None)
     @given(k=st.sampled_from([1, 2, 10, 100]), mass=st.sampled_from(["spread", "sparse", "one"]),
            counts=st.permutations([0, 1, 7, 6400, 40000]), seed=st.integers(0, 2 ** 32 - 1))
     def test_draw_equals_searchsorted_on_the_cdf(self, k, mass, counts, seed):
         # draws of every size from one policy: those of 4·K² or more read
-        # the guide table, the first of them building it
+        # a guide table of their own
         rng = np.random.default_rng(seed)
         probs = rng.random(k * k)
         if mass == "sparse":                      # zero-mass cells, runs of equal CDF values
@@ -332,7 +342,8 @@ class TestGuideTable:
         policy = MixPolicy((probs / probs.sum()).reshape(k, k))
         cdf = policy.cdf
         inner = cdf[cdf < 1.0]
-        m = 1 << (32 * k * k - 1).bit_length()    # the largest guide table's buckets
+        # the largest table's bucket edges, which hold every smaller one's
+        m = table_buckets(max(counts))
         special = np.concatenate([inner, np.nextafter(inner, 0.0), np.arange(m) / m,
                                   [np.nextafter(1.0, 0.0)]])
         for count in counts:
