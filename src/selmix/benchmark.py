@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classifier import LinearModel
+from .errors import DataError, check_integers
 # generate_longtail stays importable here: perfbench/tracing.py wraps it by this name
 from .data import (POOL_FRACTIONS, FeatureDataset, LTSpec, balanced_validation,
                    generate_longtail, split)  # noqa: F401
@@ -32,6 +33,9 @@ class BenchmarkSetting:
     val_per_class: int = 150
     pretrain_steps: int = 2000
     logit_adjust: float = 1.0
+
+    def __post_init__(self):
+        check_integers(self, DataError, K=2, d=1, N1=1, val_per_class=1, pretrain_steps=0)
 
 
 def make_benchmark(

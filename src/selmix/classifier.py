@@ -1,8 +1,11 @@
 """Linear classifier over frozen features: logits, exact argmax, mixup SGD,
 centroids, and the per-pair update directions used by the gain computation.
 
-All softmax / log-softmax evaluations subtract the max logit first; no
-probability below ~1e-300 is ever formed.
+All softmax / log-softmax evaluations subtract the row's max logit first,
+so on finite logits no exp overflows and each row's largest probability is
+at least 1/K.  Nothing bounds the small ones from below: a logit x under
+its row's max gets at most e^-x, subnormal past x ~ 708 and 0 past x ~ 745
+(the hedge game's scores reach both).
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FeatureDataset, _all_finite, norm_bounds
-from .errors import DataError, SelMixError
+from .errors import DataError, SelMixError, check_integers
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -86,17 +89,25 @@ def predict(model: LinearModel, data: FeatureDataset,
     it computes outright when :func:`_screened_argmax` cannot decide.
     ``carry`` only saves work: the answer is the same without it.  Raises
     :class:`SelMixError` when the product overflows: finite features give a
-    non-finite logit (the weights are finite)."""
+    non-finite logit (the weights are finite), or when the model's class
+    count is not the dataset's."""
+    _check_classes(model, data)
     labels = _screened_argmax(model, data, carry)
     if labels is None:
         labels = np.argmax(checked_logits(model, data), axis=1)
     return labels
 
 
+def _check_classes(model: LinearModel, data: FeatureDataset) -> None:
+    if model.classes != data.num_classes:
+        raise SelMixError(f"model has {model.classes} classes, data has {data.num_classes}")
+
+
 def checked_logits(model: LinearModel, data: FeatureDataset) -> np.ndarray:
     """The logits of ``data``'s rows; raises :class:`SelMixError` when the
     product overflows: finite features give a non-finite logit (the weights
-    are finite)."""
+    are finite), or when the model's class count is not the dataset's."""
+    _check_classes(model, data)
     with np.errstate(over="ignore", invalid="ignore"):
         logits = batch_logits(model, data.features)
     if not _all_finite(logits) and _all_finite(data.features):
@@ -306,7 +317,11 @@ def direction_matrix(
     """
     if not 0.0 < beta_bar <= 1.0:
         raise SelMixError("beta_bar must lie in (0, 1]")
+    check_integers(locals(), i=0, j=0)
     z = centroids.centroids
+    if z.shape != (model.classes, model.dim) or max(i, j) >= model.classes:
+        raise SelMixError(f"need {model.classes} x {model.dim} centroids and i, j below "
+                          f"{model.classes}")
     zeta = beta_bar * z[i] + (1.0 - beta_bar) * z[j]
     p = softmax(model.weights.T @ zeta)
     e_i = np.zeros(model.classes)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -220,8 +219,7 @@ def balanced_validation(spec: LTSpec, per_class: int) -> FeatureDataset:
     """Balanced holdout of ``per_class`` rows per class around the pool's own
     cluster means (the usual long-tailed evaluation protocol), drawn from
     the sample stream of ``spec.seed + 20_000`` so it shares no pool draws."""
-    if per_class < 1:
-        raise DataError("per_class must be >= 1")
+    check_integers(locals(), DataError, per_class=1)
     return _draw_clusters(spec, np.full(spec.K, per_class), spec.seed + 20_000)
 
 
@@ -408,8 +406,7 @@ def stratified_rows(counts, fractions, seed: int) -> list[list[np.ndarray]]:
     fr = np.asarray(fractions, dtype=np.float64)
     if fr.shape != (3,) or np.any(fr < 0) or abs(fr.sum() - 1.0) > 1e-9:
         raise DataError("fractions must be three nonnegative values summing to 1")
-    if not isinstance(seed, Integral) or seed < 0:
-        raise DataError(f"seed must be an integer >= 0, got {seed!r}")
+    check_integers(locals(), DataError, seed=0)
     check_split_sizes(counts, fr)
     active = [s for s in range(3) if fr[s] > 0]
     rng = np.random.default_rng(seed)

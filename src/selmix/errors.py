@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer field check."""
+"""Exception types shared across the package, and the integer check."""
 
 from numbers import Integral
 
@@ -16,10 +16,11 @@ class ConfigError(SelMixError):
 
 
 def check_integers(obj, error: type[SelMixError] = SelMixError, **lows: int) -> None:
-    """Raise ``error`` unless each field of ``obj`` named in ``lows`` is an
-    integer (numpy integers count) at least its low bound."""
+    """Raise ``error`` unless each value named in ``lows`` is an integer
+    (numpy integers count) at least its low bound: a field of ``obj``, or an
+    entry when ``obj`` is a dict, such as a function's ``locals()``."""
     for name, low in lows.items():
-        value = getattr(obj, name)
+        value = obj[name] if isinstance(obj, dict) else getattr(obj, name)
         if not isinstance(value, Integral):
             raise error(f"{name} must be an integer, got {value!r}")
         if value < low:

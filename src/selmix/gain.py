@@ -134,6 +134,9 @@ def gain_matrix(
     product that overflows emits no warning: :class:`GainMatrix` refuses the
     non-finite result.
     """
+    if centroids.centroids.shape != (c.k, model.dim) or model.classes != c.k:
+        raise SelMixError(f"need a {c.k}-class model and {c.k} x {model.dim} centroids for a "
+                          f"{c.k}-class confusion")
     dgrad = metric_grad_unconstrained(spec, c, lam)
     with np.errstate(all="ignore"):
         values = gain_from_metric_grad(model, centroids, dgrad, beta_bar)
@@ -157,7 +160,7 @@ def gain_fd_oracle(
     This is the ground truth the gain formula approximates; agreement
     tightens as the within-class feature spread shrinks.
     """
-    if eta <= 0:
+    if not eta > 0:
         raise SelMixError("eta must be positive")
     v = direction_matrix(model, centroids, i, j, beta_bar)
     plus = evaluate_metric(spec, soft_confusion(LinearModel(model.weights + eta * v), features), lam)

@@ -27,13 +27,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import ceil
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
 from .classifier import ArgmaxCarry, LinearModel, checked_logits, predict, softmax
 from .data import FeatureDataset
-from .errors import DataError, SelMixError
+from .errors import DataError, SelMixError, check_integers
 
 MEAN_RECALL = "mean_recall"
 G_MEAN = "g_mean"
@@ -82,8 +83,8 @@ class ConfusionMatrix:
         object.__setattr__(self, "entries", c)
         object.__setattr__(self, "priors", pi)
         k = pi.shape[0]
-        if c.shape != (k, k):
-            raise SelMixError("entries must be K x K matching priors")
+        if pi.ndim != 1 or c.shape != (k, k):
+            raise SelMixError("entries must be K x K matching K priors")
         # positive comparisons on reductions, so a NaN entry or prior fails them
         if not (k and c.min() >= -1e-12 and pi.min() > 0):
             raise SelMixError("entries must be nonnegative and priors positive")
@@ -145,6 +146,8 @@ class MetricSpec:
         if not 0.0 < self.alpha <= 1.0:
             raise SelMixError("alpha must lie in (0, 1]")
         if self.head_set is not None:
+            if not all(isinstance(v, Integral) and v >= 0 for v in self.head_set):
+                raise SelMixError(f"head_set must hold integers >= 0, got {self.head_set!r}")
             object.__setattr__(self, "head_set", tuple(sorted(set(self.head_set))))
 
     def head_tail(self, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -157,7 +160,7 @@ class MetricSpec:
             head = np.arange(k - ceil(k / 10))
         else:
             head = np.asarray(self.head_set, dtype=np.int64)
-            if head.size and (head.min() < 0 or head.max() >= k):
+            if head.size and head.max() >= k:
                 raise SelMixError("head_set indices out of range")
         tail = np.setdiff1d(np.arange(k), head)
         if _KINDS[self.kind].grouped and (head.size == 0 or tail.size == 0):
@@ -176,6 +179,7 @@ def neutral_lagrange(spec: MetricSpec, k: int) -> np.ndarray:
     """Multipliers usable before the first update: uniform simplex for
     min-recall kinds, zeros for coverage kinds, empty for unconstrained
     kinds."""
+    check_integers(locals(), k=1)
     rule = _KINDS[spec.kind]
     n = _multiplier_count(rule, k)
     return np.full(n, 1.0 / n) if rule.family == _SIMPLEX else np.zeros(n)
@@ -202,12 +206,15 @@ def validate_lagrange(spec: MetricSpec, lam: np.ndarray, k: int) -> np.ndarray:
 
 def confusion_from_predictions(labels, predictions, num_classes: int) -> ConfusionMatrix:
     """Empirical hard confusion matrix: entries[i, j] = #\\{y=i, yhat=j\\} / N."""
-    labels = np.asarray(labels, dtype=np.int64)
-    predictions = np.asarray(predictions, dtype=np.int64)
+    check_integers(locals(), DataError, num_classes=1)
+    labels, predictions = np.asarray(labels), np.asarray(predictions)
     if labels.size == 0:
         raise DataError("empty evaluation set")
-    if labels.shape != predictions.shape:
-        raise DataError("labels and predictions must have the same length")
+    if labels.ndim != 1 or labels.shape != predictions.shape:
+        raise DataError("labels and predictions must be 1-D of the same length")
+    if labels.dtype.kind not in "iu" or predictions.dtype.kind not in "iu":
+        raise DataError("labels and predictions must be integer arrays")
+    labels, predictions = (a.astype(np.int64, copy=False) for a in (labels, predictions))
     if labels.min() < 0 or labels.max() >= num_classes:
         raise DataError("label outside [0, K)")
     if predictions.min() < 0 or predictions.max() >= num_classes:
@@ -251,6 +258,8 @@ def unconstrained_to_confusion(c_tilde: np.ndarray, priors: np.ndarray) -> Confu
     priors = np.asarray(priors, dtype=np.float64)
     if not np.all(np.isfinite(c_tilde)):
         raise SelMixError("unconstrained matrix must be finite")
+    if priors.ndim != 1 or c_tilde.shape != (priors.size, priors.size):
+        raise SelMixError("need K priors and a K x K unconstrained matrix")
     if np.any(priors <= 0) or abs(priors.sum() - 1.0) > 1e-9:
         raise SelMixError("priors must be positive and sum to 1")
     entries = priors[:, None] * softmax(c_tilde)

@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .classifier import log_softmax, softmax
-from .errors import SelMixError
+from .errors import SelMixError, check_integers
 
 
 def _norm(a: np.ndarray) -> float:
@@ -73,12 +73,7 @@ def convergence_check(
     """
     if not 0.0 < alignment_c <= 1.0:
         raise SelMixError("alignment_c must lie in (0, 1]")
-    if T < 100:
-        raise SelMixError("T must be >= 100")
-    if K < 1 or d < 1:
-        raise SelMixError("need K >= 1, d >= 1")
-    if seed < 0:
-        raise SelMixError("seed must be >= 0")
+    check_integers(locals(), K=1, d=1, T=100, seed=0)
     gamma = 2.0
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0)))
     w_star = rng.standard_normal((d, K))
@@ -169,19 +164,18 @@ def mixup_regularization_check(
     index arrays, lam and the per-pair losses) plus one block's mixed rows,
     logits and log-softmax terms.
     """
+    if len(alpha_beta) != 2:
+        raise SelMixError(f"alpha_beta must be two values, got {alpha_beta!r}")
     alpha, beta = map(float, alpha_beta)
     if not (1.0 < alpha < np.inf and 1.0 < beta < np.inf):
         raise SelMixError("regularizer moment diverges: need finite alpha, beta > 1")
     if not np.isfinite(theta_scale):
         raise SelMixError("theta_scale must be finite")
-    if K < 2 or d < 1 or N < 2 or mc_pairs < 1:
-        raise SelMixError("need K >= 2, d >= 1, N >= 2, mc_pairs >= 1")
-    if seed < 0:
-        raise SelMixError("seed must be >= 0")
+    check_integers(locals(), K=2, d=1, N=2, mc_pairs=1, seed=0)
     if w is None:
         w = np.eye(K)
     w = np.asarray(w, dtype=np.float64)
-    if w.shape != (K, K) or np.any(w < 0):
+    if w.shape != (K, K) or not (w >= 0).all():
         raise SelMixError("gain-weight matrix must be nonnegative K x K")
 
     # the module docstring's moments, scaled by top = max(a, b) and each

@@ -181,8 +181,7 @@ def pretrain_erm(
     are drawn, and rows gathered, a block of steps at a time, as in the SGD
     block, and :func:`sgd_mixup_block` takes the steps.
     """
-    if steps < 0 or batch_size < 1:
-        raise SelMixError("pretrain needs steps >= 0 and batch_size >= 1")
+    check_integers(locals(), steps=0, batch_size=1, seed=0)
     if steps and train.n == 0:
         raise SelMixError("pretrain needs a training set with at least one row")
     if not 0 <= lr < np.inf:

@@ -127,7 +127,8 @@ class TestConfigParsing:
         (lambda: OnlineGameConfig(K=3, T=5, seed=0.5), "seed must be an integer, got 0.5"),
         (lambda: OnlineGameConfig(K=3, T=5, policy_kind="fixed", fixed_pair=(0.5, 0)),
          r"fixed_pair must be two integers, got \(0.5, 0\)"),
-        (lambda: split(LTSpec(), POOL_FRACTIONS, seed=-1), "seed must be an integer >= 0, got -1"),
+        (lambda: split(LTSpec(), POOL_FRACTIONS, seed=-1), "seed must be >= 0"),
+        (lambda: split(LTSpec(), POOL_FRACTIONS, seed=0.5), "seed must be an integer, got 0.5"),
     ])
     def test_a_non_integer_field_is_refused_at_construction(self, build, message):
         with pytest.raises(SelMixError, match=f"^{message}$"):
@@ -608,19 +609,19 @@ def _write_eval_inputs(tmp):
     (("simulate-policy", "--seeds", "-1"), "seed must be >= 0"),
     (("check-theory", "--seeds", "-1"), "seed must be >= 0"),
     (("check-theory", "--which", "mixup", "--seeds", "-1"), "seed must be >= 0"),
-    (("check-theory", "--which", "convergence", "--K", "-1"), "need K >= 1, d >= 1"),
-    (("check-theory", "--which", "convergence", "--d", "-2"), "need K >= 1, d >= 1"),
-    (("check-theory", "--which", "convergence", "--K", "0"), "need K >= 1, d >= 1"),
-    (("check-theory", "--which", "convergence", "--d", "0"), "need K >= 1, d >= 1"),
-    (("check-theory", "--which", "mixup", "--K", "2", "--d", "-1"), "d >= 1"),
-    (("check-theory", "--which", "mixup", "--d", "0"), "d >= 1"),
+    (("check-theory", "--which", "convergence", "--K", "-1"), "K must be >= 1"),
+    (("check-theory", "--which", "convergence", "--d", "-2"), "d must be >= 1"),
+    (("check-theory", "--which", "convergence", "--K", "0"), "K must be >= 1"),
+    (("check-theory", "--which", "convergence", "--d", "0"), "d must be >= 1"),
+    (("check-theory", "--which", "mixup", "--K", "2", "--d", "-1"), "d must be >= 1"),
+    (("check-theory", "--which", "mixup", "--d", "0"), "d must be >= 1"),
     (("simulate-policy", "--K", "100000", "--T", "1", "--seeds", "0"), _NO_MEMORY),
     (("simulate-policy", "--s", "1e308", "--K", "3", "--T", "5", "--seeds", "0"),
      "2 * s * T must be finite"),
     ((*_TRAIN, "--pretrain-steps", "5", "--pretrain-la", "inf"), "logit shift non-finite"),
     ((*_TRAIN, "--pretrain-steps", "5", "--pretrain-la", "1e308"), "logit shift non-finite"),
     ((*_TRAIN, "--pretrain-steps", "5", "--pretrain-la", "nan"), "logit shift non-finite"),
-    ((*_TRAIN, "--pretrain-steps", "-3"), "steps >= 0"),
+    ((*_TRAIN, "--pretrain-steps", "-3"), "steps must be >= 0"),
     ((*_TRAIN, "--init", "{tmp}/m.csv"), "init model shape does not match the data"),
     (_TRAIN_NARROW, "error: validation set has 5 features, train has 6\n"),
     (("gen-data", "--config", "{tmp}/tail.cfg", "--out", "{tmp}/out"),

@@ -701,8 +701,8 @@ class TestPretrainAbsentClass:
 
 class TestPretrainRejectsBadInputs:
     @pytest.mark.parametrize("kwargs, message", [
-        ({"steps": -3}, "steps >= 0"),
-        ({"batch_size": 0}, "batch_size >= 1"),
+        ({"steps": -3}, "steps must be >= 0"),
+        ({"batch_size": 0}, "batch_size must be >= 1"),
         ({"lr": -0.1}, "lr must be nonnegative and finite"),
         ({"lr": np.inf}, "lr must be nonnegative and finite"),
         ({"lr": np.nan}, "lr must be nonnegative and finite"),
