@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FeatureDataset, _all_finite, norm_bounds
-from .errors import DataError, SelMixError, check_integers
+from .errors import DataError, SelMixError, check_integers, check_reals
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -315,6 +315,7 @@ def direction_matrix(
     learning rate is deliberately factored out; only relative scale matters
     downstream.
     """
+    check_reals(locals(), "beta_bar")
     if not 0.0 < beta_bar <= 1.0:
         raise SelMixError("beta_bar must lie in (0, 1]")
     check_integers(locals(), i=0, j=0)

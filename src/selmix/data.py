@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError, check_integers
+from .errors import DataError, check_integers, check_reals
 
 CSV_HEADER_PREFIX = "label"
 LABEL_BOUND = 2 ** 53    # most classes a dataset CSV may hold: every label is exact in float64
@@ -141,6 +141,7 @@ class LTSpec:
 
     def __post_init__(self):
         check_integers(self, DataError, K=2, d=1, N1=1, seed=0)
+        check_reals(self, "rho", "within_std", "cluster_separation", error=DataError)
         if self.K > LABEL_BOUND:
             raise DataError(f"K must lie in [2, {LABEL_BOUND}]")
         if self.N1 > LABEL_BOUND:

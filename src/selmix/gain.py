@@ -23,7 +23,7 @@ import numpy as np
 
 from .classifier import CentroidSet, LinearModel, class_centroids, direction_matrix
 from .data import FeatureDataset, LTSpec, generate_longtail
-from .errors import SelMixError
+from .errors import SelMixError, check_reals
 from .metrics import (
     MEAN_RECALL,
     ConfusionMatrix,
@@ -83,6 +83,7 @@ def gain_from_metric_grad(
     included) is recomputed with its own max subtracted, in chunks of about
     ``_GUARD_ELEMENTS / K`` pairs.
     """
+    check_reals(locals(), "beta_bar")
     if not 0.0 < beta_bar <= 1.0:
         raise SelMixError("beta_bar must lie in (0, 1]")
     z = centroids.centroids                       # (K, d)
@@ -160,6 +161,7 @@ def gain_fd_oracle(
     This is the ground truth the gain formula approximates; agreement
     tightens as the within-class feature spread shrinks.
     """
+    check_reals(locals(), "eta")
     if not eta > 0:
         raise SelMixError("eta must be positive")
     v = direction_matrix(model, centroids, i, j, beta_bar)

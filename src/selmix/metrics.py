@@ -34,7 +34,7 @@ import numpy as np
 
 from .classifier import ArgmaxCarry, LinearModel, checked_logits, predict, softmax
 from .data import FeatureDataset
-from .errors import DataError, SelMixError, check_integers
+from .errors import DataError, SelMixError, check_integers, check_reals
 
 MEAN_RECALL = "mean_recall"
 G_MEAN = "g_mean"
@@ -141,6 +141,7 @@ class MetricSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise SelMixError(f"unknown metric kind {self.kind!r}")
+        check_reals(self, "omega", "alpha", "lambda_max", "tau")
         if not all(0 < v < np.inf for v in (self.omega, self.lambda_max, self.tau)):
             raise SelMixError("omega, lambda_max, tau must be positive and finite")
         if not 0.0 < self.alpha <= 1.0:

@@ -19,7 +19,7 @@ from numbers import Integral
 import numpy as np
 
 from .classifier import softmax, softmax_rows_inplace
-from .errors import SelMixError, check_integers
+from .errors import SelMixError, check_integers, check_reals
 from .gain import GainMatrix
 
 POLICY_KINDS = ("selmix_hedge", "selmix_hedge_variant", "uniform", "fixed", "greedy")
@@ -76,6 +76,7 @@ def selmix_distribution(g: GainMatrix, s: float, mask_negative: bool = True,
     formable pair the softmax falls back to all formable pairs so the
     least-bad ones still dominate.
     """
+    check_reals(locals(), "s")
     if s < 0:
         raise SelMixError("s must be nonnegative")
     values = g.values
@@ -161,6 +162,7 @@ class OnlineGameConfig:
 
     def __post_init__(self):
         check_integers(self, K=1, T=1, seed=0)
+        check_reals(self, "s")
         if not (isinstance(self.fixed_pair, tuple) and len(self.fixed_pair) == 2
                 and all(isinstance(v, Integral) for v in self.fixed_pair)):
             raise SelMixError(f"fixed_pair must be two integers, got {self.fixed_pair!r}")
@@ -174,19 +176,22 @@ class OnlineGameConfig:
             raise SelMixError("2 * s * T must be finite")
 
 
-# Rounds x cells per chunk of run_online_game: each float64 chunk array stays
-# in L2 and under glibc's 128 KiB mmap threshold, so it is reused from the
-# heap, not faulted in afresh.  The benchmark's 40-game grid (2 cores, numpy
-# 2.4.6): 12000-16384 310-336 ms, 32768 342-381 ms with 10x the page faults.
+# Rounds x cells per chunk of run_online_game.  The game sizes its buffers by
+# it once, so it only sets how many rounds each numpy call spans.  The
+# benchmark's 40-game grid (one pinned CPU, numpy 2.4.6, medians of 20
+# alternating runs) took 260 ms at 16,000 against 253 ms at 32,768, faster
+# in 14 of 20 but inside the 15 ms spread; 65,536 and 8,000 were slower.
 _CHUNK_ELEMENTS = 16_000
 
 
 def _generate_gains(cfg: OnlineGameConfig, rng: np.random.Generator,
-                    t0: int = 0, t1: int | None = None) -> np.ndarray:
+                    t0: int = 0, t1: int | None = None,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Synthetic gains of rounds t0..t1 (the whole horizon by default),
     shape (t1 - t0, K, K), all values in [0, 1] except ``spiky`` which
-    deliberately overshoots to exercise clamping.  Drawing the horizon chunk
-    by chunk from one generator gives the same gains as one draw.
+    deliberately overshoots to exercise clamping; written into ``out``
+    when given.  Drawing the horizon chunk by chunk from one generator gives
+    the same gains as one draw.
 
     ``anticorrelated`` pays 1 in each round to the m = max(1, K²//2) cells
     with the lowest cumulative gain so far, ties going to the lower
@@ -197,32 +202,40 @@ def _generate_gains(cfg: OnlineGameConfig, rng: np.random.Generator,
     k = cfg.K
     rounds = np.arange(t0, cfg.T if t1 is None else t1)
     t = rounds.size
+    if out is None:
+        out = np.empty((t, k, k))
     if cfg.gain_generator == "constant":
-        return np.full((t, k, k), 0.5)
-    if cfg.gain_generator == "iid_uniform":
-        return rng.random((t, k, k))
-    if cfg.gain_generator == "alternating":
+        out.fill(0.5)
+    elif cfg.gain_generator == "iid_uniform":
+        rng.random(out=out)
+    elif cfg.gain_generator == "alternating":
         # cell (i, j) pays (t + i + j) mod 2: one of two rows by t's parity
         parity = (np.arange(k)[:, None] + np.arange(k)) % 2
-        return np.stack([parity, 1 - parity]).astype(np.float64)[rounds % 2]
-    if cfg.gain_generator == "anticorrelated":
+        np.take(np.stack([parity, 1 - parity]).astype(np.float64), rounds % 2, 0, out)
+    elif cfg.gain_generator == "anticorrelated":
         # round t's row is the first one's, m ones then zeros, rotated right
         # by t·m mod K²: a window of two copies of that row side by side
         cells = k * k
         m = max(1, cells // 2)
         ring = np.tile(np.arange(cells) < m, 2).astype(np.float64)
         windows = np.lib.stride_tricks.sliding_window_view(ring, cells)
-        return windows[cells - m * rounds % cells].reshape(t, k, k)
-    # spiky: iid in [-2, 2], out of range on purpose
-    return rng.random((t, k, k)) * 4.0 - 2.0
+        np.take(windows, cells - m * rounds % cells, 0, out.reshape(t, cells))
+    else:
+        # spiky: iid in [-2, 2], out of range on purpose
+        rng.random(out=out)
+        out *= 4.0
+        out -= 2.0
+    return out
 
 
-def _policy_sequence(cfg: OnlineGameConfig, flat: np.ndarray, cum: np.ndarray,
-                     before: np.ndarray | None) -> np.ndarray:
-    """Pair distributions of one chunk of rounds, shape (rows, K*K), from
-    the chunk's clamped gains ``flat``, their running sums over the horizon
-    ``cum`` (this round included; the hedge policies overwrite it) and the
-    sum ``before`` of every earlier chunk's rounds (None for the first)."""
+def _policy_sequence(cfg: OnlineGameConfig, flat: np.ndarray, sums: np.ndarray,
+                     col: np.ndarray) -> np.ndarray:
+    """Pair distributions of one chunk of r rounds, shape (r, K*K), from
+    the chunk's clamped gains ``flat`` and the (r + 1, K*K) running sums
+    ``sums`` over the horizon, whose row 0 sums every earlier round: rows
+    1..r include their own round, rows 0..r-1 only the past ones.  The hedge
+    policies overwrite their rows of ``sums``; ``col`` is an (r, 1) scratch
+    buffer."""
     rows, cells = flat.shape
     if cfg.policy_kind == "uniform":
         return np.full((rows, cells), 1.0 / cells)
@@ -236,13 +249,13 @@ def _policy_sequence(cfg: OnlineGameConfig, flat: np.ndarray, cum: np.ndarray,
         probs[np.arange(rows), np.argmax(flat, axis=1)] = 1.0
         return probs
     if cfg.policy_kind == "selmix_hedge":
-        cum *= cfg.s                              # includes the current round
+        scores = sums[1:]                         # includes the current round
+        scores *= cfg.s
     else:
-        cum[1:] = cum[:-1]                        # Hedge: past rounds only
-        cum[0] = 0.0 if before is None else before
-        cum *= np.log(1.0 + 2.0 * np.sqrt(np.log(max(cfg.K, 2)) / cfg.T))
-    softmax_rows_inplace(cum, np.empty((rows, 1)))
-    return cum
+        scores = sums[:-1]                        # Hedge: past rounds only
+        scores *= np.log(1.0 + 2.0 * np.sqrt(np.log(max(cfg.K, 2)) / cfg.T))
+    softmax_rows_inplace(scores, col)
+    return scores
 
 
 def _inverse_cdf_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -260,10 +273,13 @@ def run_online_game(cfg: OnlineGameConfig) -> dict:
     Gains outside the admissible range ([0, 1] for the variant policy,
     [-1, 1] otherwise) are clamped and counted in ``clamped_rounds``.
 
-    Rounds are played in chunks of at most ``_CHUNK_ELEMENTS`` rounds x
-    cells.  Every step is row-wise except the running sums, which carry the
-    last row over as s[t] = s[t-1] + f[t], so the report equals
-    whole-horizon play bit for bit.
+    Rounds are played in chunks of r = max(1, ``_CHUNK_ELEMENTS`` // K²)
+    rounds, in buffers allocated once per game.  The running sums
+    s[t] = s[t-1] + f[t] of both hedge policies fill rows 1..r of an
+    (r + 1, K²) buffer whose row 0 is the sum of every earlier round, -0.0
+    before the first (-0.0 + x is exactly x): that sum is added to the
+    chunk's first gains and one cumsum carries it down.  Every other step
+    is row-wise, so the report equals whole-horizon play bit for bit.
     """
     k, t, cells = cfg.K, cfg.T, cfg.K * cfg.K
     if cfg.policy_kind == "fixed" and not all(0 <= v < k for v in cfg.fixed_pair):
@@ -271,28 +287,33 @@ def run_online_game(cfg: OnlineGameConfig) -> dict:
     gen_ss, play_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     gen_rng, play_rng = np.random.default_rng(gen_ss), np.random.default_rng(play_ss)
     lo = 0.0 if cfg.policy_kind == "selmix_hedge_variant" else -1.0
-    step = max(1, _CHUNK_ELEMENTS // cells)
+    step = min(t, max(1, _CHUNK_ELEMENTS // cells))
+    gains, prod = np.empty((step, cells)), np.empty((step, cells))
+    sums = np.empty((step + 1, cells))
+    total = np.full(cells, -0.0)                  # the sum of the rounds played
+    col, every_row = np.empty((step, 1)), np.arange(step)
     expected, realized = np.empty(t), np.empty(t)
     clamped_rounds = 0
-    total = None                                  # summed gains of the rounds played
     for t0 in range(0, t, step):
         t1 = min(t0 + step, t)
-        rows = np.arange(t1 - t0)
-        flat = _generate_gains(cfg, gen_rng, t0, t1).reshape(rows.size, cells)
-        if flat.min() < lo or flat.max() > 1.0:      # count rows out of range only if any
+        r = t1 - t0
+        flat = gains[:r]
+        _generate_gains(cfg, gen_rng, t0, t1, flat.reshape(r, k, k))
+        if flat.min() < lo or flat.max() > 1.0:      # count and clamp only if any is out
             clamped_rounds += int(((flat.min(axis=1) < lo) | (flat.max(axis=1) > 1.0)).sum())
-        np.clip(flat, lo, 1.0, out=flat)
-        cum = flat.copy()
-        if total is not None:
-            cum[0] += total
-        np.cumsum(cum, axis=0, out=cum)
-        before, total = total, cum[-1].copy()
+            np.clip(flat, lo, 1.0, out=flat)
+        cum = sums[:r + 1]
+        cum[0] = total                               # the variant's past-only row
+        cum[1:] = flat
+        cum[1] += total
+        np.cumsum(cum[1:], axis=0, out=cum[1:])
+        total[:] = cum[r]
 
-        probs = _policy_sequence(cfg, flat, cum, before)
-        expected[t0:t1] = (probs * flat).sum(axis=1)
+        probs = _policy_sequence(cfg, flat, cum, col[:r])
+        np.add.reduce(np.multiply(probs, flat, out=prod[:r]), 1, None, expected[t0:t1])
         cdf = np.cumsum(probs, axis=1, out=probs)
-        chosen = _inverse_cdf_rows(cdf, play_rng.random(rows.size))
-        realized[t0:t1] = flat[rows, chosen]
+        chosen = _inverse_cdf_rows(cdf, play_rng.random(r))
+        realized[t0:t1] = flat[every_row[:r], chosen]
 
     avg_expected = float(expected.mean())
     avg_policy = float(realized.mean())

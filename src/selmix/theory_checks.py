@@ -30,12 +30,12 @@ import math
 import numpy as np
 
 from .classifier import log_softmax, softmax
-from .errors import SelMixError, check_integers
+from .errors import SelMixError, check_integers, check_reals
 
 
-def _norm(a: np.ndarray) -> float:
-    """``np.linalg.norm(a)`` by its own formula, without its dispatch."""
-    x = a.ravel()
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)`` of a vector by its own formula, without its
+    dispatch."""
     return math.sqrt(x @ x)
 
 
@@ -71,29 +71,35 @@ def convergence_check(
     t > 10 stayed under 4 gamma R0^2 / (c^2 (t-1)), with R0 measured from
     the trajectory.
     """
+    check_reals(locals(), "alignment_c")
     if not 0.0 < alignment_c <= 1.0:
         raise SelMixError("alignment_c must lie in (0, 1]")
     check_integers(locals(), K=1, d=1, T=100, seed=0)
     gamma = 2.0
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0)))
-    w_star = rng.standard_normal((d, K))
-    w = rng.standard_normal((d, K))
+    # W* and W as flat d·K vectors: the same draws in C order, and only
+    # their norms and sums are read
+    n = d * K
+    w_star = rng.standard_normal(n)
+    w = rng.standard_normal(n)
+    diff, sq, move = w - w_star, np.empty(n), np.empty(n)  # diff: W - W*, kept current
 
     subopt = np.empty(T + 1)
     max_norm = _norm(w)
-    subopt[0] = np.sum((w - w_star) ** 2)
+    subopt[0] = np.add.reduce(np.multiply(diff, diff, out=sq), None)
     for t in range(1, T + 1):
-        grad = -2.0 * (w - w_star)
-        gnorm = _norm(grad)
+        gnorm = _norm(np.multiply(diff, -2.0, out=move))     # the gradient
         if gnorm > 0:
             if rng.random() < alignment_c:
-                v = grad / gnorm
+                move /= gnorm
             else:
-                raw = rng.standard_normal((d, K))
-                v = raw / _norm(raw)
-            w = w + (alignment_c / (2.0 * gamma)) * gnorm * v
+                rng.standard_normal(out=move)
+                move /= _norm(move)
+            move *= (alignment_c / (2.0 * gamma)) * gnorm
+            w += move
+            np.subtract(w, w_star, out=diff)
         max_norm = max(max_norm, _norm(w))
-        subopt[t] = np.sum((w - w_star) ** 2)
+        subopt[t] = np.add.reduce(np.multiply(diff, diff, out=sq), None)
 
     r0 = _norm(w_star) + max_norm
     ts = np.arange(1, T + 1)
@@ -164,9 +170,12 @@ def mixup_regularization_check(
     index arrays, lam and the per-pair losses) plus one block's mixed rows,
     logits and log-softmax terms.
     """
-    if len(alpha_beta) != 2:
-        raise SelMixError(f"alpha_beta must be two values, got {alpha_beta!r}")
-    alpha, beta = map(float, alpha_beta)
+    try:
+        alpha, beta = alpha_beta
+    except (TypeError, ValueError):
+        raise SelMixError(f"alpha_beta must be two values, got {alpha_beta!r}") from None
+    check_reals(locals(), "alpha", "beta", "theta_scale")
+    alpha, beta = float(alpha), float(beta)
     if not (1.0 < alpha < np.inf and 1.0 < beta < np.inf):
         raise SelMixError("regularizer moment diverges: need finite alpha, beta > 1")
     if not np.isfinite(theta_scale):

@@ -44,7 +44,7 @@ from .classifier import (
     sgd_mixup_step,  # noqa: F401  (the benchmark's tracer wraps it here)
 )
 from .data import FeatureDataset
-from .errors import SelMixError, check_integers
+from .errors import SelMixError, check_integers, check_reals
 from .gain import GainMatrix, gain_matrix
 from .metrics import (
     ConfusionMatrix,
@@ -96,6 +96,7 @@ class TrainerConfig:
     def __post_init__(self):
         # n = 0 SGD steps is allowed: a pure evaluation pass that leaves the model alone
         check_integers(self, cycles=1, sgd_steps_per_cycle=0, batch_size=1, seed=0)
+        check_reals(self, "lr", "s", "beta_min")
         if not 0 <= self.lr < np.inf:
             raise SelMixError("lr must be nonnegative and finite")
         if self.lr_schedule not in ("constant", "cosine"):
@@ -182,6 +183,7 @@ def pretrain_erm(
     block, and :func:`sgd_mixup_block` takes the steps.
     """
     check_integers(locals(), steps=0, batch_size=1, seed=0)
+    check_reals(locals(), "lr", "logit_adjust")
     if steps and train.n == 0:
         raise SelMixError("pretrain needs a training set with at least one row")
     if not 0 <= lr < np.inf:

@@ -577,6 +577,47 @@ class TestChunkedGame:
             cfg = OnlineGameConfig(K=k, T=t, gain_generator="spiky", policy_kind=kind, seed=5)
             assert json.dumps(run_online_game(cfg)) == json.dumps(reference_online_game(cfg))
 
+    @staticmethod
+    def _patch_gains(monkeypatch, edit):
+        """Play every game on the built-in gains as ``edit(gains, t0)`` leaves them."""
+        generate = _generate_gains
+
+        def edited(cfg, rng, t0=0, t1=None, out=None):
+            gains = generate(cfg, rng, t0, t1, out)
+            edit(gains, t0)
+            return gains
+
+        monkeypatch.setattr(policy, "_generate_gains", edited)
+        monkeypatch.setitem(globals(), "_generate_gains", edited)
+
+    @pytest.mark.parametrize("kind", ["selmix_hedge", "selmix_hedge_variant"])
+    def test_a_negative_zero_first_round_equals_whole_horizon_play(self, monkeypatch, kind):
+        def first_round(gains, t0):
+            if t0 == 0:
+                gains[0, ::2] = -0.0
+
+        self._patch_gains(monkeypatch, first_round)
+        monkeypatch.setattr(policy, "_CHUNK_ELEMENTS", self.CHUNK)
+        for k, t in [(1, 1), (2, 1), (2, 65), (3, 57), (10, 7), (16, 3)]:
+            cfg = OnlineGameConfig(K=k, T=t, s=3.0, gain_generator="spiky", policy_kind=kind,
+                                   seed=t)
+            assert json.dumps(run_online_game(cfg)) == json.dumps(reference_online_game(cfg))
+
+    def test_a_cell_paying_negative_zero_sums_to_it(self, monkeypatch):
+        # the running sums start from -0.0, the one seed that adds every gain
+        # exactly: a cell paying -0.0 each round totals -0.0, as whole-horizon
+        # np.cumsum gives.  reference_online_game cannot pin this: numpy's
+        # mean starts from +0.0 and gives 0.0 here
+        def zero_cell(gains, t0):
+            gains[...] = -0.5
+            gains[:, 0, 0] = -0.0
+
+        self._patch_gains(monkeypatch, zero_cell)
+        monkeypatch.setattr(policy, "_CHUNK_ELEMENTS", self.CHUNK)
+        for k, t in [(2, 1), (2, 65), (3, 57), (10, 7), (16, 3)]:
+            cfg = OnlineGameConfig(K=k, T=t, gain_generator="constant", seed=t)
+            assert json.dumps(run_online_game(cfg)["avg_gain_best_fixed"]) == "-0.0", (k, t)
+
     def test_fixed_pair_out_of_range_raises_before_any_draw(self, monkeypatch):
         cfg = OnlineGameConfig(K=3, T=10, policy_kind="fixed", fixed_pair=(3, 0))
         with pytest.raises(SelMixError, match="fixed pair out of range"):

@@ -1,12 +1,14 @@
 """Every name the package exports refuses bad arguments with a SelMixError.
 
 Each entry has one valid call on a K=3, d=4 set and a table of mutated
-ones: a float for an integer, a negative count, NaN, a wrong shape or a
-wrong class count K.  A mutated call must raise a :class:`SelMixError`
-subclass, nothing else, and emit no warning (warnings are errors here).
-Two entries the exported ones reach with plain integer arguments,
-``data.balanced_validation`` and ``trainer.pretrain_erm``, are in the table
-too, under their module names.
+ones: a float for an integer, an array for a real number, a negative
+count, NaN, a wrong shape or a wrong class count K.  A mutated call must
+raise a :class:`SelMixError` subclass, nothing else, and emit no warning
+(warnings are errors here).  Entries the exported ones reach with plain
+integer or real arguments (``data.balanced_validation``,
+``trainer.pretrain_erm``, ``policy.selmix_distribution``,
+``gain.gain_from_metric_grad`` and ``classifier.direction_matrix``) are in
+the table too, under their module names.
 """
 
 import importlib
@@ -21,11 +23,13 @@ from selmix.benchmark import BenchmarkSetting
 from selmix.classifier import CentroidSet, LinearModel
 from selmix.data import FeatureDataset, LTSpec
 from selmix.errors import SelMixError
-from selmix.metrics import ConfusionMatrix, MetricSpec, soft_confusion
+from selmix.gain import GainMatrix
+from selmix.metrics import ConfusionMatrix, MetricSpec, metric_grad_unconstrained, soft_confusion
 from selmix.policy import OnlineGameConfig
 from selmix.trainer import TrainerConfig
 
 K, D, NAN = 3, 4, float("nan")
+ARRAY = np.ones((2, 2, 2))      # where a real number is due: its comparison is ambiguous
 LABELS = np.arange(30) % K
 # each row near twice its class's basis vector, so the models below predict its class
 FEATURES = 2.0 * np.eye(D)[LABELS] + np.random.default_rng(0).uniform(-0.1, 0.1, (30, D))
@@ -71,6 +75,8 @@ TABLE = {
     "MetricSpec": (dict(kind="min_recall"), [
         ("kind", dict(kind="median_recall")),
         ("omega NaN", dict(omega=NAN)),
+        ("omega array", dict(omega=ARRAY)),
+        ("tau array", dict(tau=ARRAY)),
         ("alpha NaN", dict(alpha=NAN)),
         ("lambda_max NaN", dict(lambda_max=NAN)),
         ("tau NaN", dict(tau=NAN)),
@@ -117,7 +123,9 @@ TABLE = {
         ("seed float", dict(seed=0.5)),
         ("seed negative", dict(seed=-1)),
         ("rho NaN", dict(rho=NAN)),
+        ("rho array", dict(rho=ARRAY)),
         ("within_std NaN", dict(within_std=NAN)),
+        ("cluster_separation array", dict(cluster_separation=ARRAY)),
         ("cluster_separation NaN", dict(cluster_separation=NAN)),
     ]),
     "generate_longtail": (dict(spec=LTSpec(**SMALL_LT)), [
@@ -141,7 +149,9 @@ TABLE = {
         ("i negative", dict(i=-1)),
         ("j K", dict(j=K)),
         ("beta_bar NaN", dict(beta_bar=NAN)),
+        ("beta_bar array", dict(beta_bar=ARRAY)),
         ("eta NaN", dict(eta=NAN)),
+        ("eta array", dict(eta=ARRAY)),
         ("eta negative", dict(eta=-1.0)),
         ("model K=4", dict(model=MODEL4)),
         ("data K", dict(features=VAL4)),
@@ -156,6 +166,7 @@ TABLE = {
         ("centroids d", dict(centroids=CentroidSet(np.eye(K, D + 1)))),
         ("confusion K", dict(c=C4)),
         ("beta_bar NaN", dict(beta_bar=NAN)),
+        ("beta_bar array", dict(beta_bar=ARRAY)),
         ("lam NaN", dict(lam=np.full(K, NAN))),
         ("lam K", dict(lam=np.full(K + 1, 1.0 / (K + 1)))),
     ]),
@@ -164,6 +175,7 @@ TABLE = {
         ("T negative", dict(T=-1)),
         ("seed float", dict(seed=0.5)),
         ("s NaN", dict(s=NAN)),
+        ("s array", dict(s=ARRAY)),
         ("fixed_pair float", dict(fixed_pair=(0.5, 0))),
     ]),
     "run_online_game": (dict(cfg=OnlineGameConfig(K=K, T=20)), [
@@ -179,6 +191,9 @@ TABLE = {
           for field, value in [("val_per_class", 2.5), ("val_per_class", -1),
                                ("pretrain_steps", 2.5), ("K", 3.5), ("rho", NAN),
                                ("within_std", NAN), ("logit_adjust", NAN)]),
+        *((f"{field} array", dict(setting=Later(
+            lambda field=field: BenchmarkSetting(**{**SMALL_BENCH, field: ARRAY}))))
+          for field in ("rho", "logit_adjust")),
     ]),
     "refresh_pseudo_labels": (dict(model=MODEL, unlabeled=VAL), [
         ("model K=4", dict(model=MODEL4)),
@@ -192,6 +207,9 @@ TABLE = {
         ("validation K", dict(validation=VAL4)),
         ("cycles float", dict(config=Later(lambda: TrainerConfig(SPEC, cycles=2.5)))),
         ("lr NaN", dict(config=Later(lambda: TrainerConfig(SPEC, lr=NAN)))),
+        *((f"{field} array", dict(config=Later(
+            lambda field=field: TrainerConfig(SPEC, **{field: ARRAY}))))
+          for field in ("lr", "s", "beta_min")),
         ("ssl without a pool", dict(config=TrainerConfig(SPEC, cycles=1, mode="ssl"))),
     ]),
     "convergence_check": (dict(K=K, d=D, alignment_c=0.5, T=100, seed=0), [
@@ -200,6 +218,7 @@ TABLE = {
         ("d negative", dict(d=-1)),
         ("seed float", dict(seed=0.5)),
         ("alignment_c NaN", dict(alignment_c=NAN)),
+        ("alignment_c array", dict(alignment_c=ARRAY)),
     ]),
     "mixup_regularization_check": (dict(K=K, d=D, alpha_beta=(2.0, 2.0), theta_scale=0.1, N=20,
                                         mc_pairs=50, seed=0), [
@@ -211,7 +230,10 @@ TABLE = {
         ("N negative", dict(N=-1)),
         ("alpha NaN", dict(alpha_beta=(NAN, 2.0))),
         ("alpha_beta shape", dict(alpha_beta=(2.0, 2.0, 2.0))),
+        ("alpha_beta None", dict(alpha_beta=None)),
+        ("alpha array", dict(alpha_beta=(ARRAY, 2.0))),
         ("theta_scale NaN", dict(theta_scale=NAN)),
+        ("theta_scale array", dict(theta_scale=ARRAY)),
         ("w NaN", dict(w=np.full((K, K), NAN))),
         ("w K", dict(w=np.eye(K + 1))),
     ]),
@@ -225,6 +247,18 @@ TABLE = {
         ("steps negative", dict(steps=-1)),
         ("seed negative", dict(seed=-1)),
         ("lr NaN", dict(lr=NAN)),
+        ("lr array", dict(lr=ARRAY)),
+        ("logit_adjust array", dict(logit_adjust=ARRAY)),
+    ]),
+    "policy.selmix_distribution": (dict(g=GainMatrix(np.eye(K)), s=10.0), [
+        ("s array", dict(s=ARRAY)),
+    ]),
+    "gain.gain_from_metric_grad": (dict(model=MODEL, centroids=CENTS, beta_bar=0.75,
+                                        dgrad=metric_grad_unconstrained(SPEC, C, LAM)), [
+        ("beta_bar array", dict(beta_bar=ARRAY)),
+    ]),
+    "classifier.direction_matrix": (dict(model=MODEL, centroids=CENTS, i=0, j=1, beta_bar=0.75), [
+        ("beta_bar array", dict(beta_bar=ARRAY)),
     ]),
 }
 

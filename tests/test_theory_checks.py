@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -73,7 +74,60 @@ def assert_same_report(args, w=None):
         assert blocked[key] == value, (key, blocked[key], value)
 
 
+def reference_convergence_check(K, d, alignment_c, T, seed):
+    """The convergence check on (d, K) matrices, with fresh arrays each
+    step: the reference the flat-vector loop must equal bit for bit."""
+    def norm(a):
+        x = a.ravel()
+        return math.sqrt(x @ x)
+
+    gamma = 2.0
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0)))
+    w_star = rng.standard_normal((d, K))
+    w = rng.standard_normal((d, K))
+
+    subopt = np.empty(T + 1)
+    max_norm = norm(w)
+    subopt[0] = np.sum((w - w_star) ** 2)
+    for t in range(1, T + 1):
+        grad = -2.0 * (w - w_star)
+        gnorm = norm(grad)
+        if gnorm > 0:
+            if rng.random() < alignment_c:
+                v = grad / gnorm
+            else:
+                raw = rng.standard_normal((d, K))
+                v = raw / norm(raw)
+            w = w + (alignment_c / (2.0 * gamma)) * gnorm * v
+        max_norm = max(max_norm, norm(w))
+        subopt[t] = np.sum((w - w_star) ** 2)
+
+    r0 = norm(w_star) + max_norm
+    ts = np.arange(1, T + 1)
+    late = ts > 10
+    scaled = subopt[1:][late] * (alignment_c**2 * (ts[late] - 1))
+    bound_ok = bool(np.all(scaled <= 4.0 * gamma * r0**2))
+    half = ts >= T // 2
+    numerical_floor = (1e-13 * r0) ** 2
+    exponent = theory_checks._fit_loglog_slope(ts[half], subopt[1:][half], numerical_floor)
+    decades = {str(t): float(subopt[t]) for t in (1, 10, 100, 1000, 10_000) if t <= T}
+    return {
+        "K": K, "d": d, "alignment_c": alignment_c, "T": T, "seed": seed,
+        "fitted_rate_exponent": exponent, "bound_satisfied": bound_ok,
+        "final_suboptimality": float(subopt[-1]), "suboptimality_decades": decades,
+        "measured_R0": float(r0),
+    }
+
+
 class TestConvergenceCheck:
+    @pytest.mark.parametrize("K, d", [(1, 1), (5, 8), (3, 17)])
+    @pytest.mark.parametrize("c", [0.25, 0.5, 1.0])
+    def test_flat_vectors_equal_the_matrix_loop(self, K, d, c):
+        for seed in range(6):
+            for T in (100, 2000):
+                got = convergence_check(K, d, alignment_c=c, T=T, seed=seed)
+                assert json.dumps(got) == json.dumps(reference_convergence_check(K, d, c, T, seed))
+
     def test_exact_gradient_direction_beats_rate_bound(self):
         r = convergence_check(4, 6, alignment_c=1.0, T=300, seed=0)
         assert r["bound_satisfied"]
