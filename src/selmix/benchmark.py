@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classifier import LinearModel
-from .errors import DataError, check_integers
-# generate_longtail stays importable here: perfbench/tracing.py wraps it by this name
-from .data import (POOL_FRACTIONS, FeatureDataset, LTSpec, balanced_validation,
-                   generate_longtail, split)  # noqa: F401
+from .errors import DataError, check_integers, check_reals
+from .data import FeatureDataset, LTSpec, split
+from .data import generate_longtail  # noqa: F401  (the benchmark's tracer wraps it here)
 from .metrics import MetricSpec
 from .trainer import TrainerConfig, pretrain_erm
 
@@ -35,24 +34,25 @@ class BenchmarkSetting:
     logit_adjust: float = 1.0
 
     def __post_init__(self):
-        check_integers(self, DataError, K=2, d=1, N1=1, val_per_class=1, pretrain_steps=0)
+        self.pool(0)
+        check_integers(self, DataError, val_per_class=1, pretrain_steps=0)
+        check_reals(self, "logit_adjust", error=DataError)
+
+    def pool(self, seed: int) -> LTSpec:
+        """The long-tailed pool of this setting drawn with ``seed``."""
+        return LTSpec(K=self.K, d=self.d, N1=self.N1, rho=self.rho,
+                      cluster_separation=self.cluster_separation, within_std=self.within_std,
+                      seed=seed)
 
 
 def make_benchmark(
     seed: int, setting: BenchmarkSetting = BenchmarkSetting()
 ) -> tuple[FeatureDataset, FeatureDataset, FeatureDataset, LinearModel]:
-    """Build (train, unlabeled, validation, init) for one seed."""
-    pool_spec = LTSpec(
-        K=setting.K,
-        d=setting.d,
-        N1=setting.N1,
-        rho=setting.rho,
-        cluster_separation=setting.cluster_separation,
-        within_std=setting.within_std,
-        seed=seed,
-    )
-    train, _, unlabeled = split(pool_spec, POOL_FRACTIONS, seed=seed)
-    validation = balanced_validation(pool_spec, setting.val_per_class)
+    """Build (train, unlabeled, validation, init) for one seed: the
+    :func:`~selmix.data.split` of ``setting.pool(seed)`` with
+    ``setting.val_per_class`` validation rows per class, and the warm start
+    on its train part."""
+    train, unlabeled, validation = split(setting.pool(seed), setting.val_per_class)
     init = pretrain_erm(
         train,
         steps=setting.pretrain_steps,

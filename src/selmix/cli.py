@@ -19,10 +19,9 @@ import numpy as np
 from . import __version__
 from .classifier import LinearModel
 from .config import load_config
-# generate_longtail stays importable here: perfbench/tracing.py wraps it by this name
-from .data import (POOL_FRACTIONS, balanced_validation, check_split_sizes,
-                   generate_longtail,  # noqa: F401
-                   load_dataset, load_weights, save_dataset, save_weights, split)
+from .data import (POOL_FRACTIONS, check_split_sizes, load_dataset, load_weights, save_dataset,
+                   save_weights, split)
+from .data import generate_longtail  # noqa: F401  (the benchmark's tracer wraps it here)
 from .errors import ConfigError, SelMixError
 from .gain import gain_oracle_median_error
 from .metrics import (
@@ -62,9 +61,8 @@ def _strict_json(value) -> str:
 
 def cmd_gen_data(args) -> int:
     spec = load_config(args.config).data
-    check_split_sizes(spec.class_counts(), POOL_FRACTIONS, error=ConfigError)
-    train, _, unlabeled = split(spec, POOL_FRACTIONS, seed=spec.seed)
-    val = balanced_validation(spec, per_class=max(10, round(spec.N1 / 10)))
+    check_split_sizes(spec.class_counts(), error=ConfigError)
+    train, unlabeled, val = split(spec, max(10, round(spec.N1 / 10)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_dataset(train, out / "train.csv")

@@ -19,7 +19,7 @@ from .errors import DataError, check_integers, check_reals
 
 CSV_HEADER_PREFIX = "label"
 LABEL_BOUND = 2 ** 53    # most classes a dataset CSV may hold: every label is exact in float64
-POOL_FRACTIONS = (0.8, 0.0, 0.2)    # labeled / (unused) / unlabeled share of the LT pool
+POOL_FRACTIONS = (0.8, 0.0, 0.2)    # labeled / validation / unlabeled: validation is drawn balanced apart
 CHUNK_BYTES = 2 ** 18    # block size of the plain-text scan and the feature compaction
 PLAIN_BYTES = bytes(range(0x20, 0x7f)) + b"\n"    # printable ASCII and LF
 
@@ -221,7 +221,7 @@ def balanced_validation(spec: LTSpec, per_class: int) -> FeatureDataset:
     cluster means (the usual long-tailed evaluation protocol), drawn from
     the sample stream of ``spec.seed + 20_000`` so it shares no pool draws."""
     check_integers(locals(), DataError, per_class=1)
-    return _draw_clusters(spec, np.full(spec.K, per_class), spec.seed + 20_000)
+    return _draw_clusters(spec, np.full(spec.K, per_class), int(spec.seed) + 20_000)
 
 
 def save_dataset(ds: FeatureDataset, path) -> None:
@@ -387,69 +387,54 @@ def load_weights(path) -> np.ndarray:
     return weights
 
 
-def check_split_sizes(counts: np.ndarray, fractions, error: type[Exception] = DataError) -> None:
+def check_split_sizes(counts: np.ndarray, error: type[Exception] = DataError) -> None:
     """Raise ``error`` naming the first class whose count in ``counts`` is
-    below the number of positive ``fractions``: :func:`split` could not
-    give that class a row in every split."""
-    small = np.flatnonzero(np.asarray(counts) < np.count_nonzero(np.asarray(fractions) > 0))
+    below 2: :func:`split` could not give that class a labeled and an
+    unlabeled row."""
+    small = np.flatnonzero(np.asarray(counts) < 2)
     if small.size:
         raise error(f"class {small[0]} too small to appear in all requested splits")
 
 
-def stratified_rows(counts, fractions, seed: int) -> list[list[np.ndarray]]:
-    """Per class k, the ascending indices into its ``counts[k]`` rows that go
-    to the train, validation and unlabeled parts: one seeded permutation per
-    class, cut at floor(fraction * count), with every positive fraction
-    given at least one row and the rest handed to the largest fractional
-    remainders.  Raises :class:`DataError` unless ``fractions`` are three
-    nonnegative values summing to 1 and every class fits them
-    (:func:`check_split_sizes`)."""
-    fr = np.asarray(fractions, dtype=np.float64)
-    if fr.shape != (3,) or np.any(fr < 0) or abs(fr.sum() - 1.0) > 1e-9:
-        raise DataError("fractions must be three nonnegative values summing to 1")
-    check_integers(locals(), DataError, seed=0)
-    check_split_sizes(counts, fr)
-    active = [s for s in range(3) if fr[s] > 0]
-    rng = np.random.default_rng(seed)
-    rows = []
-    for n_k in map(int, counts):
-        perm = rng.permutation(n_k)
-        sizes = np.floor(fr * n_k).astype(int)
-        for s in active:
-            sizes[s] = max(sizes[s], 1)
-        while sizes.sum() < n_k:
-            rem = fr * n_k - sizes
-            rem[fr == 0] = -np.inf
-            sizes[int(np.argmax(rem))] += 1
-        while sizes.sum() > n_k:
-            rem = fr * n_k - sizes
-            sizes[min((s for s in active if sizes[s] > 1), key=lambda s: rem[s])] -= 1
-        a, b = sizes[0], sizes[0] + sizes[1]
-        rows.append([np.sort(perm[:a]), np.sort(perm[a:b]), np.sort(perm[b:])])
-    return rows
+def _labeled_counts(counts: np.ndarray) -> np.ndarray:
+    """Rows per class that :func:`split` labels, for class counts of at
+    least 2: the floors of the labeled and unlabeled shares of
+    ``POOL_FRACTIONS``, each raised to at least 1, and the one row they may
+    leave over to the larger remainder, the labeled share's on a tie."""
+    shares = np.multiply.outer(POOL_FRACTIONS[::2], counts)     # (2, K)
+    floors = np.maximum(np.floor(shares), 1)
+    rest = shares - floors
+    return (floors[0] + ((floors.sum(axis=0) < counts) & (rest[0] >= rest[1]))).astype(np.int64)
 
 
-def split(spec: LTSpec, fractions: tuple[float, float, float],
-          seed: int) -> tuple[FeatureDataset, FeatureDataset, FeatureDataset]:
-    """Stratified (train, val, unlabeled) split of the pool
-    ``generate_longtail(spec)`` draws, rows in pool order, per
-    :func:`stratified_rows` of its class counts and ``seed``.
+def split(spec: LTSpec, val_per_class: int) -> tuple[FeatureDataset, FeatureDataset, FeatureDataset]:
+    """The long-tailed protocol of ``spec``: (train, unlabeled, validation).
+
+    Per class, one permutation from ``np.random.default_rng(spec.seed)``
+    cuts the rows ``generate_longtail(spec)`` draws into a labeled share
+    (:func:`_labeled_counts`) and an unlabeled rest, each kept in pool
+    order; the validation set is ``balanced_validation(spec,
+    val_per_class)``.  Raises :class:`DataError` for a class of fewer than
+    two rows (:func:`check_split_sizes`).
 
     The pool itself is never held: each class is drawn into one reused
     block exactly as the pool draws it and its rows are copied straight
-    into the parts.  Every part keeps its ground-truth labels, the
-    unlabeled one too.
+    into the parts.  The unlabeled part keeps its ground-truth labels too.
     """
     counts = spec.class_counts()
-    rows = stratified_rows(counts, fractions, seed)
-    sizes = np.array([[part.size for part in parts] for parts in rows])    # (K, 3)
+    check_split_sizes(counts)
+    labeled = _labeled_counts(counts)
+    sizes = np.stack([labeled, counts - labeled], axis=1)      # (K, 2)
     outs = [np.empty((n, spec.d)) for n in sizes.sum(axis=0)]
     starts = (np.cumsum(sizes, axis=0) - sizes).tolist()
-    means, rng = spec.class_means(), _sample_stream(spec.seed)
+    means, rng, cut = spec.class_means(), _sample_stream(spec.seed), np.random.default_rng(spec.seed)
     block = np.empty((counts.max(), spec.d))
-    for k, n_k in enumerate(counts):
+    for k, n_k in enumerate(counts.tolist()):
+        parts = np.split(cut.permutation(n_k), [labeled[k]])
         _draw_cluster(rng, block[:n_k], means[k], spec.within_std)
-        for out, start, part in zip(outs, starts[k], rows[k]):
-            np.take(block, part, axis=0, out=out[start:start + part.size], mode="clip")
-    return tuple(FeatureDataset(features=out, labels=np.repeat(np.arange(spec.K), sizes[:, s]),
-                                num_classes=spec.K) for s, out in enumerate(outs))
+        for out, start, part in zip(outs, starts[k], parts):
+            np.take(block, np.sort(part), axis=0, out=out[start:start + part.size], mode="clip")
+    del block    # before the holdout is drawn
+    pool = (FeatureDataset(features=out, labels=np.repeat(np.arange(spec.K), sizes[:, s]),
+                           num_classes=spec.K) for s, out in enumerate(outs))
+    return (*pool, balanced_validation(spec, val_per_class))

@@ -1,11 +1,13 @@
 """Shared helpers: random valid confusion matrices, random multiplier
 states, the central finite-difference oracle for the reparameterized
-metric gradients, and mutations of the dataset CSVs ``save_dataset``
-writes."""
+metric gradients, mutations of the dataset CSVs ``save_dataset`` writes,
+and the earlier 3-way split of a drawn pool."""
 
 import numpy as np
 from hypothesis import strategies as st
 
+from selmix.data import FeatureDataset
+from selmix.errors import DataError
 from selmix.metrics import (
     ConfusionMatrix,
     MetricSpec,
@@ -106,3 +108,51 @@ def mutate_csv(text: str, mutations) -> bytes:
         at = kinds["bad-byte"] % (len(blob) + 1)
         blob = blob[:at] + b"\xff" + blob[at:]
     return blob
+
+
+def reference_sizes(fractions, n: int) -> np.ndarray:
+    """Rows of a class of ``n`` that the earlier 3-way split gave each part:
+    floor(fraction * n), every positive fraction raised to at least one
+    row, then rows moved to the largest fractional remainders (from the
+    smallest when the raise overshot)."""
+    fr = np.asarray(fractions, dtype=np.float64)
+    active = [s for s in range(3) if fr[s] > 0]
+    counts = np.floor(fr * n).astype(int)
+    for s in active:
+        counts[s] = max(counts[s], 1)
+    while counts.sum() < n:
+        rem = fr * n - counts
+        rem[fr == 0] = -np.inf
+        counts[int(np.argmax(rem))] += 1
+    while counts.sum() > n:
+        rem = fr * n - counts
+        counts[min((s for s in active if counts[s] > 1), key=lambda s: rem[s])] -= 1
+    return counts
+
+
+def reference_split(ds: FeatureDataset, fractions, seed: int):
+    """The earlier ``data.split`` on a drawn pool dataset: a stratified
+    (train, val, unlabeled) split, rows in pool order, cut per class from
+    one permutation of ``np.random.default_rng(seed)`` by
+    :func:`reference_sizes`.  ``data.split`` must equal its parts 0 and 2
+    for ``POOL_FRACTIONS`` byte for byte, and the trainer tests draw their
+    3-way data from it."""
+    fr = np.asarray(fractions, dtype=np.float64)
+    small = np.flatnonzero(ds.class_counts() < np.count_nonzero(fr > 0))
+    if small.size:
+        raise DataError(f"class {small[0]} too small to appear in all requested splits")
+    rng = np.random.default_rng(seed)
+    buckets = [[], [], []]
+    for k in range(ds.num_classes):
+        idx = np.flatnonzero(ds.labels == k)
+        perm = idx[rng.permutation(idx.size)]
+        cuts = np.cumsum(reference_sizes(fr, idx.size))[:2]
+        for bucket, part in zip(buckets, np.split(perm, cuts)):
+            bucket.append(part)
+
+    def take(parts):
+        rows = np.sort(np.concatenate(parts))
+        return FeatureDataset(features=ds.features[rows], labels=ds.labels[rows],
+                              num_classes=ds.num_classes)
+
+    return tuple(take(bucket) for bucket in buckets)

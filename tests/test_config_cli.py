@@ -8,11 +8,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import CSV_MUTATIONS, mutate_csv
+from selmix.benchmark import BenchmarkSetting
 from selmix.cli import main
 from selmix.config import DEFAULTS, parse_config_text
-from selmix.data import (LABEL_BOUND, POOL_FRACTIONS, FeatureDataset, LTSpec, save_dataset,
-                         save_weights, split)
-from selmix.errors import ConfigError, SelMixError
+from selmix.data import LABEL_BOUND, FeatureDataset, LTSpec, save_dataset, save_weights, split
+from selmix.errors import ConfigError, DataError, SelMixError
 from selmix.metrics import METRIC_KINDS, MetricSpec
 from selmix.policy import OnlineGameConfig, run_online_game
 from selmix.trainer import TrainerConfig
@@ -127,17 +127,22 @@ class TestConfigParsing:
         (lambda: OnlineGameConfig(K=3, T=5, seed=0.5), "seed must be an integer, got 0.5"),
         (lambda: OnlineGameConfig(K=3, T=5, policy_kind="fixed", fixed_pair=(0.5, 0)),
          r"fixed_pair must be two integers, got \(0.5, 0\)"),
-        (lambda: split(LTSpec(), POOL_FRACTIONS, seed=-1), "seed must be >= 0"),
-        (lambda: split(LTSpec(), POOL_FRACTIONS, seed=0.5), "seed must be an integer, got 0.5"),
     ])
     def test_a_non_integer_field_is_refused_at_construction(self, build, message):
         with pytest.raises(SelMixError, match=f"^{message}$"):
             build()
 
+    @pytest.mark.parametrize("field", ["rho", "within_std", "cluster_separation", "logit_adjust"])
+    @pytest.mark.parametrize("value", [np.ones(2), "1.0", None, 1 + 0j],
+                             ids=["array", "str", "None", "complex"])
+    def test_a_non_real_benchmark_field_is_refused_at_construction(self, field, value):
+        with pytest.raises(DataError, match=f"^{field} must be a real number, got "):
+            BenchmarkSetting(**{field: value})
+
     def test_numpy_integers_are_integers(self):
         spec = LTSpec(K=np.int64(3), d=np.int32(4), N1=np.int64(200), seed=np.uint8(1))
         assert spec.class_counts().size == 3
-        assert len(split(spec, POOL_FRACTIONS, seed=np.int64(2))) == 3
+        assert len(split(spec, np.int64(5))) == 3
         TrainerConfig(MetricSpec("min_recall"), cycles=np.int64(2), sgd_steps_per_cycle=np.int32(0),
                       batch_size=np.int64(8), seed=np.uint16(3))
         game = OnlineGameConfig(K=np.int64(3), T=np.int64(5), seed=np.int8(1), policy_kind="fixed",

@@ -9,17 +9,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import CSV_MUTATIONS, mutate_csv
+from conftest import CSV_MUTATIONS, mutate_csv, reference_sizes, reference_split
 from selmix.benchmark import BenchmarkSetting, make_benchmark
 from selmix.classifier import class_centroids
 from selmix.data import (
     LABEL_BOUND,
+    POOL_FRACTIONS,
     FeatureDataset,
     LTSpec,
     balanced_validation,
     check_split_sizes,
     generate_longtail,
     _header_width,
+    _labeled_counts,
     _parse_dataset_lines,
     _read_lines,
     load_dataset,
@@ -27,7 +29,6 @@ from selmix.data import (
     save_dataset,
     save_weights,
     split,
-    stratified_rows,
 )
 from selmix.errors import DataError
 
@@ -135,46 +136,6 @@ def _dataset_per_line(path, num_classes):
     raw = _read_lines(path)
     labels, features = _parse_dataset_lines(path, raw, _header_width(path, raw), num_classes)
     return FeatureDataset(features=features, labels=labels, num_classes=num_classes)
-
-
-def reference_split(ds, fractions, seed):
-    """``data.split`` in its earlier form, on a drawn pool dataset: the
-    reference the pool-free split must equal byte for byte."""
-    fr = np.asarray(fractions, dtype=np.float64)
-    if fr.shape != (3,) or np.any(fr < 0) or abs(fr.sum() - 1.0) > 1e-9:
-        raise DataError("fractions must be three nonnegative values summing to 1")
-    check_split_sizes(ds.class_counts(), fr)
-    active = [s for s in range(3) if fr[s] > 0]
-    rng = np.random.default_rng(seed)
-    buckets = [[], [], []]
-    for k in range(ds.num_classes):
-        idx = np.flatnonzero(ds.labels == k)
-        n_k = idx.size
-        perm = idx[rng.permutation(n_k)]
-        counts = np.floor(fr * n_k).astype(int)
-        for s in range(3):
-            if fr[s] > 0 and counts[s] == 0:
-                counts[s] = 1
-        # hand remaining samples to the largest fractional remainders
-        while counts.sum() < n_k:
-            rem = fr * n_k - counts
-            rem[fr == 0] = -np.inf
-            counts[int(np.argmax(rem))] += 1
-        while counts.sum() > n_k:
-            rem = fr * n_k - counts
-            order = [s for s in active if counts[s] > 1]
-            counts[min(order, key=lambda s: rem[s])] -= 1
-        start = 0
-        for s in range(3):
-            buckets[s].append(perm[start : start + counts[s]])
-            start += counts[s]
-
-    def take(parts):
-        rows = np.sort(np.concatenate(parts)) if parts else np.array([], dtype=np.int64)
-        return FeatureDataset(features=ds.features[rows], labels=ds.labels[rows],
-                              num_classes=ds.num_classes)
-
-    return take(buckets[0]), take(buckets[1]), take(buckets[2])
 
 
 def _dataset_bytes(ds):
@@ -452,38 +413,28 @@ class TestBalancedValidation:
 
 
 class TestSplit:
-    def test_all_train_returns_the_whole_pool(self):
-        spec = LTSpec(K=3, d=4, N1=12, rho=2.0, seed=6)
-        train, val, unl = split(spec, (1.0, 0.0, 0.0), seed=0)
-        pool = generate_longtail(spec)
-        assert val.n == 0 and unl.n == 0
-        assert _dataset_bytes(train) == _dataset_bytes(pool)
-
-    def test_stratified_halves(self):
-        rows = stratified_rows(np.full(3, 10), (0.5, 0.5, 0.0), seed=1)
-        assert [[part.size for part in parts] for parts in rows] == [[5, 5, 0]] * 3
-
     def test_seeded_reproducibility(self):
         spec = LTSpec(K=4, d=3, N1=40, rho=4.0, seed=7)
-        a = split(spec, (0.6, 0.2, 0.2), seed=5)
-        b = split(spec, (0.6, 0.2, 0.2), seed=5)
-        c = split(spec, (0.6, 0.2, 0.2), seed=6)
+        a = split(spec, 5)
+        b = split(spec, 5)
+        c = split(LTSpec(K=4, d=3, N1=40, rho=4.0, seed=8), 5)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.features, y.features)
         assert not np.array_equal(a[0].features, c[0].features)
 
-    def test_every_class_lands_in_val(self):
-        _, val, _ = split(LTSpec(K=8, d=4, N1=64, rho=20.0, seed=8), (0.6, 0.2, 0.2), seed=2)
-        assert np.all(val.class_counts() >= 1)
+    def test_every_class_lands_in_every_part(self):
+        train, unl, val = split(LTSpec(K=8, d=4, N1=64, rho=20.0, seed=8), 3)
+        assert np.all(train.class_counts() >= 1) and np.all(unl.class_counts() >= 1)
+        np.testing.assert_array_equal(val.class_counts(), np.full(8, 3))
 
     def test_class_too_small_rejected(self):
         with pytest.raises(DataError, match="class 1 too small"):
-            stratified_rows([3, 1], (0.4, 0.3, 0.3), seed=0)
+            check_split_sizes([3, 1])
         with pytest.raises(DataError, match="class 2 too small"):
-            split(LTSpec(K=3, d=2, N1=8, rho=4.0, seed=0), (0.4, 0.3, 0.3), seed=0)
+            split(LTSpec(K=3, d=2, N1=60, rho=100.0, seed=0), 5)
 
     def test_unlabeled_split_keeps_its_ground_truth_labels(self):
-        _, _, unl = split(LTSpec(K=3, d=4, N1=30, rho=2.0, seed=9), (0.5, 0.25, 0.25), seed=3)
+        _, unl, _ = split(LTSpec(K=3, d=4, N1=30, rho=2.0, seed=9), 5)
         counts = unl.class_counts()
         assert np.all(counts >= 1)
         np.testing.assert_array_equal(unl.labels, np.repeat(np.arange(3), counts))
@@ -493,61 +444,41 @@ class TestSplit:
         with pytest.raises(DataError, match=r"label outside \[0, K\)"):
             FeatureDataset(np.ones((len(labels), 1)), np.array(labels), num_classes=2)
 
-    def test_fraction_validation(self):
-        with pytest.raises(DataError, match="fractions"):
-            split(LTSpec(K=3, d=4, N1=30, rho=2.0, seed=9), (0.5, 0.4, 0.2), seed=0)
-
     def test_overflowing_within_std_raises(self):
         spec = LTSpec(K=4, d=4, N1=50, rho=4.0, within_std=1e308, seed=0)
         with pytest.raises(DataError) as info:
-            split(spec, (0.8, 0.0, 0.2), seed=0)
+            split(spec, 5)
         assert str(info.value) == "within_std=1e+308 overflows the drawn features"
 
 
 @st.composite
 def split_specs(draw):
-    """An ``LTSpec`` whose classes all fit the drawn fractions, the fractions
-    (a validation share among them, and (1, 0, 0)) and a split seed."""
-    fractions = draw(st.sampled_from([(0.8, 0.0, 0.2), (0.6, 0.2, 0.2), (0.5, 0.3, 0.2),
-                                      (1.0, 0.0, 0.0), (0.0, 0.5, 0.5), (0.25, 0.25, 0.5)]))
+    """An ``LTSpec`` whose classes all hold at least two rows, and a
+    validation size."""
     k, rho = draw(st.integers(2, 12)), draw(st.sampled_from([1.0, 1.5, 4.0, 20.0]))
-    n1 = draw(st.integers(int(np.ceil(3 * rho)), 60))
+    n1 = draw(st.integers(int(np.ceil(2 * rho)), 60))
     spec = LTSpec(K=k, d=draw(st.integers(1, 9)), N1=n1, rho=rho,
                   within_std=draw(st.sampled_from([0.55, 1e-3, 3.0])),
                   seed=draw(st.integers(0, 2 ** 32 - 1)))
-    return spec, fractions, draw(st.integers(0, 2 ** 32 - 1))
+    return spec, draw(st.integers(1, 12))
 
 
 @settings(max_examples=150, deadline=None)
 @given(split_specs())
 def test_split_equals_the_split_of_the_drawn_pool(case):
-    spec, fractions, seed = case
-    parts = split(spec, fractions, seed=seed)
-    want = reference_split(generate_longtail(spec), fractions, seed=seed)
+    spec, val_per_class = case
+    parts = split(spec, val_per_class)
+    train, _, unlabeled = reference_split(generate_longtail(spec), POOL_FRACTIONS, spec.seed)
+    want = [train, unlabeled, balanced_validation(spec, val_per_class)]
     assert [_dataset_bytes(p) for p in parts] == [_dataset_bytes(p) for p in want]
 
 
-@st.composite
-def split_cases(draw):
-    counts = draw(st.lists(st.integers(3, 30), min_size=1, max_size=6))
-    weights = draw(st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))
-                   .filter(lambda w: sum(w) > 0))
-    fractions = tuple(w / sum(weights) for w in weights)
-    return np.array(counts), fractions, draw(st.integers(0, 2 ** 32 - 1))
-
-
-@settings(max_examples=150, deadline=None)
-@given(split_cases())
-def test_stratified_rows_partition_every_class(case):
-    counts, fractions, seed = case
-    rows = stratified_rows(counts, fractions, seed=seed)
-    assert len(rows) == counts.size
-    for n_k, parts in zip(counts, rows):
-        assert len(parts) == 3
-        np.testing.assert_array_equal(np.sort(np.concatenate(parts)), np.arange(n_k))
-        for part, fraction in zip(parts, fractions):
-            assert np.all(np.diff(part) > 0)
-            assert part.size >= 1 if fraction > 0 else part.size == 0
+def test_labeled_counts_follow_the_three_way_rule():
+    # every class size from 2, the smallest split accepts, to 10,000
+    counts = np.arange(2, 10_001)
+    want = np.array([reference_sizes(POOL_FRACTIONS, n) for n in counts.tolist()])
+    assert not want[:, 1].any()
+    np.testing.assert_array_equal(_labeled_counts(counts), want[:, 0])
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_split
 from selmix import trainer
 from selmix.classifier import LinearModel, class_centroids, sgd_mixup_block, sgd_mixup_step
-from selmix.data import FeatureDataset, LTSpec, generate_longtail, split
+from selmix.data import FeatureDataset, LTSpec, generate_longtail
 from selmix.errors import SelMixError
 from selmix.gain import gain_matrix
 from selmix.metrics import (
@@ -33,9 +34,14 @@ from selmix.trainer import (
 )
 
 
+def three_way_split(spec, seed):
+    """(train, val, unlabeled) of the pool ``spec`` draws, split 50/30/20."""
+    return reference_split(generate_longtail(spec), (0.5, 0.3, 0.2), seed)
+
+
 def small_benchmark(seed=0, within_std=0.45):
     spec = LTSpec(K=5, d=8, N1=120, rho=12.0, within_std=within_std, seed=seed)
-    return split(spec, (0.5, 0.3, 0.2), seed=seed)
+    return three_way_split(spec, seed)
 
 
 def biased_init(train, seed=0):
@@ -202,7 +208,7 @@ class TestGreedyFormablePairs:
         # the argmax cell's pseudo-labelled pool is empty in this run; greedy
         # used to put all its mass there and abort after 1000 redraws
         spec = LTSpec(K=6, d=8, N1=100, rho=20.0, seed=0)
-        train, val, unlabeled = split(spec, (0.5, 0.3, 0.2), seed=0)
+        train, val, unlabeled = three_way_split(spec, 0)
         init = pretrain_erm(train, steps=60, seed=0)
         cfg = TrainerConfig(metric=MetricSpec(MEAN_RECALL), cycles=3, sgd_steps_per_cycle=7,
                             batch_size=16, lr=0.1, seed=0, mode="ssl", policy="greedy")
@@ -216,7 +222,7 @@ class TestUnlabeledPoolLabels:
     def test_ssl_run_never_reads_them(self, relabel):
         # the trainer pseudo-labels the pool before any cycle reads its labels
         spec = LTSpec(K=6, d=8, N1=100, rho=20.0, seed=0)
-        train, val, unlabeled = split(spec, (0.5, 0.3, 0.2), seed=0)
+        train, val, unlabeled = three_way_split(spec, 0)
         labels = {"shuffled": np.random.default_rng(1).permutation(unlabeled.labels),
                   "constant": np.zeros(unlabeled.n, dtype=np.int64),
                   "relabelled": (unlabeled.labels + 1) % spec.K}[relabel]
@@ -237,7 +243,7 @@ class TestMissingLabeledClasses:
         # push the gain toward them, and every pair drawn must avoid them
         for seed in range(20):
             spec = LTSpec(K=6, d=8, N1=100, rho=20.0, seed=seed)
-            train, val, unlabeled = split(spec, (0.5, 0.3, 0.2), seed=seed)
+            train, val, unlabeled = three_way_split(spec, seed)
             keep = train.labels <= 3
             train = FeatureDataset(train.features[keep], train.labels[keep], train.num_classes)
             init = pretrain_erm(train, steps=60, seed=seed)
@@ -370,7 +376,7 @@ class TestBlockDrawnSgd:
         if case.get("mode") == "ssl":
             # pseudo-labelled pools of this run empty out
             spec = LTSpec(K=6, d=8, N1=100, rho=20.0, seed=0)
-            train, val, unlabeled = split(spec, (0.5, 0.3, 0.2), seed=0)
+            train, val, unlabeled = three_way_split(spec, 0)
         elif pools == "first_gaps":
             (train, val), unlabeled = _first_pool_gaps(), None
         else:
