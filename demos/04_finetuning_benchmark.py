@@ -7,8 +7,6 @@ recall, comparing the adaptive pair-sampling policy against uniform and
 greedy sampling under an identical step budget.
 """
 
-from dataclasses import replace
-
 import numpy as np
 
 from selmix import MetricSpec, make_benchmark, model_confusion, refresh_pseudo_labels, run_selmix
@@ -45,8 +43,8 @@ print(f"  multipliers active in {len(active)}/{len(history.records)} cycles; "
       f"final lambdas {np.round(history.records[-1].lambdas, 1)}")
 print()
 
-print("== semi-supervised mode (pseudo-labeled second pool) ==")
-cfg = replace(benchmark_config(MetricSpec("min_recall"), SEED, cycles=20), mode="ssl")
+print("== semi-supervised: passing the unlabeled pool pseudo-labels it as the second pool ==")
+cfg = benchmark_config(MetricSpec("min_recall"), SEED, cycles=20)
 model, history = run_selmix(cfg, train, unlabeled, val, init)
 conf = model_confusion(model, val)
 pseudo = refresh_pseudo_labels(model, unlabeled)

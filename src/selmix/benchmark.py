@@ -23,12 +23,15 @@ from .trainer import TrainerConfig, pretrain_erm
 
 @dataclass(frozen=True)
 class BenchmarkSetting:
-    K: int = 10
-    d: int = 16
-    N1: int = 1500
-    rho: float = 100.0
-    within_std: float = 0.55
-    cluster_separation: float = 1.0
+    """A benchmark's pool (``LTSpec``'s fields and defaults, less the seed),
+    its validation size and its warm start."""
+
+    K: int = LTSpec.K
+    d: int = LTSpec.d
+    N1: int = LTSpec.N1
+    rho: float = LTSpec.rho
+    within_std: float = LTSpec.within_std
+    cluster_separation: float = LTSpec.cluster_separation
     val_per_class: int = 150
     pretrain_steps: int = 2000
     logit_adjust: float = 1.0
@@ -65,8 +68,8 @@ def make_benchmark(
 def benchmark_config(
     metric: MetricSpec,
     seed: int,
-    policy: str = "selmix",
-    cycles: int = 50,
+    policy: str = TrainerConfig.policy,
+    cycles: int = TrainerConfig.cycles,
     sgd_steps_per_cycle: int = 100,
 ) -> TrainerConfig:
     """Fine-tuning configuration of the reference runs: the published recipe

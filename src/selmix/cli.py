@@ -37,7 +37,7 @@ from .metrics import (
 )
 from .policy import GAIN_GENERATORS, POLICY_KINDS, OnlineGameConfig, run_online_game
 from .theory_checks import convergence_check, mixup_regularization_check
-from .trainer import pretrain_erm, run_selmix
+from .trainer import POLICIES, TrainerConfig, pretrain_erm, run_selmix
 
 
 def _log(msg: str) -> None:
@@ -95,9 +95,11 @@ def cmd_train(args) -> int:
     data_dir = Path(args.data)
     k = cfg.data.K
     train = load_dataset(data_dir / "train.csv", k)
+    if train.dim != cfg.data.d:
+        raise SelMixError(f"train.csv has {train.dim} features, the config's d is {cfg.data.d}")
     val = load_dataset(data_dir / "val.csv", k)
     unlabeled = None
-    if cfg.trainer.mode == "ssl":
+    if cfg.mode == "ssl":
         unlabeled = load_dataset(data_dir / "unlabeled.csv", k)
     if args.init is not None:
         init = LinearModel(load_weights(args.init))
@@ -229,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--policy", choices=["selmix", "uniform", "greedy"], default="selmix")
+    p.add_argument("--policy", choices=POLICIES, default=TrainerConfig.policy)
     p.add_argument("--init", default=None, help="initial model CSV (d x K)")
     p.add_argument("--pretrain-steps", type=int, default=0,
                    help="ERM warm-start steps when no --init is given (0 = zero weights)")
@@ -240,11 +242,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate-policy", help="online-game regret simulation")
     p.add_argument("--K", type=int, default=10)
     p.add_argument("--T", type=int, default=1000)
-    p.add_argument("--s", type=float, default=10.0)
-    p.add_argument("--policy", choices=list(POLICY_KINDS), default="selmix_hedge")
-    p.add_argument("--generator", choices=list(GAIN_GENERATORS), default="iid_uniform")
+    p.add_argument("--s", type=float, default=OnlineGameConfig.s)
+    p.add_argument("--policy", choices=list(POLICY_KINDS), default=OnlineGameConfig.policy_kind)
+    p.add_argument("--generator", choices=list(GAIN_GENERATORS),
+                   default=OnlineGameConfig.gain_generator)
     p.add_argument("--seeds", type=int, nargs="+", default=list(range(20)))
-    p.add_argument("--fixed-pair", type=int, nargs=2, default=(0, 0))
+    p.add_argument("--fixed-pair", type=int, nargs=2, default=OnlineGameConfig.fixed_pair)
     p.set_defaults(func=cmd_simulate_policy)
 
     p = sub.add_parser("check-gain", help="gain approximation vs finite differences")
@@ -257,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a saved model on a dataset CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--omega", type=float, default=40.0)
+    p.add_argument("--omega", type=float, default=MetricSpec.omega)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("check-theory", help="convergence and mixup-regularizer checks")

@@ -1,11 +1,12 @@
 """Flat key=value run configuration shared by the CLI commands.
 
-Unknown keys and keys given twice are rejected; missing keys take the
-documented defaults (the published recipe values where one exists: s=10,
-omega=40, lambda_max=100, tau=0.01, alpha=0.95, batch_size=64, cosine
-schedule).  Values are checked in one place: the trainer and data specs a
-config describes are built when it is parsed, and any value they reject is
-a :class:`ConfigError`.
+Unknown keys and keys given twice are rejected.  A missing key takes the
+default of the dataclass field it sets (``MetricSpec``, ``TrainerConfig``
+or ``LTSpec``: the published recipe values where one exists); only the
+three keys no dataclass holds (``metric``, ``head_tail_split`` and
+``mode``) have their defaults here.  Values are checked in one place: the
+trainer and data specs a config describes are built when it is parsed, and
+any value they reject is a :class:`ConfigError`.
 """
 
 from __future__ import annotations
@@ -14,43 +15,42 @@ from typing import NamedTuple
 
 from .data import LTSpec
 from .errors import ConfigError, SelMixError
-from .metrics import MetricSpec
+from .metrics import MEAN_RECALL, MetricSpec
 from .trainer import TrainerConfig
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
-DEFAULTS: dict[str, object] = {
-    "metric": "mean_recall",
-    "omega": 40.0,
-    "alpha": 0.95,
-    "lambda_max": 100.0,
-    "tau": 0.01,
-    "head_tail_split": -1,      # -1: default split (tail = last ceil(K/10) classes)
-    "s": 10.0,
-    "beta_min": 0.5,
-    "cycles": 50,
-    "sgd_steps": 50,
-    "batch_size": 64,
-    "lr": 0.2,
-    "lr_schedule": "cosine",
-    "mode": "supervised",
-    "seed": 0,
-    "mask_negative": True,
-    "K": 10,
-    "d": 16,
-    "n1": 1500,
-    "rho": 100.0,
-    "within_std": 0.55,
-    "cluster_separation": 1.0,
+# dataclass -> {config key: the field it sets}; ``seed`` seeds both the run
+# and the data
+_FIELDS = {
+    MetricSpec: {"omega": "omega", "alpha": "alpha", "lambda_max": "lambda_max", "tau": "tau"},
+    TrainerConfig: {"s": "s", "beta_min": "beta_min", "cycles": "cycles",
+                    "sgd_steps": "sgd_steps_per_cycle", "batch_size": "batch_size", "lr": "lr",
+                    "lr_schedule": "lr_schedule", "seed": "seed", "mask_negative": "mask_negative"},
+    LTSpec: {"K": "K", "d": "d", "n1": "N1", "rho": "rho", "within_std": "within_std",
+             "cluster_separation": "cluster_separation", "seed": "seed"},
 }
+
+DEFAULTS: dict[str, object] = {
+    "metric": MEAN_RECALL,
+    "head_tail_split": -1,      # -1: MetricSpec's default split (tail = last ceil(K/10) classes)
+    "mode": "supervised",       # "ssl": train also loads unlabeled.csv
+    **{key: getattr(cls, name) for cls, keys in _FIELDS.items() for key, name in keys.items()},
+}
+
+
+def _fields(cls, values: dict[str, object]) -> dict[str, object]:
+    """The keyword arguments of ``cls`` that the config ``values`` set."""
+    return {name: values[key] for key, name in _FIELDS[cls].items()}
 
 
 class RunConfig(NamedTuple):
     """A parsed configuration: the trainer and data specs its keys (see
-    DEFAULTS) describe."""
+    DEFAULTS) describe, and whether ``train`` runs semi-supervised."""
 
     trainer: TrainerConfig
     data: LTSpec
+    mode: str
 
 
 def _parse_value(key: str, raw: str):
@@ -79,25 +79,19 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: key {key!r} already set on line {given[key]}")
         given[key] = lineno
         v[key] = _parse_value(key, raw)
+    if v["mode"] not in ("supervised", "ssl"):
+        raise ConfigError("mode must be 'supervised' or 'ssl'")
+    split = v["head_tail_split"]
+    if split != -1 and not 0 < split < v["K"]:
+        raise ConfigError(f"head_tail_split must lie in (0, {v['K']})")
     try:
-        head_set = None
-        if v["head_tail_split"] != -1:
-            if not 0 < v["head_tail_split"] < v["K"]:
-                raise ConfigError(f"head_tail_split must lie in (0, {v['K']})")
-            head_set = tuple(range(v["head_tail_split"]))
-        metric = MetricSpec(kind=v["metric"], omega=v["omega"], alpha=v["alpha"],
-                            lambda_max=v["lambda_max"], tau=v["tau"], head_set=head_set)
-        trainer = TrainerConfig(
-            metric=metric, cycles=v["cycles"], sgd_steps_per_cycle=v["sgd_steps"],
-            batch_size=v["batch_size"], lr=v["lr"], lr_schedule=v["lr_schedule"],
-            s=v["s"], beta_min=v["beta_min"], mode=v["mode"], seed=v["seed"],
-            mask_negative=v["mask_negative"],
-        )
-        data = LTSpec(K=v["K"], d=v["d"], N1=v["n1"], rho=v["rho"], seed=v["seed"],
-                      cluster_separation=v["cluster_separation"], within_std=v["within_std"])
+        metric = MetricSpec(kind=v["metric"], head_split=None if split == -1 else split,
+                            **_fields(MetricSpec, v))
+        trainer = TrainerConfig(metric=metric, **_fields(TrainerConfig, v))
+        data = LTSpec(**_fields(LTSpec, v))
     except SelMixError as exc:
         raise ConfigError(str(exc)) from None
-    return RunConfig(trainer, data)
+    return RunConfig(trainer, data, v["mode"])
 
 
 def load_config(path) -> RunConfig:

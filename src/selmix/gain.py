@@ -10,7 +10,7 @@ Z W and Z (Z^T dpsi/dCt): the pair softmaxes factorise into two K x K
 exponential tables, so all K^2 pairs cost O(K^2 d + K^3) time (three
 K x K matrix products), O(K^2) exps and O(K^2) memory; a guard
 recomputes pair by pair the few whose shared shift underflows.  The
-oracle instead perturbs W by +-eta V_ij and differences the objective of
+oracle instead perturbs W by +-_FD_STEP V_ij and differences the objective of
 the smooth surrogate confusion; the hard argmax confusion is never
 differentiated.
 """
@@ -55,6 +55,8 @@ _GUARD_ELEMENTS = 1 << 18
 # Smallest trusted normaliser of the factorised form: the terms it loses to
 # underflow, each below e^-708, stay under e^-108 of it.
 _MIN_NORMALISER = float(np.exp(-600.0))
+# the oracle's central-difference step along V_ij
+_FD_STEP = 1e-4
 
 
 def gain_from_metric_grad(
@@ -153,21 +155,17 @@ def gain_fd_oracle(
     i: int,
     j: int,
     beta_bar: float,
-    eta: float = 1e-4,
 ) -> float:
     """Central-difference directional derivative of psi(soft confusion)
-    along V_ij, with the multipliers held fixed.
+    along V_ij, at step ``_FD_STEP``, with the multipliers held fixed.
 
     This is the ground truth the gain formula approximates; agreement
     tightens as the within-class feature spread shrinks.
     """
-    check_reals(locals(), "eta")
-    if not eta > 0:
-        raise SelMixError("eta must be positive")
-    v = direction_matrix(model, centroids, i, j, beta_bar)
-    plus = evaluate_metric(spec, soft_confusion(LinearModel(model.weights + eta * v), features), lam)
-    minus = evaluate_metric(spec, soft_confusion(LinearModel(model.weights - eta * v), features), lam)
-    return (plus - minus) / (2.0 * eta)
+    step = _FD_STEP * direction_matrix(model, centroids, i, j, beta_bar)
+    plus = evaluate_metric(spec, soft_confusion(LinearModel(model.weights + step), features), lam)
+    minus = evaluate_metric(spec, soft_confusion(LinearModel(model.weights - step), features), lam)
+    return (plus - minus) / (2.0 * _FD_STEP)
 
 
 def gain_oracle_median_error(k: int, d: int, within_std: float, seeds) -> float:

@@ -25,9 +25,8 @@ function below reads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import ceil
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -125,8 +124,9 @@ class ConfusionMatrix:
 class MetricSpec:
     """Which objective to optimize, with its relaxation constants.
 
-    ``head_set`` (for the head/tail variants) defaults to all but the last
-    ceil(K/10) classes; the complement is the tail.
+    For the head/tail variants the first ``head_split`` classes are the
+    head and the rest the tail; ``None`` makes the tail the last ceil(K/10)
+    classes (least frequent under the long-tailed ordering).
     """
 
     kind: str
@@ -134,9 +134,7 @@ class MetricSpec:
     alpha: float = 0.95
     lambda_max: float = 100.0
     tau: float = 0.01
-    head_set: tuple[int, ...] | None = None
-    # head_tail's read-only results by K: the split depends on nothing else
-    _head_tail: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    head_split: int | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -146,29 +144,15 @@ class MetricSpec:
             raise SelMixError("omega, lambda_max, tau must be positive and finite")
         if not 0.0 < self.alpha <= 1.0:
             raise SelMixError("alpha must lie in (0, 1]")
-        if self.head_set is not None:
-            if not all(isinstance(v, Integral) and v >= 0 for v in self.head_set):
-                raise SelMixError(f"head_set must hold integers >= 0, got {self.head_set!r}")
-            object.__setattr__(self, "head_set", tuple(sorted(set(self.head_set))))
+        if self.head_split is not None:
+            check_integers(self, head_split=1)
 
     def head_tail(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(head, tail) read-only index arrays, built once per K; the default
-        tail is the last ceil(K/10) classes (least frequent under the
-        long-tailed ordering)."""
-        if k in self._head_tail:
-            return self._head_tail[k]
-        if self.head_set is None:
-            head = np.arange(k - ceil(k / 10))
-        else:
-            head = np.asarray(self.head_set, dtype=np.int64)
-            if head.size and head.max() >= k:
-                raise SelMixError("head_set indices out of range")
-        tail = np.setdiff1d(np.arange(k), head)
-        if _KINDS[self.kind].grouped and (head.size == 0 or tail.size == 0):
-            raise SelMixError("head_set must be a nonempty proper subset for head/tail kinds")
-        head.flags.writeable = tail.flags.writeable = False
-        self._head_tail[k] = head, tail
-        return head, tail
+        """(head, tail) index arrays of a K-class problem."""
+        split = k - ceil(k / 10) if self.head_split is None else self.head_split
+        if not 0 < split < k:
+            raise SelMixError(f"head_split {split} leaves an empty head or tail of {k} classes")
+        return np.arange(split), np.arange(split, k)
 
 
 def _multiplier_count(rule: _KindRule, k: int) -> int:

@@ -12,10 +12,11 @@ regularizer
 
 where the expectation is over the reweighted mixture
 alpha/(alpha+beta) * Beta(alpha+1, beta) + beta/(alpha+beta) * Beta(beta+1,
-alpha), H_bar is the per-sample average of the weighted log-sum-exp
-Hessians, Sigma the empirical feature covariance, and Th the first K-1
-weight rows (the last row is pinned to zero).  The Hessian factor is
-normalized per sample so both sides of the comparison are sample averages.
+alpha), H_bar is the per-sample average of the log-sum-exp Hessians,
+Sigma the empirical feature covariance, and Th the first K-1 weight rows
+(the last row is pinned to zero).  Both losses are plain cross-entropy.
+The Hessian factor is normalized per sample so both sides of the
+comparison are sample averages.
 
 The moments are exact; with a = alpha, b = beta they are finite iff a, b > 1:
 
@@ -131,17 +132,19 @@ def convergence_check(
 _MC_BLOCK = 4096
 
 
-def _weighted_ce(log_probs: np.ndarray, labels: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Per-sample loss -sum_i w[y, i] log_probs_i, from ``log_softmax(logits)``."""
-    return -(w[labels] * log_probs).sum(axis=1)
+def _cross_entropy(log_probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-sample loss -log_probs[n, labels[n]], from ``log_softmax(logits)``."""
+    return -log_probs[np.arange(labels.size), labels]
 
 
-def _mean_lse_hessian(logits: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_n weights[n] (diag(s_n) - s_n s_n^T) / N, the mean log-sum-exp Hessian,
-    with s_n the softmax of row n less its last logit, which must be 0."""
+def _mean_lse_hessian(logits: np.ndarray) -> np.ndarray:
+    """sum_n (diag(s_n) - s_n s_n^T) / N, the mean log-sum-exp Hessian, with
+    s_n the softmax of row n less its last logit, which must be 0."""
     sigma = softmax(logits)[:, :-1]
-    weighted = weights[:, None] * sigma
-    return (np.diag(weighted.sum(axis=0)) - weighted.T @ sigma) / len(sigma)
+    # a product of sigma with itself takes BLAS's symmetric rank-k update,
+    # which rounds otherwise than the general product of two arrays
+    rows = sigma.copy()
+    return (np.diag(rows.sum(axis=0)) - rows.T @ sigma) / len(sigma)
 
 
 def mixup_regularization_check(
@@ -152,7 +155,6 @@ def mixup_regularization_check(
     N: int,
     mc_pairs: int,
     seed: int,
-    w: np.ndarray | None = None,
 ) -> dict:
     """Compare Monte-Carlo mixup loss against its second-order Taylor form.
 
@@ -181,11 +183,6 @@ def mixup_regularization_check(
     if not np.isfinite(theta_scale):
         raise SelMixError("theta_scale must be finite")
     check_integers(locals(), K=2, d=1, N=2, mc_pairs=1, seed=0)
-    if w is None:
-        w = np.eye(K)
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (K, K) or not (w >= 0).all():
-        raise SelMixError("gain-weight matrix must be nonnegative K x K")
 
     # the module docstring's moments, scaled by top = max(a, b) and each
     # term divided last, so no step overflows while the result is finite
@@ -205,7 +202,7 @@ def mixup_regularization_check(
         theta = theta_scale * data_rng.standard_normal((K, d))
         theta[K - 1] = 0.0
         logits = x @ theta.T
-        std_loss = float(_weighted_ce(log_softmax(logits), y, w).mean())
+        std_loss = float(_cross_entropy(log_softmax(logits), y).mean())
 
         n_idx = pair_rng.integers(0, N, size=mc_pairs)
         m_idx = pair_rng.integers(0, N, size=mc_pairs)
@@ -215,8 +212,8 @@ def mixup_regularization_check(
         for lo, hi in zip(edges, edges[1:]):
             n, m, lm = n_idx[lo:hi], m_idx[lo:hi], lam[lo:hi]
             log_probs = log_softmax((lm[:, None] * x[n] + (1.0 - lm)[:, None] * x[m]) @ theta.T)
-            losses[lo:hi] = (lm * _weighted_ce(log_probs, y[n], w)
-                             + (1.0 - lm) * _weighted_ce(log_probs, y[m], w))
+            losses[lo:hi] = (lm * _cross_entropy(log_probs, y[n])
+                             + (1.0 - lm) * _cross_entropy(log_probs, y[m]))
         mixup_mc = float(np.mean(losses))
         if not math.isfinite(mixup_mc) and np.isfinite(losses).all():
             # the sum of finite losses overflowed; their mean is representable
@@ -224,7 +221,7 @@ def mixup_regularization_check(
 
         theta_tilde = theta[: K - 1]
         sigma_x = x.T @ x / N
-        h_bar = _mean_lse_hessian(logits, w[y].sum(axis=1))
+        h_bar = _mean_lse_hessian(logits)
         regularizer = float(moment * np.trace(h_bar @ theta_tilde @ sigma_x @ theta_tilde.T))
     taylor = std_loss + regularizer
     if not (math.isfinite(mixup_mc) and math.isfinite(taylor)):

@@ -6,12 +6,12 @@ refreshes the Lagrange multipliers from it, builds the gain matrix, and
 turns it into the pair-sampling distribution, conditioned on the formable
 pairs: those whose labeled class-Y1 pool and second class-Y2 pool are both
 nonempty.  The following n SGD steps draw (Y1, Y2) from that distribution,
-pick X1 uniformly from the labeled class-Y1 pool and X2 from the
-pseudo-labeled (ssl) or labeled (supervised) class-Y2 pool, and descend the
-mixup loss at the scheduled learning rate.  Runs are bitwise deterministic
-for a given (config, seed): the root seed spawns independent streams for
-pair sampling, beta draws, and batch element choice, so toggling one
-consumer leaves the others unchanged.
+pick X1 uniformly from the labeled class-Y1 pool and X2 from the class-Y2
+pool of the pseudo-labeled unlabeled set when one is given (SSL), of the
+labeled set otherwise, and descend the mixup loss at the scheduled learning
+rate.  Runs are bitwise deterministic for a given (config, seed): the root
+seed spawns independent streams for pair sampling, beta draws, and batch
+element choice, so toggling one consumer leaves the others unchanged.
 
 Within a cycle the policy, both pools and their class layouts are fixed, so
 none of the draws depends on the weights.  The SGD block therefore runs in
@@ -69,6 +69,12 @@ from .policy import (
 # threshold; the gathered rows go into arrays allocated once per run.
 _BLOCK_ELEMENTS = 1 << 17
 
+# the warm start's SGD step size and batch
+_PRETRAIN_LR = 0.5
+_PRETRAIN_BATCH = 64
+
+POLICIES = ("selmix", "uniform", "greedy")
+
 
 @dataclass(frozen=True)
 class TrainerConfig:
@@ -88,7 +94,6 @@ class TrainerConfig:
     lr_schedule: str = "cosine"
     s: float = 10.0
     beta_min: float = 0.5
-    mode: str = "supervised"
     seed: int = 0
     mask_negative: bool = True
     policy: str = "selmix"
@@ -103,9 +108,7 @@ class TrainerConfig:
             raise SelMixError("lr_schedule must be 'constant' or 'cosine'")
         if not 0.0 <= self.beta_min <= 1.0:
             raise SelMixError("beta_min must lie in [0, 1]")
-        if self.mode not in ("supervised", "ssl"):
-            raise SelMixError("mode must be 'supervised' or 'ssl'")
-        if self.policy not in ("selmix", "uniform", "greedy"):
+        if self.policy not in POLICIES:
             raise SelMixError("policy must be 'selmix', 'uniform', or 'greedy'")
         if not 0 < self.s < np.inf:
             raise SelMixError("s must be positive and finite")
@@ -166,13 +169,12 @@ def refresh_pseudo_labels(model: LinearModel, unlabeled: FeatureDataset,
 
 def pretrain_erm(
     train: FeatureDataset,
-    steps: int = 300,
-    lr: float = 0.5,
-    batch_size: int = 64,
+    steps: int,
     seed: int = 0,
     logit_adjust: float = 0.0,
 ) -> LinearModel:
-    """Softmax-CE SGD warm start on the (imbalanced) training split.
+    """Softmax-CE SGD warm start on the (imbalanced) training split, at
+    step size ``_PRETRAIN_LR`` and batch ``_PRETRAIN_BATCH``.
 
     With ``logit_adjust=0`` this is plain ERM and yields the head-biased
     classifier the fine-tuning stage is meant to repair.  A positive value
@@ -182,12 +184,10 @@ def pretrain_erm(
     are drawn, and rows gathered, a block of steps at a time, as in the SGD
     block, and :func:`sgd_mixup_block` takes the steps.
     """
-    check_integers(locals(), steps=0, batch_size=1, seed=0)
-    check_reals(locals(), "lr", "logit_adjust")
+    check_integers(locals(), steps=0, seed=0)
+    check_reals(locals(), "logit_adjust")
     if steps and train.n == 0:
         raise SelMixError("pretrain needs a training set with at least one row")
-    if not 0 <= lr < np.inf:
-        raise SelMixError("pretrain lr must be nonnegative and finite")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5E1F)))
     w = np.zeros((train.dim, train.num_classes))
     shift = None
@@ -199,12 +199,12 @@ def pretrain_erm(
         if not np.isfinite(shift[present]).all():
             raise SelMixError(f"pretrain logit adjustment {logit_adjust!r} makes a logit "
                               "shift non-finite")
-    block = max(1, min(_BLOCK_ELEMENTS // (batch_size * train.dim), steps))
-    rows = np.empty((block, batch_size, train.dim))    # every block gathers into it
+    block = max(1, min(_BLOCK_ELEMENTS // (_PRETRAIN_BATCH * train.dim), steps))
+    rows = np.empty((block, _PRETRAIN_BATCH, train.dim))    # every block gathers into it
     for done in range(0, steps, block):
-        idx = rng.integers(0, train.n, size=(min(block, steps - done), batch_size))
+        idx = rng.integers(0, train.n, size=(min(block, steps - done), _PRETRAIN_BATCH))
         x = np.take(train.features, idx, axis=0, out=rows[:len(idx)], mode="clip")
-        sgd_mixup_block(w, x, train.labels[idx], [lr] * len(idx), shift)
+        sgd_mixup_block(w, x, train.labels[idx], [_PRETRAIN_LR] * len(idx), shift)
     return LinearModel(w)
 
 
@@ -223,13 +223,12 @@ def run_selmix(
     validation: FeatureDataset,
     init: LinearModel,
 ) -> tuple[LinearModel, RunHistory]:
-    """Run the full fine-tuning loop and return (final model, history)."""
+    """Run the full fine-tuning loop and return (final model, history).
+    The run is semi-supervised exactly when ``unlabeled`` is given."""
     k = validation.num_classes
     if np.any(validation.class_counts() == 0):
         missing = int(np.flatnonzero(validation.class_counts() == 0)[0])
         raise SelMixError(f"class {missing} absent from validation set")
-    if config.mode == "ssl" and unlabeled is None:
-        raise SelMixError("ssl mode requires an unlabeled set")
     for name, ds in (("train", train), ("validation", validation), ("unlabeled", unlabeled)):
         if ds is not None and ds.num_classes != k:
             raise SelMixError(f"{name} set has {ds.num_classes} classes, validation has {k}")
@@ -248,7 +247,7 @@ def run_selmix(
     history = RunHistory()
     first = train.class_layout()
     second_pool, second = train, first
-    formable = np.outer(first.count > 0, first.count > 0)   # ssl mode rebuilds it per cycle
+    formable = np.outer(first.count > 0, first.count > 0)   # an SSL run rebuilds it per cycle
     total_steps = max(config.cycles * config.sgd_steps_per_cycle, 1)
     spec = config.metric
     block = max(1, min(_BLOCK_ELEMENTS // (config.batch_size * train.dim),
@@ -265,7 +264,7 @@ def run_selmix(
     grad_floor = 0.5 / validation.n
 
     for t in range(1, config.cycles + 1):
-        if config.mode == "ssl":
+        if unlabeled is not None:
             second_pool = refresh_pseudo_labels(model, unlabeled, pool_carry)
             second = second_pool.class_layout()
             formable = np.outer(first.count > 0, second.count > 0)

@@ -1,6 +1,8 @@
 import json
+import re
 import shutil
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import CSV_MUTATIONS, mutate_csv
 from selmix.benchmark import BenchmarkSetting
-from selmix.cli import main
-from selmix.config import DEFAULTS, parse_config_text
+from selmix.cli import build_parser, main
+from selmix.config import DEFAULTS, _parse_value, parse_config_text
 from selmix.data import LABEL_BOUND, FeatureDataset, LTSpec, save_dataset, save_weights, split
 from selmix.errors import ConfigError, DataError, SelMixError
 from selmix.metrics import METRIC_KINDS, MetricSpec
@@ -76,6 +78,21 @@ class TestConfigParsing:
     def test_round_trip_all_keys(self):
         text = "\n".join(f"{k}={v}" for k, v in DEFAULTS.items())
         assert parse_config_text(text) == parse_config_text("")
+
+    def test_the_readme_lists_every_key_with_its_default(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        sentence = readme[readme.index("Keys and defaults:"):]
+        sentence = sentence[:sentence.index("\n\n")]
+        pairs = [item.partition("=") for item in re.findall(r"`(\w+=[^`\s]*)`", sentence)]
+        listed = [key for key, _, _ in pairs]
+        assert len(listed) == len(set(listed)) and set(listed) == set(DEFAULTS)
+        assert {key: _parse_value(key, raw) for key, _, raw in pairs} == DEFAULTS
+
+    def test_mode_is_the_run_configs_own(self):
+        assert parse_config_text("").mode == "supervised"
+        assert parse_config_text("mode=ssl").mode == "ssl"
+        with pytest.raises(ConfigError, match="^mode must be 'supervised' or 'ssl'$"):
+            parse_config_text("mode=transductive")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -193,6 +210,22 @@ class TestGenData:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag, default", [
+    (["eval", "--model", "m", "--data", "d"], "omega", MetricSpec.omega),
+    (["train", "--config", "c", "--data", "d", "--out", "o"], "policy", TrainerConfig.policy),
+    (["simulate-policy"], "s", OnlineGameConfig.s),
+    (["simulate-policy"], "policy", OnlineGameConfig.policy_kind),
+    (["simulate-policy"], "generator", OnlineGameConfig.gain_generator),
+    (["simulate-policy"], "fixed_pair", OnlineGameConfig.fixed_pair),
+])
+def test_a_flag_defaults_to_the_field_it_sets(argv, flag, default):
+    assert getattr(build_parser().parse_args(argv), flag) == default
+
+
+def test_a_benchmark_pool_defaults_to_ltspecs():
+    assert BenchmarkSetting().pool(3) == LTSpec(seed=3)
+
+
 @pytest.mark.parametrize("command", ["gen-data", "train"])
 def test_out_of_range_config_value_exits_2(tmp_path, capsys, command):
     conf = tmp_path / "c.cfg"
@@ -281,6 +314,17 @@ class TestTrain:
         out = tmp_path / "run"
         assert run_cli("train", "--config", str(conf), "--data", str(small_data_dir),
                        "--out", str(out), "--pretrain-steps", "40") == 0
+
+    @pytest.mark.parametrize("mode, code", [("supervised", 0), ("ssl", 2)])
+    def test_only_an_ssl_config_reads_unlabeled_csv(self, tmp_path, small_data_dir, capsys,
+                                                    mode, code):
+        (small_data_dir / "unlabeled.csv").unlink()
+        conf = tmp_path / "train.cfg"
+        conf.write_text(f"K=4\nd=6\nmode={mode}\ncycles=1\nsgd_steps=5\nbatch_size=8\n")
+        capsys.readouterr()
+        assert run_cli("train", "--config", str(conf), "--data", str(small_data_dir),
+                       "--out", str(tmp_path / "run")) == code
+        assert ("unlabeled.csv" in capsys.readouterr().err) == (mode == "ssl")
 
     @pytest.mark.parametrize("policy", ["selmix", "uniform", "greedy"])
     def test_train_split_missing_a_class_runs_quietly(self, tmp_path, small_data_dir, policy,
@@ -629,6 +673,8 @@ def _write_eval_inputs(tmp):
     ((*_TRAIN, "--pretrain-steps", "-3"), "steps must be >= 0"),
     ((*_TRAIN, "--init", "{tmp}/m.csv"), "init model shape does not match the data"),
     (_TRAIN_NARROW, "error: validation set has 5 features, train has 6\n"),
+    (("train", "--config", "{tmp}/wide.cfg", "--data", "{tmp}/data", "--out", "{tmp}/out"),
+     "error: train.csv has 6 features, the config's d is 8\n"),
     (("gen-data", "--config", "{tmp}/tail.cfg", "--out", "{tmp}/out"),
      "config error: class 2 too small to appear in all requested splits"),
     (("gen-data", "--config", "{tmp}/huge_k.cfg", "--out", "{tmp}/out"),
@@ -663,7 +709,8 @@ def _write_eval_inputs(tmp):
 ], ids=["sim-seed", "theory-seed", "mixup-seed", "conv-K-neg", "conv-d-neg", "conv-K-0",
         "conv-d-0", "mixup-d-neg", "mixup-d-0", "sim-out-of-memory", "sim-s-overflow",
         "pretrain-la-inf", "pretrain-la-overflow", "pretrain-la-nan", "pretrain-steps-neg",
-        "init-shape-mismatch", "narrow-validation", "gen-data-tail-too-small",
+        "init-shape-mismatch", "narrow-validation", "train-width-other-than-d",
+        "gen-data-tail-too-small",
         "gen-data-K-past-label-bound", "train-K-past-label-bound",
         "gen-data-d-past-numpy-dimension", "train-d-past-numpy-dimension",
         "gen-data-d-past-numpy-size", "gen-data-pool-past-numpy-size",
@@ -685,6 +732,7 @@ def test_bad_arguments_exit_with_one_line_and_no_traceback(monkeypatch, request,
     (tmp_path / "huge_n1.cfg").write_text(f"n1 = {10 ** 30}\n")
     (tmp_path / "int64_n1.cfg").write_text(f"n1 = {2 ** 63 - 1}\n")
     (tmp_path / "split.cfg").write_text("head_tail_split=-5\n")
+    (tmp_path / "wide.cfg").write_text("K=4\nd=8\n")         # gen.cfg's data has d=6
     (tmp_path / "huge_s.cfg").write_text(_HUGE_S)
     save_weights(_HUGE_MODEL, tmp_path / "huge.csv")
     if argv[0] == "train" or "{tmp}/data/val.csv" in argv:

@@ -277,25 +277,22 @@ class TestSpecValidation:
         assert list(tail) == [9]
         assert len(head) == 9
 
-    def test_head_set_must_be_proper(self):
-        spec = MetricSpec("min_recall_head_tail", head_set=tuple(range(4)))
-        for _ in range(2):      # a failed split is not cached
-            with pytest.raises(SelMixError):
-                spec.head_tail(4)
+    @pytest.mark.parametrize("split, k", [(4, 4), (7, 4), (None, 1)])
+    def test_head_split_must_leave_a_head_and_a_tail(self, split, k):
+        spec = MetricSpec("min_recall_head_tail", head_split=split)
+        with pytest.raises(SelMixError, match=f"leaves an empty head or tail of {k} classes"):
+            spec.head_tail(k)
 
-    def test_head_tail_built_once_per_k_and_read_only(self):
-        spec = MetricSpec("h_mean_coverage_head_tail", head_set=(0, 2))
+    def test_head_split_takes_the_first_classes(self):
+        spec = MetricSpec("h_mean_coverage_head_tail", head_split=2)
         head, tail = spec.head_tail(5)
-        assert spec.head_tail(5)[0] is head and spec.head_tail(5)[1] is tail
-        assert list(head) == [0, 2] and list(tail) == [1, 3, 4]
-        assert list(spec.head_tail(3)[1]) == [1]
-        with pytest.raises(ValueError):
-            head[0] = 1
-        with pytest.raises(ValueError):
-            tail[0] = 0
-        # the cache takes no part in equality or hashing
-        other = MetricSpec("h_mean_coverage_head_tail", head_set=(2, 0))
-        assert other == spec and hash(other) == hash(spec)
+        assert list(head) == [0, 1] and list(tail) == [2, 3, 4]
+        assert list(spec.head_tail(3)[1]) == [2]
+
+    @pytest.mark.parametrize("split", [0, -1, 2.0, "2"])
+    def test_head_split_must_be_a_positive_integer(self, split):
+        with pytest.raises(SelMixError, match="^head_split must be "):
+            MetricSpec("min_recall_head_tail", head_split=split)
 
     def test_invalid_kind_rejected(self):
         with pytest.raises(SelMixError, match="unknown metric kind"):
@@ -324,18 +321,18 @@ HAND_C = ConfusionMatrix(np.array([[4, 1, 0, 0], [2, 3, 0, 0], [1, 1, 3, 0], [1,
 
 
 class TestHeadTailKinds:
-    @pytest.mark.parametrize("head_set, means", [(None, (2.0 / 3.0, 0.4)), ((0, 2), (0.7, 0.5))])
-    def test_min_recall_head_tail_hand_values(self, head_set, means):
-        spec = MetricSpec(MIN_RECALL_HEAD_TAIL, omega=5.0, head_set=head_set)
+    @pytest.mark.parametrize("head_split, means", [(None, (2.0 / 3.0, 0.4)), (2, (0.7, 0.5))])
+    def test_min_recall_head_tail_hand_values(self, head_split, means):
+        spec = MetricSpec(MIN_RECALL_HEAD_TAIL, omega=5.0, head_split=head_split)
         lam = update_lagrange(spec, HAND_C)
         weights = np.exp(-5.0 * np.array(means))
         np.testing.assert_allclose(lam, weights / weights.sum(), rtol=1e-12)
         assert evaluate_metric(spec, HAND_C, lam) == pytest.approx(lam @ means, rel=1e-12)
 
     @pytest.mark.parametrize("kind", [MEAN_RECALL_COVERAGE_HEAD_TAIL, H_MEAN_COVERAGE_HEAD_TAIL])
-    @pytest.mark.parametrize("head_set, covs", [(None, (0.3, 0.1)), ((2, 3), (0.15, 0.35))])
-    def test_coverage_head_tail_refresh_uses_group_means(self, kind, head_set, covs):
-        spec = MetricSpec(kind, alpha=0.95, tau=0.01, lambda_max=100.0, head_set=head_set)
+    @pytest.mark.parametrize("head_split, covs", [(None, (0.3, 0.1)), (2, (0.35, 0.15))])
+    def test_coverage_head_tail_refresh_uses_group_means(self, kind, head_split, covs):
+        spec = MetricSpec(kind, alpha=0.95, tau=0.01, lambda_max=100.0, head_split=head_split)
         target = 0.95 / 4
         lam = update_lagrange(spec, HAND_C)
         expected = [0.0 if cov >= target else 100.0 * (1.0 - np.exp((cov - target) / 0.01))
@@ -346,8 +343,8 @@ class TestHeadTailKinds:
         psi = base + lam @ (np.array(covs) - target)
         assert evaluate_metric(spec, HAND_C, lam) == pytest.approx(psi, rel=1e-12)
 
-    @pytest.mark.parametrize("head_set", [None, (1, 4)])
-    def test_neutral_lagrange_for_every_kind(self, head_set):
+    @pytest.mark.parametrize("head_split", [None, 3])
+    def test_neutral_lagrange_for_every_kind(self, head_split):
         k = 7
         expected = {
             MEAN_RECALL: [], G_MEAN: [], H_MEAN: [],
@@ -357,7 +354,7 @@ class TestHeadTailKinds:
         }
         assert set(expected) == set(METRIC_KINDS)
         for kind, lams in expected.items():
-            got = neutral_lagrange(MetricSpec(kind, head_set=head_set), k)
+            got = neutral_lagrange(MetricSpec(kind, head_split=head_split), k)
             assert got.shape == (len(lams),), kind
             np.testing.assert_array_equal(got, lams, err_msg=kind)
 
@@ -383,9 +380,8 @@ class TestNonFiniteMultipliers:
 @st.composite
 def spec_and_confusion(draw):
     k = draw(st.integers(2, 12))
-    head_set = draw(st.none() | st.lists(st.integers(0, k - 1), min_size=1, max_size=k - 1,
-                                         unique=True))
-    spec = MetricSpec(draw(st.sampled_from(METRIC_KINDS)), head_set=head_set)
+    head_split = draw(st.none() | st.integers(1, k - 1))
+    spec = MetricSpec(draw(st.sampled_from(METRIC_KINDS)), head_split=head_split)
     priors = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
     c_tilde = np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=k * k, max_size=k * k)))
     return spec, unconstrained_to_confusion(c_tilde.reshape(k, k), priors / priors.sum())

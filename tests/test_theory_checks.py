@@ -18,11 +18,12 @@ from selmix.theory_checks import (
 )
 
 
-def whole_array_check(K, d, alpha_beta, theta_scale, N, mc_pairs, seed, w=None):
-    """The mixup check with its Monte-Carlo loss over every pair at once:
-    the reference the blocked estimate must equal bit for bit."""
+def whole_array_check(K, d, alpha_beta, theta_scale, N, mc_pairs, seed):
+    """The mixup check with its Monte-Carlo loss over every pair at once, and
+    its cross-entropy and Hessian in their gain-weighted form at identity
+    weights: the reference the blocked estimate must equal bit for bit."""
     alpha, beta = map(float, alpha_beta)
-    w = np.eye(K) if w is None else np.asarray(w, dtype=np.float64)
+    w = np.eye(K)
     top = max(alpha, beta)
     p, q, u = alpha / top, beta / top, 1.0 / top
     half = 0.5 / (p + q)
@@ -53,7 +54,9 @@ def whole_array_check(K, d, alpha_beta, theta_scale, N, mc_pairs, seed, w=None):
 
     theta_tilde = theta[: K - 1]
     sigma_x = x.T @ x / N
-    h_bar = _mean_lse_hessian(logits, w[y].sum(axis=1))
+    sigma = softmax(logits)[:, :-1]
+    weighted = w[y].sum(axis=1)[:, None] * sigma
+    h_bar = (np.diag(weighted.sum(axis=0)) - weighted.T @ sigma) / N
     regularizer = float(moment * np.trace(h_bar @ theta_tilde @ sigma_x @ theta_tilde.T))
     taylor = std_loss + regularizer
     return {
@@ -65,9 +68,9 @@ def whole_array_check(K, d, alpha_beta, theta_scale, N, mc_pairs, seed, w=None):
     }
 
 
-def assert_same_report(args, w=None):
-    blocked = mixup_regularization_check(*args, w=w)
-    reference = whole_array_check(*args, w=w)
+def assert_same_report(args):
+    blocked = mixup_regularization_check(*args)
+    reference = whole_array_check(*args)
     assert list(blocked) == list(reference)
     for key, value in reference.items():
         assert type(blocked[key]) is type(value), key
@@ -211,7 +214,6 @@ class TestMixupRegularizationCheck:
     def test_mean_hessian_matches_stacked_reference(self):
         rng = np.random.default_rng(1)
         xi = rng.normal(size=(40, 6)) * 3.0
-        weights = rng.uniform(0.0, 3.0, size=40)
         logits = np.concatenate([xi, np.zeros((40, 1))], axis=1)
         # reference: one (K-1, K-1) Hessian diag(s) - s s^T per sample
         sigma = softmax(logits)[:, :6]
@@ -219,8 +221,8 @@ class TestMixupRegularizationCheck:
         stacked[:, np.arange(6), np.arange(6)] += sigma
         for h in stacked:
             assert np.all(np.linalg.eigvalsh(h) >= -1e-10)
-        h_bar = _mean_lse_hessian(logits, weights)
-        np.testing.assert_allclose(h_bar, np.einsum("n,nij->ij", weights, stacked) / 40,
+        h_bar = _mean_lse_hessian(logits)
+        np.testing.assert_allclose(h_bar, stacked.sum(axis=0) / 40,
                                    rtol=0.0, atol=1e-15)
         assert np.all(np.linalg.eigvalsh(h_bar) >= -1e-10)
 
@@ -255,12 +257,10 @@ class TestMixupRegularizationCheck:
         alpha_beta=st.sampled_from([(2.0, 2.0), (2.0, 3.0), (1.5, 6.0)]),
         scale=st.sampled_from([0.0, 1e-3, 0.05, 0.5, 5.0, 100.0]),
         seed=st.integers(0, 2**32 - 1),
-        weighted=st.booleans(),
     )
     def test_blocked_estimate_equals_whole_array(self, K, d, N, mc_pairs, alpha_beta,
-                                                 scale, seed, weighted):
-        w = np.random.default_rng(seed).uniform(0.0, 2.0, (K, K)) if weighted else None
-        assert_same_report((K, d, alpha_beta, scale, N, mc_pairs, seed), w=w)
+                                                 scale, seed):
+        assert_same_report((K, d, alpha_beta, scale, N, mc_pairs, seed))
 
     @pytest.mark.parametrize("mc_pairs", [1, 7, _MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1,
                                           2 * _MC_BLOCK - 1, 2 * _MC_BLOCK, 5 * _MC_BLOCK + 3])
@@ -296,10 +296,3 @@ class TestMixupRegularizationCheck:
         finally:
             tracemalloc.stop()
         assert peak < bound
-
-    def test_diagonal_weight_matrix_path(self):
-        w = np.diag([1.0, 2.0, 0.5, 1.5])
-        r = mixup_regularization_check(4, 6, (2.0, 2.0), 0.05, N=100,
-                                       mc_pairs=20_000, seed=2, w=w)
-        assert np.isfinite(r["taylor_approx"])
-        assert r["regularizer"] >= 0.0

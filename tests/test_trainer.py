@@ -1,3 +1,4 @@
+import hashlib
 import re
 import warnings
 
@@ -148,19 +149,29 @@ class TestRunSelmix:
     def test_ssl_mode_runs_and_refreshes_pseudo_labels(self):
         train, val, unl = small_benchmark(seed=3, within_std=0.2)
         cfg = TrainerConfig(metric=MetricSpec(MEAN_RECALL), cycles=2,
-                            sgd_steps_per_cycle=10, batch_size=8, lr=0.05,
-                            mode="ssl", seed=3)
+                            sgd_steps_per_cycle=10, batch_size=8, lr=0.05, seed=3)
         model, history = run_selmix(cfg, train, unl, val, biased_init(train))
         assert history.sgd_steps == 20
         refreshed = refresh_pseudo_labels(model, unl)
         acc = np.mean(refreshed.labels == unl.labels)
         assert acc > 0.5                      # clusters are tight; labels mostly right
 
-    def test_ssl_mode_requires_unlabeled(self):
-        train, val, _ = small_benchmark()
-        cfg = TrainerConfig(metric=MetricSpec(MEAN_RECALL), mode="ssl", seed=0)
-        with pytest.raises(SelMixError, match="unlabeled"):
-            run_selmix(cfg, train, None, val, biased_init(train))
+    # sha1 of history.jsonl and the final weights of the run below, from the
+    # trainer that took a mode: mode="ssl" with the pool, and the default
+    # supervised mode without it (numpy 2.4.6, OpenBLAS 0.3.31)
+    @pytest.mark.parametrize("ssl, digest", [
+        (True, "e5e2625e8d9eeea728640204de97d60725fe0a77"),
+        (False, "ac5ebf0ef3d9c3c62cdb8d9d647730465fe26840"),
+    ], ids=["with-pool", "without-pool"])
+    def test_ssl_follows_the_unlabeled_set(self, ssl, digest):
+        spec = LTSpec(K=6, d=8, N1=100, rho=20.0, seed=0)
+        train, val, unlabeled = three_way_split(spec, 0)
+        cfg = TrainerConfig(metric=MetricSpec(MIN_RECALL), cycles=3, sgd_steps_per_cycle=7,
+                            batch_size=16, lr=0.1, seed=0)
+        model, history = run_selmix(cfg, train, unlabeled if ssl else None, val,
+                                    pretrain_erm(train, steps=60, seed=0))
+        got = hashlib.sha1(history.to_jsonl().encode() + model.weights.tobytes()).hexdigest()
+        assert got == digest
 
     def test_validation_must_cover_every_class(self):
         train, val, _ = small_benchmark()
@@ -177,7 +188,7 @@ class TestRunSelmix:
         wide = data[name]
         data[name] = FeatureDataset(wide.features, wide.labels, num_classes=6)
         cfg = TrainerConfig(metric=MetricSpec(MEAN_RECALL), cycles=1, sgd_steps_per_cycle=2,
-                            batch_size=4, mode="ssl", seed=0)
+                            batch_size=4, seed=0)
         with pytest.raises(SelMixError, match=f"^{name} set has 6 classes, validation has 5$"):
             run_selmix(cfg, **data, init=init)
 
@@ -188,7 +199,7 @@ class TestRunSelmix:
         wide = data[name]
         data[name] = FeatureDataset(wide.features[:, :5], wide.labels, wide.num_classes)
         cfg = TrainerConfig(metric=MetricSpec(MEAN_RECALL), cycles=1, sgd_steps_per_cycle=2,
-                            batch_size=4, mode="ssl", seed=0)
+                            batch_size=4, seed=0)
         with pytest.raises(SelMixError, match=f"^{name} set has 5 features, train has 8$"):
             run_selmix(cfg, **data, init=init)
 
@@ -211,7 +222,7 @@ class TestGreedyFormablePairs:
         train, val, unlabeled = three_way_split(spec, 0)
         init = pretrain_erm(train, steps=60, seed=0)
         cfg = TrainerConfig(metric=MetricSpec(MEAN_RECALL), cycles=3, sgd_steps_per_cycle=7,
-                            batch_size=16, lr=0.1, seed=0, mode="ssl", policy="greedy")
+                            batch_size=16, lr=0.1, seed=0, policy="greedy")
         _, history = run_selmix(cfg, train, unlabeled, val, init)
         assert len(history.records) == 3
         assert history.sgd_steps == 21
@@ -229,7 +240,7 @@ class TestUnlabeledPoolLabels:
         assert not np.array_equal(labels, unlabeled.labels)
         init = pretrain_erm(train, steps=60, seed=0)
         cfg = TrainerConfig(metric=MetricSpec(MIN_RECALL), cycles=3, sgd_steps_per_cycle=7,
-                            batch_size=16, lr=0.1, seed=0, mode="ssl")
+                            batch_size=16, lr=0.1, seed=0)
         want_model, want = run_selmix(cfg, train, unlabeled, val, init)
         model, history = run_selmix(cfg, train, unlabeled.with_labels(labels), val, init)
         assert history.to_jsonl() == want.to_jsonl()
@@ -248,7 +259,7 @@ class TestMissingLabeledClasses:
             train = FeatureDataset(train.features[keep], train.labels[keep], train.num_classes)
             init = pretrain_erm(train, steps=60, seed=seed)
             cfg = TrainerConfig(metric=MetricSpec(MIN_RECALL), cycles=5, sgd_steps_per_cycle=20,
-                                batch_size=32, lr=0.1, seed=seed, mode=mode)
+                                batch_size=32, lr=0.1, seed=seed)
             _, history = run_selmix(cfg, train, unlabeled if mode == "ssl" else None, val, init)
             assert history.sgd_steps == 100, seed
 
@@ -299,7 +310,7 @@ def per_step_run(config, train, unlabeled, validation, init):
     model = init
     centroids = class_centroids(validation)
     second_pool = train
-    if config.mode == "ssl":
+    if unlabeled is not None:
         second_pool = refresh_pseudo_labels(model, unlabeled)
     history = RunHistory()
     first = train.class_layout()
@@ -337,7 +348,7 @@ def per_step_run(config, train, unlabeled, validation, init):
             model = reference_sgd_step(model, mixed, y1, lr)
             global_step += 1
             history.sgd_steps += 1
-        if config.mode == "ssl":
+        if unlabeled is not None:
             second_pool = refresh_pseudo_labels(model, unlabeled)
     final_conf = model_confusion(model, validation)
     history.final_psi = float(evaluate_metric(spec, final_conf, update_lagrange(spec, final_conf)))
@@ -362,8 +373,8 @@ class TestBlockDrawnSgd:
         (dict(cycles=2, sgd_steps_per_cycle=10, batch_size=1), 4),
         (dict(cycles=2, sgd_steps_per_cycle=10, batch_size=1), None),
         (dict(cycles=3, sgd_steps_per_cycle=0), 3),
-        (dict(cycles=3, sgd_steps_per_cycle=7, batch_size=16, mode="ssl"), 3),
-        (dict(cycles=3, sgd_steps_per_cycle=7, batch_size=16, mode="ssl"), None),
+        (dict(cycles=3, sgd_steps_per_cycle=7, batch_size=16, pools="ssl"), 3),
+        (dict(cycles=3, sgd_steps_per_cycle=7, batch_size=16, pools="ssl"), None),
         (dict(cycles=3, sgd_steps_per_cycle=7, batch_size=8, policy="uniform",
               pools="first_gaps"), 3),
         (dict(cycles=3, sgd_steps_per_cycle=7, batch_size=8, pools="first_gaps"), 3),
@@ -373,7 +384,7 @@ class TestBlockDrawnSgd:
     def test_matches_per_step_reference(self, monkeypatch, case, steps_per_block):
         case = dict(case)
         pools = case.pop("pools", None)
-        if case.get("mode") == "ssl":
+        if pools == "ssl":
             # pseudo-labelled pools of this run empty out
             spec = LTSpec(K=6, d=8, N1=100, rho=20.0, seed=0)
             train, val, unlabeled = three_way_split(spec, 0)
@@ -403,7 +414,7 @@ class TestBlockDrawnSgd:
         for field in ("sgd_steps", "final_psi"):
             assert getattr(history, field) == getattr(want_history, field), field
         assert [g.bit_generator.state for g in streams] == want_states
-        if case.get("mode") == "ssl" or pools == "first_gaps":
+        if pools in ("ssl", "first_gaps"):
             assert gapped_cycles > 0
 
 
@@ -642,8 +653,8 @@ class TestSgdMixupBlock:
         init = biased_init(train)
         before = init.weights.tobytes()
         cfg = TrainerConfig(metric=MetricSpec(MIN_RECALL), cycles=2, sgd_steps_per_cycle=5,
-                            batch_size=8, lr=0.1, seed=0, mode=mode)
-        model, _ = run_selmix(cfg, train, unlabeled, val, init)
+                            batch_size=8, lr=0.1, seed=0)
+        model, _ = run_selmix(cfg, train, unlabeled if mode == "ssl" else None, val, init)
         assert init.weights.tobytes() == before
         assert model.weights.tobytes() != before
 
@@ -671,19 +682,22 @@ class TestBlockDrawnPretrain:
                                                   logit_adjust, steps_per_block):
         train, _, _ = small_benchmark()
         steps = 23                                      # not a multiple of 5
+        monkeypatch.setattr(trainer, "_PRETRAIN_BATCH", batch_size)
         if steps_per_block is not None:
             monkeypatch.setattr(trainer, "_BLOCK_ELEMENTS",
                                 steps_per_block * batch_size * train.dim)
-        got = pretrain_erm(train, steps=steps, batch_size=batch_size, logit_adjust=logit_adjust)
+        got = pretrain_erm(train, steps=steps, logit_adjust=logit_adjust)
         want = per_step_pretrain(train, steps, batch_size, logit_adjust)
         assert got.weights.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("lr", [0.3, 0.7])
-    def test_scales_the_summed_gradient_once_by_lr_over_batch(self, lr):
+    def test_scales_the_summed_gradient_once_by_lr_over_batch(self, monkeypatch, lr):
         # lr 0.5 and batch 8 scale exactly, so only an lr and a batch that round tell
         # M * (lr / B) from M / B * lr: the warm start steps through sgd_mixup_block
         train, _, _ = small_benchmark()
-        got = pretrain_erm(train, steps=23, batch_size=7, lr=lr, logit_adjust=1.0)
+        monkeypatch.setattr(trainer, "_PRETRAIN_BATCH", 7)
+        monkeypatch.setattr(trainer, "_PRETRAIN_LR", lr)
+        got = pretrain_erm(train, steps=23, logit_adjust=1.0)
         want = per_step_pretrain(train, 23, 7, 1.0, lr=lr)
         assert got.weights.tobytes() == want.tobytes()
         average_then_scale = per_step_pretrain(train, 23, 7, 1.0, lr=lr,
@@ -708,10 +722,6 @@ class TestPretrainAbsentClass:
 class TestPretrainRejectsBadInputs:
     @pytest.mark.parametrize("kwargs, message", [
         ({"steps": -3}, "steps must be >= 0"),
-        ({"batch_size": 0}, "batch_size must be >= 1"),
-        ({"lr": -0.1}, "lr must be nonnegative and finite"),
-        ({"lr": np.inf}, "lr must be nonnegative and finite"),
-        ({"lr": np.nan}, "lr must be nonnegative and finite"),
         ({"logit_adjust": np.inf}, "logit shift non-finite"),
         ({"logit_adjust": 1e308}, "logit shift non-finite"),
         ({"logit_adjust": np.nan}, "logit shift non-finite"),
